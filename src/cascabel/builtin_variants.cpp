@@ -42,6 +42,7 @@ const starvm::ErrorModel kVecaddModel =
     starvm::ErrorModel::rounding(1.0, kUlp, 1.0);
 
 /// C (rows x cols) += A (rows x k) * B (k x cols); geometry from handles.
+/// The scalar cache-tiled kernel: the untuned side of the interface.
 void dgemm_exec(const starvm::ExecContext& ctx) {
   const auto& c = ctx.handle(0);
   const auto& a = ctx.handle(1);
@@ -49,7 +50,7 @@ void dgemm_exec(const starvm::ExecContext& ctx) {
                          ctx.buffer(0));
 }
 
-/// Register-blocked/SIMD variant of the same interface (see dgemm_tiled).
+/// Same geometry on the SIMD register-blocked kernel (see dgemm_tiled).
 void dgemm_tiled_exec(const starvm::ExecContext& ctx) {
   const auto& c = ctx.handle(0);
   const auto& a = ctx.handle(1);
@@ -154,23 +155,27 @@ void register_builtin_variants(TaskRepository& repo) {
   const std::vector<ParamSpec> vecadd_params = {{"A", AccessMode::kReadWrite},
                                                 {"B", AccessMode::kRead}};
 
+  // Sequential fall-back on the scalar kernel: the untuned side the
+  // autotuner learns against.
   repo.add_variant(make_variant("Idgemm", "dgemm_seq", {"x86"}, dgemm_params, kGemmModel));
   repo.bind(BoundImpl{"dgemm_seq", starvm::DeviceKind::kCpu, dgemm_exec, dgemm_flops});
 
-  // Tuned single-core variant: register-blocked 4x4 micro-kernel (SIMD
-  // when the build enables PDL_ENABLE_NATIVE_ARCH). Same fallback platform
-  // as dgemm_seq — the selector keeps both and the runtime's performance
-  // model learns which one wins on the host.
+  // The SIMD kernel under the same fallback platform: the selector keeps
+  // both and the runtime's performance model learns which one wins.
   repo.add_variant(make_variant("Idgemm", "dgemm_tiled", {"x86"}, dgemm_params, kGemmModel));
   repo.bind(BoundImpl{"dgemm_tiled", starvm::DeviceKind::kCpu, dgemm_tiled_exec,
                       dgemm_flops});
 
+  // The stand-ins for the paper's GotoBLAS2 (smp) and CuBLAS (cuda)
+  // variants run the SIMD kernel, on the widest instruction set the host
+  // CPU supports; simulated accelerators execute on the host.
   repo.add_variant(make_variant("Idgemm", "dgemm_smp", {"smp"}, dgemm_params, kGemmModel));
-  repo.bind(BoundImpl{"dgemm_smp", starvm::DeviceKind::kCpu, dgemm_exec, dgemm_flops});
+  repo.bind(BoundImpl{"dgemm_smp", starvm::DeviceKind::kCpu, dgemm_tiled_exec,
+                      dgemm_flops});
 
   repo.add_variant(make_variant("Idgemm", "dgemm_cublas", {"cuda"}, dgemm_params, kGemmModel));
-  repo.bind(BoundImpl{"dgemm_cublas", starvm::DeviceKind::kAccelerator, dgemm_exec,
-                      dgemm_flops});
+  repo.bind(BoundImpl{"dgemm_cublas", starvm::DeviceKind::kAccelerator,
+                      dgemm_tiled_exec, dgemm_flops});
 
   // Mixed-precision dgemm lives under its own interface: callers opt into
   // the reduced accuracy explicitly, and the measured-rate selector can

@@ -10,9 +10,10 @@
 //
 // Interfaces:
 //   Idgemm  (C: readwrite, A: read, B: read)  — C += A * B
-//     dgemm_seq    x86   CPU          (the sequential fall-back)
-//     dgemm_smp    smp   CPU          (per-core blocked kernel)
-//     dgemm_cublas cuda  Accelerator  (simulated CuBLAS)
+//     dgemm_seq    x86   CPU          (the sequential fall-back, scalar)
+//     dgemm_tiled  x86   CPU          (SIMD fall-back)
+//     dgemm_smp    smp   CPU          (GotoBLAS stand-in, SIMD per core)
+//     dgemm_cublas cuda  Accelerator  (simulated CuBLAS, SIMD on the host)
 //   Ivecadd (A: readwrite, B: read)           — A += B
 //     vecadd_seq   x86   CPU
 //     vecadd_smp   smp   CPU

@@ -21,6 +21,36 @@ starvm::Access to_starvm(AccessMode mode) {
   return starvm::Access::kRead;
 }
 
+/// Registration is one per pointer, so a buffer passed twice must be passed
+/// the same way: a second distribution or shape would re-partition or
+/// re-register the handle the first parameter already uses.
+pdl::util::Status check_aliasing(const std::string& iface,
+                                 const std::vector<ParamSpec>& params,
+                                 const std::vector<Arg>& args) {
+  const auto describe = [&](std::size_t i) {
+    const Arg& a = args[i];
+    const std::string name = i < params.size()
+                                 ? "'" + params[i].name + "'"
+                                 : std::string("#") + std::to_string(i + 1);
+    return name + " (" + std::string(to_string(a.dist)) + ", " +
+           std::to_string(a.rows) + "x" + std::to_string(a.cols) + ")";
+  };
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    for (std::size_t j = i + 1; j < args.size(); ++j) {
+      const Arg& x = args[i];
+      const Arg& y = args[j];
+      if (x.ptr == y.ptr &&
+          (x.dist != y.dist || x.rows != y.rows || x.cols != y.cols)) {
+        return pdl::util::Status::failure(
+            "call of '" + iface + "': parameters " + describe(i) + " and " +
+            describe(j) +
+            " pass the same buffer with different distributions or shapes");
+      }
+    }
+  }
+  return {};
+}
+
 }  // namespace
 
 Context::Context(const pdl::Platform& target, TaskRepository repository,
@@ -128,6 +158,12 @@ pdl::util::Status Context::execute(std::string_view interface_name,
   if (candidates == nullptr || candidates->empty()) {
     return pdl::util::Status::failure("no variant of task interface '" + iface +
                                       "' matches the target platform");
+  }
+
+  if (auto status =
+          check_aliasing(iface, candidates->front().variant->pragma.params, args);
+      !status.ok()) {
+    return status;
   }
 
   // Which device classes may run this call: the execution group restricts

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
+#include "kernels/dgemm_paths.hpp"
 #include "kernels/matrix.hpp"
 #include "util/thread_pool.hpp"
 
@@ -66,64 +68,160 @@ void dgemm_blocked_rows(std::size_t row_begin, std::size_t row_end, std::size_t 
   }
 }
 
-/// 4x4 register-blocked micro-kernel: C[i..i+4) x [j..j+4) += A*B over
-/// [p0..p1). The 16 partial sums stay in registers for the whole k extent,
-/// so each C element is loaded and stored once per tile instead of once
-/// per p. The j-contiguous pairs are what the compiler vectorizes.
-void dgemm_micro_4x4(std::size_t i, std::size_t j, std::size_t p0,
-                     std::size_t p1, std::size_t n, std::size_t k,
-                     const double* a, const double* b, double* c) {
-  double c00 = 0.0, c01 = 0.0, c02 = 0.0, c03 = 0.0;
-  double c10 = 0.0, c11 = 0.0, c12 = 0.0, c13 = 0.0;
-  double c20 = 0.0, c21 = 0.0, c22 = 0.0, c23 = 0.0;
-  double c30 = 0.0, c31 = 0.0, c32 = 0.0, c33 = 0.0;
+// --- dgemm_tiled: one micro-kernel, compiled per instruction set ------------
+//
+// The micro-kernel keeps a 4-row x 2-vector block of C in registers over a
+// whole p-block: each step loads two vectors of one B row, broadcasts four
+// A values and issues eight multiply-adds into independent accumulators.
+// B is read in place, not packed: translated tasks are 8-row bands, where
+// a packing pass costs about as much as the product itself.
+//
+// The code is written once over the vector type and force-inlined into one
+// entry point per instruction set, so each entry is compiled for its own
+// target, FMA contraction included where the target has it.
+
+typedef double Vec2 __attribute__((vector_size(2 * sizeof(double))));
+typedef double Vec4 __attribute__((vector_size(4 * sizeof(double))));
+typedef double Vec8 __attribute__((vector_size(8 * sizeof(double))));
+
+template <typename V>
+constexpr std::size_t kLanes = sizeof(V) / sizeof(double);
+
+/// dst[0..lanes) += v, unaligned.
+template <typename V>
+[[gnu::always_inline]] inline void add_into(double* dst, const V& v) {
+  V d;
+  std::memcpy(&d, dst, sizeof(V));
+  d += v;
+  std::memcpy(dst, &d, sizeof(V));
+}
+
+/// C[i..i+4) x [j..j+2W) += A*B over [p0..p1), W = kLanes<V>.
+template <typename V>
+[[gnu::always_inline]] inline void micro_4x2v(std::size_t i, std::size_t j,
+                                              std::size_t p0, std::size_t p1,
+                                              std::size_t n, std::size_t k,
+                                              const double* a, const double* b,
+                                              double* c) {
+  constexpr std::size_t w = kLanes<V>;
+  V c00{}, c01{}, c10{}, c11{}, c20{}, c21{}, c30{}, c31{};
   const double* a0 = a + i * k;
   const double* a1 = a0 + k;
   const double* a2 = a1 + k;
   const double* a3 = a2 + k;
   for (std::size_t p = p0; p < p1; ++p) {
     const double* b_row = b + p * n + j;
-    const double b0 = b_row[0], b1 = b_row[1], b2 = b_row[2], b3 = b_row[3];
-    const double va0 = a0[p], va1 = a1[p], va2 = a2[p], va3 = a3[p];
-    c00 += va0 * b0; c01 += va0 * b1; c02 += va0 * b2; c03 += va0 * b3;
-    c10 += va1 * b0; c11 += va1 * b1; c12 += va1 * b2; c13 += va1 * b3;
-    c20 += va2 * b0; c21 += va2 * b1; c22 += va2 * b2; c23 += va2 * b3;
-    c30 += va3 * b0; c31 += va3 * b1; c32 += va3 * b2; c33 += va3 * b3;
+    V b0;
+    V b1;
+    std::memcpy(&b0, b_row, sizeof(V));
+    std::memcpy(&b1, b_row + w, sizeof(V));
+    c00 += a0[p] * b0; c01 += a0[p] * b1;
+    c10 += a1[p] * b0; c11 += a1[p] * b1;
+    c20 += a2[p] * b0; c21 += a2[p] * b1;
+    c30 += a3[p] * b0; c31 += a3[p] * b1;
   }
   double* c0 = c + i * n + j;
   double* c1 = c0 + n;
   double* c2 = c1 + n;
   double* c3 = c2 + n;
-  c0[0] += c00; c0[1] += c01; c0[2] += c02; c0[3] += c03;
-  c1[0] += c10; c1[1] += c11; c1[2] += c12; c1[3] += c13;
-  c2[0] += c20; c2[1] += c21; c2[2] += c22; c2[3] += c23;
-  c3[0] += c30; c3[1] += c31; c3[2] += c32; c3[3] += c33;
+  add_into(c0, c00); add_into(c0 + w, c01);
+  add_into(c1, c10); add_into(c1 + w, c11);
+  add_into(c2, c20); add_into(c2 + w, c21);
+  add_into(c3, c30); add_into(c3 + w, c31);
 }
 
-void dgemm_tiled_rows(std::size_t row_begin, std::size_t row_end, std::size_t n,
-                      std::size_t k, const double* a, const double* b, double* c,
-                      std::size_t block) {
-  for (std::size_t i0 = row_begin; i0 < row_end; i0 += block) {
-    const std::size_t i1 = std::min(row_end, i0 + block);
+template <typename V>
+[[gnu::always_inline]] inline void tiled(std::size_t m, std::size_t n,
+                                         std::size_t k, const double* a,
+                                         const double* b, double* c,
+                                         std::size_t block) {
+  constexpr std::size_t cols = 2 * kLanes<V>;
+  if (block == 0) block = kDefaultBlock;
+  for (std::size_t i0 = 0; i0 < m; i0 += block) {
+    const std::size_t i1 = std::min(m, i0 + block);
+    const std::size_t i4 = i0 + (i1 - i0) / 4 * 4;
     for (std::size_t p0 = 0; p0 < k; p0 += block) {
       const std::size_t p1 = std::min(k, p0 + block);
       for (std::size_t j0 = 0; j0 < n; j0 += block) {
         const std::size_t j1 = std::min(n, j0 + block);
-        // Interior in 4x4 micro-tiles; fringes (tile edges not divisible
-        // by 4) fall back to the scalar kernel.
-        const std::size_t i4 = i0 + (i1 - i0) / 4 * 4;
-        const std::size_t j4 = j0 + (j1 - j0) / 4 * 4;
+        const std::size_t jv = j0 + (j1 - j0) / cols * cols;
         for (std::size_t i = i0; i < i4; i += 4) {
-          for (std::size_t j = j0; j < j4; j += 4) {
-            dgemm_micro_4x4(i, j, p0, p1, n, k, a, b, c);
+          for (std::size_t j = j0; j < jv; j += cols) {
+            micro_4x2v<V>(i, j, p0, p1, n, k, a, b, c);
           }
         }
-        if (j4 < j1) dgemm_tile(i0, i4, j4, j1, p0, p1, n, k, a, b, c);
+        // Tile edges that do not fill a register block use the scalar kernel.
+        if (jv < j1) dgemm_tile(i0, i4, jv, j1, p0, p1, n, k, a, b, c);
         if (i4 < i1) dgemm_tile(i4, i1, j0, j1, p0, p1, n, k, a, b, c);
       }
     }
   }
 }
+
+template <typename V>
+[[gnu::always_inline]] inline double madd_peak(std::size_t iterations, double x,
+                                               double y) {
+  // Distinct starting values keep the compiler from merging the chains.
+  V acc[detail::kPeakChains];
+  for (std::size_t ch = 0; ch < detail::kPeakChains; ++ch) {
+    acc[ch] = V{} + static_cast<double>(ch) * y;
+  }
+  for (std::size_t it = 0; it < iterations; ++it) {
+    for (V& v : acc) v = v * x + y;
+  }
+  double sum = 0.0;
+  for (const V& v : acc) {
+    for (std::size_t lane = 0; lane < kLanes<V>; ++lane) sum += v[lane];
+  }
+  return sum;
+}
+
+void tiled_baseline(std::size_t m, std::size_t n, std::size_t k, const double* a,
+                    const double* b, double* c, std::size_t block) {
+  tiled<Vec2>(m, n, k, a, b, c, block);
+}
+
+double peak_baseline(std::size_t iterations, double x, double y) {
+  return madd_peak<Vec2>(iterations, x, y);
+}
+
+#if defined(__x86_64__)
+[[gnu::target("avx2,fma")]] void tiled_avx2(std::size_t m, std::size_t n,
+                                            std::size_t k, const double* a,
+                                            const double* b, double* c,
+                                            std::size_t block) {
+  tiled<Vec4>(m, n, k, a, b, c, block);
+}
+
+[[gnu::target("avx2,fma")]] double peak_avx2(std::size_t iterations, double x,
+                                             double y) {
+  return madd_peak<Vec4>(iterations, x, y);
+}
+
+[[gnu::target("avx512f")]] void tiled_avx512(std::size_t m, std::size_t n,
+                                             std::size_t k, const double* a,
+                                             const double* b, double* c,
+                                             std::size_t block) {
+  tiled<Vec8>(m, n, k, a, b, c, block);
+}
+
+[[gnu::target("avx512f")]] double peak_avx512(std::size_t iterations, double x,
+                                              double y) {
+  return madd_peak<Vec8>(iterations, x, y);
+}
+#endif
+
+// Ordered so that each path's CPU requirement implies the previous one's:
+// the supported paths are always a prefix.
+constexpr detail::DgemmPath kPaths[] = {
+#if defined(__x86_64__)
+    {"sse2", kLanes<Vec2>, tiled_baseline, peak_baseline},
+    {"avx2", kLanes<Vec4>, tiled_avx2, peak_avx2},
+    {"avx512", kLanes<Vec8>, tiled_avx512, peak_avx512},
+#else
+    {"generic", kLanes<Vec2>, tiled_baseline, peak_baseline},
+#endif
+};
 
 }  // namespace
 
@@ -133,10 +231,23 @@ void dgemm_blocked(std::size_t m, std::size_t n, std::size_t k, const double* a,
   dgemm_blocked_rows(0, m, n, k, a, b, c, block);
 }
 
+std::span<const detail::DgemmPath> detail::supported_dgemm_paths() {
+  static const std::size_t count = [] {
+    std::size_t supported = 1;
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+      supported = __builtin_cpu_supports("avx512f") ? 3 : 2;
+    }
+#endif
+    return supported;
+  }();
+  return {kPaths, count};
+}
+
 void dgemm_tiled(std::size_t m, std::size_t n, std::size_t k, const double* a,
                  const double* b, double* c, std::size_t block) {
-  if (block == 0) block = kDefaultBlock;
-  dgemm_tiled_rows(0, m, n, k, a, b, c, block);
+  detail::supported_dgemm_paths().back().tiled(m, n, k, a, b, c, block);
 }
 
 void dgemm_batched_ref(std::size_t batch, std::size_t m, std::size_t n,

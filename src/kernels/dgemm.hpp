@@ -1,10 +1,13 @@
 // DGEMM implementations — the task-variant repository's compute payloads.
 //
 // The paper's case study calls GotoBlas2 (CPU) and CuBLAS (GPU) DGEMM. We
-// substitute three from-scratch variants of C = A*B + C on row-major
-// double matrices (m x k times k x n):
+// substitute from-scratch variants of C = A*B + C on row-major double
+// matrices (m x k times k x n):
 //   * dgemm_naive    — the textbook triple loop; the "serial input program"
-//   * dgemm_blocked  — cache-tiled ikj loops; the tuned single-core variant
+//                      and the reference the tests compare against
+//   * dgemm_blocked  — cache-tiled scalar ikj loops; the untuned variant
+//   * dgemm_tiled    — the same cache tiles around a SIMD register-blocked
+//                      micro-kernel; what the GotoBlas2/CuBLAS stand-ins run
 //   * dgemm_parallel — dgemm_blocked with rows split over a thread pool
 // Absolute GFLOPS are below vendor BLAS, which is irrelevant for the
 // reproduction: Figure 5 reports *speedup ratios* (see DESIGN.md).
@@ -22,12 +25,13 @@ void dgemm_naive(std::size_t m, std::size_t n, std::size_t k, const double* a,
 void dgemm_blocked(std::size_t m, std::size_t n, std::size_t k, const double* a,
                    const double* b, double* c, std::size_t block = 0);
 
-/// Cache-tiled like dgemm_blocked, with a 4x4 register-blocked micro-kernel
-/// in the interior: 16 accumulators live in registers across the full k
-/// extent of a tile, quartering the C traffic of the scalar kernel. The
-/// inner loop is written for autovectorization; build with
-/// -DPDL_ENABLE_NATIVE_ARCH=ON to let the compiler use the host's widest
-/// SIMD ISA.
+/// Cache-tiled like dgemm_blocked, with a register-blocked micro-kernel in
+/// the interior: a 4-row x 2-vector block of C stays in SIMD registers
+/// across the k extent of a tile, and B is read in place (no packing). The
+/// micro-kernel is compiled for baseline x86-64 (SSE2), AVX2+FMA and
+/// AVX-512F, and each process runs the widest one its CPU supports (other
+/// architectures build only the portable one). Tile edges that do not fill
+/// a register block use the scalar kernel.
 void dgemm_tiled(std::size_t m, std::size_t n, std::size_t k, const double* a,
                  const double* b, double* c, std::size_t block = 0);
 

@@ -464,6 +464,40 @@ TEST(Context, PointerReuseWithDifferentGeometryReRegisters) {
   for (double v : c2) EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
+TEST(Context, OneBufferUnderTwoDistributionsFailsNamingBothParameters) {
+  // C += A·A with A passed both as BLOCK and as WHOLE: one registration per
+  // pointer cannot be partitioned and whole at once, so the call must fail
+  // up front instead of running on the wrong operand and reporting success.
+  Options options;
+  options.mode = starvm::ExecutionMode::kDeterministic;
+  Context ctx(paper_platform_starpu_2gpu(), builtin_repo(), options);
+  const std::size_t n = 64;
+  kernels::Matrix a(n, n), c(n, n);
+  a.fill_random(9);
+  auto status = ctx.execute(
+      "Idgemm", "",
+      {arg_matrix(c.data(), n, n, AccessMode::kReadWrite, DistributionKind::kBlock),
+       arg_matrix(a.data(), n, n, AccessMode::kRead, DistributionKind::kBlock),
+       arg_matrix(a.data(), n, n, AccessMode::kRead, DistributionKind::kNone)});
+  ASSERT_FALSE(status.ok());
+  const std::string message = status.error().str();
+  EXPECT_NE(message.find("'A' (BLOCK"), std::string::npos) << message;
+  EXPECT_NE(message.find("'B' (none"), std::string::npos) << message;
+  EXPECT_TRUE(ctx.wait().ok());
+  for (std::size_t i = 0; i < n * n; ++i) ASSERT_EQ(c.data()[i], 0.0);
+
+  // One buffer passed twice the same way stays legal: A += A.
+  std::vector<double> v(256, 1.5);
+  ASSERT_TRUE(ctx.execute("Ivecadd", "",
+                          {arg(v.data(), v.size(), AccessMode::kReadWrite,
+                               DistributionKind::kBlock),
+                           arg(v.data(), v.size(), AccessMode::kRead,
+                               DistributionKind::kBlock)})
+                  .ok());
+  EXPECT_TRUE(ctx.wait().ok());
+  for (double x : v) EXPECT_DOUBLE_EQ(x, 3.0);
+}
+
 TEST(Context, SinglePlatformRunsSequentialFallback) {
   Context ctx(paper_platform_single(), builtin_repo());
   EXPECT_EQ(ctx.engine().device_count(), 1u);

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <random>
 #include <vector>
 
 #include "kernels/dgemm.hpp"
+#include "kernels/dgemm_paths.hpp"
 #include "kernels/matrix.hpp"
 #include "kernels/vector_ops.hpp"
 
@@ -43,18 +46,53 @@ TEST_P(DgemmVariantTest, TiledMatchesNaive) {
       1e-9);
 }
 
+/// Integer values in [-8, 8]: products and sums of a few hundred of them
+/// are exact in double, so every summation order gives the same bits.
+void fill_integers(Matrix& m, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<int> dist(-8, 8);
+  for (std::size_t i = 0; i < m.rows() * m.cols(); ++i) m.data()[i] = dist(rng);
+}
+
 TEST(Dgemm, TiledFringeShapesMatchNaive) {
-  // Exercise every interior/fringe split around the 4x4 micro-tile.
-  for (std::size_t m = 1; m <= 9; ++m) {
-    for (std::size_t n = 1; n <= 9; ++n) {
-      const std::size_t k = 5;
-      Matrix a(m, k), b(k, n), c_ref(m, n), c_tiled(m, n);
-      a.fill_random(static_cast<int>(m * 16 + n));
-      b.fill_random(static_cast<int>(m * 16 + n + 1));
-      dgemm_naive(m, n, k, a.data(), b.data(), c_ref.data());
-      dgemm_tiled(m, n, k, a.data(), b.data(), c_tiled.data());
-      ASSERT_LT(max_abs_diff(c_ref.data(), c_tiled.data(), m * n), 1e-9)
-          << "m=" << m << " n=" << n;
+  // Every compiled path the CPU supports, called directly so the narrower
+  // ones stay checked on hosts that dispatch to a wider one. m and n sweep
+  // every interior/fringe split of the 4-row x 2-vector register block (n
+  // up to 33 covers two 16-column AVX-512 blocks and a remainder); k = 67
+  // crosses the 64-deep p-block.
+  const auto paths = detail::supported_dgemm_paths();
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+    EXPECT_GE(paths.size(), 2u);
+  }
+#endif
+  for (const detail::DgemmPath& path : paths) {
+    for (const std::size_t k : {1, 5, 67}) {
+      for (std::size_t m = 1; m <= 9; ++m) {
+        for (std::size_t n = 1; n <= 33; ++n) {
+          const auto seed = static_cast<unsigned>(k * 10000 + m * 100 + n);
+          Matrix a(m, k), b(k, n), c_ref(m, n), c_path(m, n);
+          a.fill_random(seed);
+          b.fill_random(seed + 1);
+          c_ref.fill(0.25);
+          c_path.fill(0.25);
+          dgemm_naive(m, n, k, a.data(), b.data(), c_ref.data());
+          path.tiled(m, n, k, a.data(), b.data(), c_path.data(), 0);
+          ASSERT_LT(max_abs_diff(c_ref.data(), c_path.data(), m * n), 1e-9)
+              << path.name << " m=" << m << " n=" << n << " k=" << k;
+
+          fill_integers(a, seed);
+          fill_integers(b, seed + 1);
+          fill_integers(c_ref, seed + 2);
+          c_path = c_ref;
+          dgemm_naive(m, n, k, a.data(), b.data(), c_ref.data());
+          path.tiled(m, n, k, a.data(), b.data(), c_path.data(), 0);
+          ASSERT_EQ(std::memcmp(c_ref.data(), c_path.data(), m * n * sizeof(double)),
+                    0)
+              << path.name << " m=" << m << " n=" << n << " k=" << k;
+        }
+      }
     }
   }
 }

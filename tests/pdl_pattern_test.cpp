@@ -179,6 +179,11 @@ struct RequirementCase {
   bool single, cpu, gpu, cell;
 };
 
+// Names each case by its pattern. Without this gtest prints the raw bytes
+// of the struct, i.e. the string literal's address, which ASLR changes on
+// every run, and the discovered CTest names change with it.
+void PrintTo(const RequirementCase& c, std::ostream* os) { *os << c.pattern; }
+
 class RequirementMatrixTest : public testing::TestWithParam<RequirementCase> {};
 
 TEST_P(RequirementMatrixTest, MatchesExpectedPlatforms) {

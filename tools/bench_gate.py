@@ -1,0 +1,141 @@
+#!/usr/bin/env python3
+"""Gate fresh google-benchmark snapshots against committed baselines.
+
+    python3 tools/bench_gate.py --baseline-dir DIR [--current-dir DIR] \
+        --kernels BENCH_dgemm_kernels.json
+
+Regression gates compare each fresh BENCH_*.json in --current-dir with the
+committed file of the same name in --baseline-dir: absolute real_time may
+grow by at most TOLERANCE (shared-runner noise). Ratio gates read only the
+fresh results, so they hold on any machine:
+
+  * BM_DagSubmitDrain: the 1000-device per-task cost stays within
+    MAX_SCALE_RATIO of the 4-device cost;
+  * BM_VariantSelection: the warm-store round beats the cold one;
+  * bm_dgemm_kernels (--kernels): dgemm_tiled at n = 256 reaches at least
+    MIN_TILED_SPEEDUP times the GFLOPS of dgemm_blocked. Its share of the
+    multiply-add peak measured at the same vector width is printed.
+
+Every check runs and prints one line; the exit status is 1 if any failed.
+"""
+
+import argparse
+import json
+import os
+import sys
+
+TOLERANCE = 1.20  # shared-runner noise allowance on absolute real_time
+MAX_SCALE_RATIO = 3.0  # 1000-device vs 4-device per-task submit/drain cost
+MIN_TILED_SPEEDUP = 2.0  # dgemm_tiled vs dgemm_blocked GFLOPS at n = 256
+
+# Snapshot file -> benchmarks gated against its committed baseline.
+REGRESSION = {
+    # BM_SubmitDrainEmptyTasks runs with the always-on flight recorder;
+    # gating its recorder-off twin as well bounds the recorder's cost.
+    "BENCH_pr4.json": [
+        "BM_SubmitDrainEmptyTasks/10000/real_time",
+        "BM_SubmitDrainRecorderOff/10000/real_time",
+    ],
+    "BENCH_pr7_dag.json": [
+        "BM_DagSubmitDrain/4/real_time",
+        "BM_DagSubmitDrain/1000/real_time",
+    ],
+    "BENCH_pr9_autotune.json": [
+        "BM_VariantSelectionColdStore",
+        "BM_VariantSelectionWarmStore",
+    ],
+}
+
+
+def load(path):
+    """Benchmark entries of one google-benchmark JSON file, by name."""
+    try:
+        with open(path) as f:
+            entries = json.load(f)["benchmarks"]
+    except (OSError, ValueError, KeyError) as e:
+        sys.exit(f"{path}: cannot read benchmark results: {e}")
+    by_name = {}
+    for b in entries:
+        by_name.setdefault(b["name"], b)
+    return by_name
+
+
+def entry(results, path, name):
+    if name not in results:
+        sys.exit(f"{path}: benchmark {name!r} missing")
+    return results[name]
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--baseline-dir", required=True,
+                        help="directory holding the committed BENCH_*.json")
+    parser.add_argument("--current-dir", default=".",
+                        help="directory holding the fresh BENCH_*.json")
+    parser.add_argument("--kernels", required=True,
+                        help="bm_dgemm_kernels JSON output of this run")
+    args = parser.parse_args()
+
+    failed = False
+
+    def check(ok, message):
+        nonlocal failed
+        print(("ok    " if ok else "FAIL  ") + message)
+        failed |= not ok
+
+    def real_time(results, path, name):
+        return float(entry(results, path, name)["real_time"])
+
+    fresh = {}
+    for snapshot, names in REGRESSION.items():
+        base_path = os.path.join(args.baseline_dir, snapshot)
+        now_path = os.path.join(args.current_dir, snapshot)
+        base, now = load(base_path), load(now_path)
+        fresh[snapshot] = (now_path, now)
+        for name in names:
+            before = real_time(base, base_path, name)
+            after = real_time(now, now_path, name)
+            unit = entry(now, now_path, name).get("time_unit", "")
+            ratio = after / before
+            check(ratio <= TOLERANCE,
+                  f"{name}: baseline {before:.3f} {unit}, current {after:.3f} "
+                  f"{unit} (x{ratio:.2f}, limit x{TOLERANCE:.2f})")
+
+    # Both configurations drain the same task count, so the real_time ratio
+    # is the per-task cost ratio.
+    path, dag = fresh["BENCH_pr7_dag.json"]
+    scale = (real_time(dag, path, "BM_DagSubmitDrain/1000/real_time") /
+             real_time(dag, path, "BM_DagSubmitDrain/4/real_time"))
+    check(scale <= MAX_SCALE_RATIO,
+          f"1000-device vs 4-device per-task cost: x{scale:.2f} "
+          f"(limit x{MAX_SCALE_RATIO:.1f})")
+
+    path, autotune = fresh["BENCH_pr9_autotune.json"]
+    cold = real_time(autotune, path, "BM_VariantSelectionColdStore")
+    warm = real_time(autotune, path, "BM_VariantSelectionWarmStore")
+    check(warm < cold,
+          f"warm store {warm:.3f} vs cold store {cold:.3f} "
+          f"(x{cold / warm:.2f} speed-up, must exceed x1)")
+
+    kernels = load(args.kernels)
+    tiled = entry(kernels, args.kernels, "BM_DgemmTiled/256")
+    blocked = entry(kernels, args.kernels, "BM_DgemmBlocked/256")
+    tiled_gflops = float(tiled["GFLOPS"])
+    blocked_gflops = float(blocked["GFLOPS"])
+    path_name = tiled.get("label", "")
+    check(tiled_gflops >= MIN_TILED_SPEEDUP * blocked_gflops,
+          f"dgemm_tiled/256 ({path_name}) {tiled_gflops:.2f} GFLOPS vs "
+          f"dgemm_blocked/256 {blocked_gflops:.2f} "
+          f"(x{tiled_gflops / blocked_gflops:.2f}, "
+          f"need x{MIN_TILED_SPEEDUP:.1f})")
+    peak = kernels.get(f"BM_MaddPeak/{path_name}")
+    if peak is not None:
+        peak_gflops = float(peak["GFLOPS"])
+        print(f"info  dgemm_tiled/256 runs at {tiled_gflops / peak_gflops:.0%} "
+              f"of the {peak_gflops:.2f} GFLOPS {path_name} multiply-add peak")
+
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
