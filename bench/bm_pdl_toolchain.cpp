@@ -36,6 +36,23 @@ pdl::Platform synthetic_platform(int n) {
   return p;
 }
 
+/// The shape of perfbench's `wide` description: `n` x86 workers written PU
+/// by PU directly under one Master, four properties and one group each.
+pdl::Platform flat_platform(int n) {
+  pdl::Platform p("flat");
+  pdl::ProcessingUnit* m = p.add_master("m0");
+  m->descriptor().add(pdl::props::kArchitecture, "x86");
+  for (int i = 0; i < n; ++i) {
+    pdl::ProcessingUnit* w = m->add_child(pdl::PuKind::kWorker, "core" + std::to_string(i));
+    w->descriptor().add(pdl::props::kArchitecture, "x86_core");
+    w->descriptor().add(pdl::props::kFrequencyMhz, "2660");
+    w->descriptor().add(pdl::props::kPeakGflops, "10.64");
+    w->descriptor().add(pdl::props::kSustainedGflops, "9.8");
+    w->logic_groups().push_back("all");
+  }
+  return p;
+}
+
 void BM_Serialize(benchmark::State& state) {
   const pdl::Platform p = synthetic_platform(static_cast<int>(state.range(0)));
   for (auto _ : state) {
@@ -56,6 +73,26 @@ void BM_ParsePlatform(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(xml.size()));
 }
 BENCHMARK(BM_ParsePlatform)->Arg(16)->Arg(128)->Arg(1024)->Arg(4096);
+
+void BM_SerializeFlat(benchmark::State& state) {
+  const pdl::Platform p = flat_platform(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    std::string xml = pdl::serialize(p);
+    benchmark::DoNotOptimize(xml);
+  }
+}
+BENCHMARK(BM_SerializeFlat)->Arg(1000);
+
+void BM_ParseFlatPlatform(benchmark::State& state) {
+  const std::string xml = pdl::serialize(flat_platform(static_cast<int>(state.range(0))));
+  for (auto _ : state) {
+    pdl::Diagnostics diags;
+    auto p = pdl::parse_platform(xml, diags);
+    benchmark::DoNotOptimize(p);
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(xml.size()));
+}
+BENCHMARK(BM_ParseFlatPlatform)->Arg(1000);
 
 void BM_XmlParseOnly(benchmark::State& state) {
   const std::string xml =

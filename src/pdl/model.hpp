@@ -205,6 +205,7 @@ class Platform {
   const std::vector<std::pair<std::string, std::string>>& namespaces() const {
     return namespaces_;
   }
+  std::vector<std::pair<std::string, std::string>>& namespaces() { return namespaces_; }
   void declare_namespace(std::string prefix, std::string uri);
 
   /// Deep copy (the tree is move-only by default; copies are explicit).

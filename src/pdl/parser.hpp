@@ -6,7 +6,9 @@
 //
 // Parse errors (malformed XML, wrong element structure) fail the Result;
 // recoverable issues (unknown elements, missing optional attributes) are
-// appended to the Diagnostics out-parameter so tools can surface them.
+// appended to the Diagnostics out-parameter so tools can surface them. A
+// malformed document appends nothing: its XML error is the whole report.
+// The text is read in one pass of xml::Reader tokens, without a DOM.
 #pragma once
 
 #include <string>

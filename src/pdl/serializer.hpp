@@ -1,4 +1,5 @@
-// PDL serialization: pdl::Platform -> XML text.
+// PDL serialization: pdl::Platform -> XML text, written straight through
+// xml::Emitter (no intermediate DOM).
 //
 // Round-trips with pdl/parser.hpp: serialize(parse(x)) is structurally equal
 // to x for every valid document (tested in tests/pdl_roundtrip_test.cpp).
@@ -7,7 +8,6 @@
 #include <string>
 
 #include "pdl/model.hpp"
-#include "xml/dom.hpp"
 
 namespace pdl {
 
@@ -20,8 +20,5 @@ struct SerializeOptions {
 
 /// Serialize to XML text.
 std::string serialize(const Platform& platform, const SerializeOptions& options = {});
-
-/// Build the DOM without rendering (used by tooling that post-processes).
-xml::Document to_xml(const Platform& platform, const SerializeOptions& options = {});
 
 }  // namespace pdl

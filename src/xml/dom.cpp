@@ -54,7 +54,7 @@ void Element::set_attribute(std::string_view name, std::string_view value) {
       return;
     }
   }
-  attributes_.push_back(Attribute{std::string(name), std::string(value)});
+  append_attribute(name, value);
 }
 
 bool Element::remove_attribute(std::string_view name) {

@@ -90,6 +90,11 @@ class Element : public Node {
   std::string attribute_or(std::string_view name, std::string fallback) const;
   /// Sets (replacing) or appends an attribute.
   void set_attribute(std::string_view name, std::string_view value);
+  /// Appends an attribute the caller knows is not set yet (the parser has
+  /// already rejected duplicates).
+  void append_attribute(std::string_view name, std::string_view value) {
+    attributes_.push_back(Attribute{std::string(name), std::string(value)});
+  }
   /// Removes an attribute if present; returns whether it existed.
   bool remove_attribute(std::string_view name);
 

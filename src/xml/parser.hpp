@@ -1,9 +1,7 @@
-// Recursive-descent XML parser producing a pdl::xml::Document.
+// XML text -> pdl::xml::Document, built from xml::Reader's tokens.
 //
-// Supports the XML surface PDL documents use: declaration, comments, CDATA,
-// processing instructions, DOCTYPE (skipped), namespaced element/attribute
-// names, single/double-quoted attributes, the five predefined entities plus
-// numeric character references. Errors carry 1-based line/column positions.
+// Accepts what Reader accepts (see xml/reader.hpp); errors carry 1-based
+// line:column positions.
 #pragma once
 
 #include <string>
@@ -11,6 +9,7 @@
 
 #include "util/result.hpp"
 #include "xml/dom.hpp"
+#include "xml/reader.hpp"
 
 namespace pdl::xml {
 
@@ -28,15 +27,5 @@ util::Result<Document> parse(std::string_view text, const ParseOptions& options 
 
 /// Parse a document from a file on disk.
 util::Result<Document> parse_file(const std::string& path, ParseOptions options = {});
-
-/// Decode the predefined entities and numeric character references in `text`.
-/// Unknown entities are an error.
-util::Result<std::string> decode_entities(std::string_view text);
-
-/// Escape text for use as element content (&, <, >).
-std::string escape_text(std::string_view text);
-
-/// Escape text for use inside a double-quoted attribute value.
-std::string escape_attribute(std::string_view text);
 
 }  // namespace pdl::xml

@@ -4,6 +4,7 @@
 #include "pdl/query.hpp"
 #include "pdl/serializer.hpp"
 #include "pdl/well_known.hpp"
+#include "time_per_byte.hpp"
 
 namespace pdl {
 namespace {
@@ -279,6 +280,60 @@ TEST(PdlParser, ExtensionRoundTripKeepsTypesUnitsFixedness) {
   EXPECT_EQ(mem->unit, "kB");
   EXPECT_FALSE(mem->fixed);
   EXPECT_EQ(mem->xsi_type, "ocl:oclDevicePropertyType");
+}
+
+// name/value children carry the xsi:type prefix only when that makes an
+// XML name; otherwise the serialized document would not parse back.
+TEST(PdlParser, XsiTypePrefixThatIsNotANameLeavesChildrenUnprefixed) {
+  Platform platform;
+  Property prop;
+  prop.name = "N";
+  prop.value = "V";
+  prop.xsi_type = "o l:oclDevicePropertyType";
+  platform.add_master("0")->descriptor().add(prop);
+  const std::string text = serialize(platform);
+  EXPECT_NE(text.find("<name>N</name>"), std::string::npos) << text;
+  Diagnostics diags;
+  auto back = parse_platform(text, diags);
+  ASSERT_TRUE(back.ok()) << back.error().str();
+  EXPECT_EQ(back.value().masters()[0]->descriptor().find("N")->xsi_type,
+            "o l:oclDevicePropertyType");
+  EXPECT_EQ(serialize(back.value()), text);
+}
+
+TEST(PdlParser, NestingPastTheLimitIsAPositionedError) {
+  constexpr int kLevels = 100000;
+  std::string text = "<Master id=\"0\">";
+  for (int i = 0; i < kLevels; ++i) text += "<Hybrid id=\"h\">";
+  for (int i = 0; i < kLevels; ++i) text += "</Hybrid>";
+  text += "</Master>";
+  Diagnostics diags;
+  auto platform = parse_platform(text, diags);
+  ASSERT_FALSE(platform.ok());
+  EXPECT_EQ(platform.error().message, "elements nested deeper than 1024 levels");
+  // The Master plus 1023 Hybrids are open when the 1025th start tag comes.
+  EXPECT_EQ(platform.error().where,
+            "<memory>:1:" + std::to_string(15 + 1023 * 15 + 1));
+  EXPECT_TRUE(diags.empty());
+}
+
+TEST(PdlParser, NamespaceDeclarationCountScalesLinearly) {
+  const auto platform_with = [](int n) {
+    std::string text = "<Platform";
+    for (int i = 0; i < n; ++i) {
+      text += " xmlns:p" + std::to_string(i) + "=\"urn:" + std::to_string(i) + "\"";
+    }
+    return text + "><Master id=\"0\"/></Platform>";
+  };
+  const auto parse_ok = [](const std::string& text) {
+    Diagnostics diags;
+    auto platform = parse_platform(text, diags);
+    ASSERT_TRUE(platform.ok()) << platform.error().str();
+  };
+  const double small = testing_util::seconds_per_byte(platform_with(10000), parse_ok);
+  const double large = testing_util::seconds_per_byte(platform_with(100000), parse_ok);
+  // Linear: about 1x; a rescan per declaration would make it about 10x.
+  EXPECT_LT(large / small, 3.0);
 }
 
 TEST(PdlParser, ParseFileFailsGracefully) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "time_per_byte.hpp"
 #include "xml/dom.hpp"
 #include "xml/parser.hpp"
 
@@ -248,7 +249,55 @@ TEST_P(XmlDepthTest, DeepDocumentsParse) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Depths, XmlDepthTest, testing::Values(1, 8, 64, 512));
+INSTANTIATE_TEST_SUITE_P(Depths, XmlDepthTest, testing::Values(1, 8, 64, 512, 1023));
+
+// Past kMaxDepth open elements the reader stops with a positioned error
+// instead of letting recursive tree walks overflow the stack.
+TEST(XmlParser, NestingPastTheLimitIsAPositionedError) {
+  constexpr int kLevels = 100000;
+  std::string text;
+  for (int i = 0; i < kLevels; ++i) text += "<n>";
+  for (int i = 0; i < kLevels; ++i) text += "</n>";
+  auto doc = parse(text);
+  ASSERT_FALSE(doc.ok());
+  EXPECT_EQ(doc.error().message, "elements nested deeper than 1024 levels");
+  // The 1025th start tag, three bytes per level.
+  EXPECT_EQ(doc.error().where, "<memory>:1:" + std::to_string(3 * kMaxDepth + 1));
+}
+
+TEST(XmlParser, AttributeCountScalesLinearly) {
+  const auto element_with = [](int n) {
+    std::string text = "<e";
+    for (int i = 0; i < n; ++i) text += " a" + std::to_string(i) + "=\"v\"";
+    return text + "/>";
+  };
+  const auto parse_ok = [](const std::string& text) {
+    auto doc = parse(text);
+    ASSERT_TRUE(doc.ok()) << doc.error().str();
+  };
+  const double small = testing_util::seconds_per_byte(element_with(10000), parse_ok);
+  const double large = testing_util::seconds_per_byte(element_with(100000), parse_ok);
+  // Linear: about 1x; one scan per attribute would make it about 10x.
+  EXPECT_LT(large / small, 3.0);
+}
+
+TEST(XmlParser, DuplicateAttributeFoundAmongManyIsReportedWhereItEnds) {
+  std::string text = "<e";
+  for (int i = 0; i < 40; ++i) text += " a" + std::to_string(i) + "=\"v\"";
+  text += " a7=\"again\"/>";
+  auto doc = parse(text);
+  ASSERT_FALSE(doc.ok());
+  EXPECT_EQ(doc.error().message, "duplicate attribute 'a7' in <e>");
+  EXPECT_EQ(doc.error().where, "<memory>:1:" + std::to_string(text.size() - 1));
+}
+
+// The declaration belongs before the root; a trailing, unterminated one is
+// an error like any other unterminated markup.
+TEST(XmlParser, RejectsUnterminatedDoctypeAfterRoot) {
+  auto doc = parse("<a/>\n<!DOCTYPE a [ <!ENTITY x \"y\">\n");
+  ASSERT_FALSE(doc.ok());
+  EXPECT_EQ(doc.error().str(), "<memory>:3:1: unterminated DOCTYPE");
+}
 
 }  // namespace
 }  // namespace pdl::xml

@@ -2,7 +2,7 @@
 """Gate fresh google-benchmark snapshots against committed baselines.
 
     python3 tools/bench_gate.py --baseline-dir DIR [--current-dir DIR] \
-        --kernels BENCH_dgemm_kernels.json
+        --kernels BENCH_dgemm_kernels.json --pdl BENCH_pdl_toolchain.json
 
 Regression gates compare each fresh BENCH_*.json in --current-dir with the
 committed file of the same name in --baseline-dir: absolute real_time may
@@ -14,7 +14,10 @@ fresh results, so they hold on any machine:
   * BM_VariantSelection: the warm-store round beats the cold one;
   * bm_dgemm_kernels (--kernels): dgemm_tiled at n = 256 reaches at least
     MIN_TILED_SPEEDUP times the GFLOPS of dgemm_blocked. Its share of the
-    multiply-add peak measured at the same vector width is printed.
+    multiply-add peak measured at the same vector width is printed;
+  * bm_pdl_toolchain (--pdl): reading a 4096-PU description costs at most
+    MAX_PDL_SCALE_RATIO times as much per byte as a 128-PU one, and writing
+    it at most MAX_PDL_SCALE_RATIO times as much per PU.
 
 Every check runs and prints one line; the exit status is 1 if any failed.
 """
@@ -27,6 +30,7 @@ import sys
 TOLERANCE = 1.20  # shared-runner noise allowance on absolute real_time
 MAX_SCALE_RATIO = 3.0  # 1000-device vs 4-device per-task submit/drain cost
 MIN_TILED_SPEEDUP = 2.0  # dgemm_tiled vs dgemm_blocked GFLOPS at n = 256
+MAX_PDL_SCALE_RATIO = 2.0  # PDL parse per byte / serialize per PU, 4096 vs 128 PUs
 
 # Snapshot file -> benchmarks gated against its committed baseline.
 REGRESSION = {
@@ -74,6 +78,8 @@ def main():
                         help="directory holding the fresh BENCH_*.json")
     parser.add_argument("--kernels", required=True,
                         help="bm_dgemm_kernels JSON output of this run")
+    parser.add_argument("--pdl", required=True,
+                        help="bm_pdl_toolchain JSON output of this run")
     args = parser.parse_args()
 
     failed = False
@@ -133,6 +139,21 @@ def main():
         peak_gflops = float(peak["GFLOPS"])
         print(f"info  dgemm_tiled/256 runs at {tiled_gflops / peak_gflops:.0%} "
               f"of the {peak_gflops:.2f} GFLOPS {path_name} multiply-add peak")
+
+    # The description layers must cost time in proportion to their input:
+    # bytes of XML read, PUs written.
+    pdl = load(args.pdl)
+    small = entry(pdl, args.pdl, "BM_ParsePlatform/128")
+    large = entry(pdl, args.pdl, "BM_ParsePlatform/4096")
+    per_byte = float(small["bytes_per_second"]) / float(large["bytes_per_second"])
+    check(per_byte <= MAX_PDL_SCALE_RATIO,
+          f"BM_ParsePlatform per-byte cost, 4096 vs 128 PUs: x{per_byte:.2f} "
+          f"(limit x{MAX_PDL_SCALE_RATIO:.1f})")
+    per_pu = ((real_time(pdl, args.pdl, "BM_Serialize/4096") / 4096) /
+              (real_time(pdl, args.pdl, "BM_Serialize/128") / 128))
+    check(per_pu <= MAX_PDL_SCALE_RATIO,
+          f"BM_Serialize per-PU cost, 4096 vs 128 PUs: x{per_pu:.2f} "
+          f"(limit x{MAX_PDL_SCALE_RATIO:.1f})")
 
     return 1 if failed else 0
 
