@@ -11,7 +11,9 @@
 // two-wave DAG on the manycore platform at 4 and at 1000+ devices. CI
 // compares the two — class-based HEFT keeps the 1000-device per-task cost
 // within 3x of the 4-device cost instead of the ~250x a per-device scan
-// would give.
+// would give. BM_EngineLifecycle/{4,1000} and its RecorderOff twin time a
+// whole engine per iteration (set-up, 1000 tasks, teardown); CI bounds the
+// flight recorder's share at 1000 devices by comparing the two.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -114,6 +116,50 @@ void BM_DagSubmitDrain(benchmark::State& state) {
   state.counters["devices"] = devices;
 }
 BENCHMARK(BM_DagSubmitDrain)->Arg(4)->Arg(1000)->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+// One engine per iteration, as a translated program builds one: set-up
+// from the manycore platform in deterministic mode, 1000 no-op tasks on
+// 1000 blocks, drain, teardown. Per-device set-up work (such as the
+// flight rings) shows here and not in BM_DagSubmitDrain, which reuses one
+// engine.
+void engine_lifecycle(benchmark::State& state, bool recorder) {
+  constexpr int kBlocks = 1000;
+  starvm::BridgeOptions bridge;
+  bridge.mode = starvm::ExecutionMode::kDeterministic;
+  auto config = starvm::engine_config_from_platform(
+      pdl::discovery::manycore_platform(static_cast<int>(state.range(0))),
+      bridge);
+  starvm::EngineConfig engine_config = std::move(config).value();
+  if (!recorder) engine_config.flight_records_per_device = 0;
+  starvm::Codelet noop;
+  noop.name = "noop";
+  noop.impls.push_back(
+      starvm::Implementation{starvm::DeviceKind::kCpu,
+                             [](const starvm::ExecContext&) {}});
+  std::vector<double> data(kBlocks * 8, 1.0);
+
+  for (auto _ : state) {
+    starvm::Engine engine(engine_config);
+    starvm::DataHandle* h = engine.register_vector(data.data(), data.size());
+    for (starvm::DataHandle* b : engine.partition_vector(h, kBlocks)) {
+      engine.submit(starvm::TaskDesc{&noop, {{b, starvm::Access::kReadWrite}}});
+    }
+    if (!engine.wait_all().ok()) state.SkipWithError("wait_all failed");
+  }
+  state.counters["devices"] = static_cast<double>(state.range(0));
+}
+
+void BM_EngineLifecycle(benchmark::State& state) {
+  engine_lifecycle(state, true);
+}
+BENCHMARK(BM_EngineLifecycle)->Arg(4)->Arg(1000)->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+void BM_EngineLifecycleRecorderOff(benchmark::State& state) {
+  engine_lifecycle(state, false);
+}
+BENCHMARK(BM_EngineLifecycleRecorderOff)->Arg(4)->Arg(1000)->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 int run_abl7_table();

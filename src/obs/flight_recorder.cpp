@@ -22,6 +22,10 @@ std::uint64_t pack_kind_aux(FlightKind kind, std::uint32_t aux) {
          (static_cast<std::uint64_t>(aux) << 8);
 }
 
+std::atomic_ref<std::uint64_t> word(std::uint64_t& w) {
+  return std::atomic_ref<std::uint64_t>(w);
+}
+
 }  // namespace
 
 const char* to_string(FlightKind kind) {
@@ -44,28 +48,33 @@ const char* to_string(FlightKind kind) {
 FlightRing::FlightRing(std::size_t capacity) {
   const std::size_t cap = round_up_pow2(capacity);
   mask_ = cap - 1;
-  // std::atomic members value-initialize to zero; stamp 0 = never written.
-  slots_ = std::make_unique<Slot[]>(cap);
+  // Left uninitialized: zero-filling would touch every page of every ring
+  // up front, and no reader looks at a slot before its first write.
+  slots_ = std::make_unique_for_overwrite<Slot[]>(cap);
 }
 
 void FlightRing::record(FlightKind kind, std::uint32_t aux, std::uint64_t task,
                         std::int64_t device, double t0, double t1,
                         double value, double value2) {
-  const std::uint64_t seq = head_.fetch_add(1, std::memory_order_relaxed);
+  // Single producer: nobody else advances head_, so a relaxed read is exact.
+  const std::uint64_t seq = head_.load(std::memory_order_relaxed);
   Slot& s = slots_[seq & mask_];
   // Seqlock write: odd stamp, release fence, relaxed payload, even stamp
   // with release. A reader that revalidates the stamp after its payload
   // loads either sees a fully consistent record or discards the slot.
-  s.w[0].store(2 * seq + 1, std::memory_order_relaxed);
+  word(s.w[0]).store(2 * seq + 1, std::memory_order_relaxed);
   std::atomic_thread_fence(std::memory_order_release);
-  s.w[1].store(pack_kind_aux(kind, aux), std::memory_order_relaxed);
-  s.w[2].store(task, std::memory_order_relaxed);
-  s.w[3].store(static_cast<std::uint64_t>(device), std::memory_order_relaxed);
-  s.w[4].store(std::bit_cast<std::uint64_t>(t0), std::memory_order_relaxed);
-  s.w[5].store(std::bit_cast<std::uint64_t>(t1), std::memory_order_relaxed);
-  s.w[6].store(std::bit_cast<std::uint64_t>(value), std::memory_order_relaxed);
-  s.w[7].store(std::bit_cast<std::uint64_t>(value2), std::memory_order_relaxed);
-  s.w[0].store(2 * seq + 2, std::memory_order_release);
+  word(s.w[1]).store(pack_kind_aux(kind, aux), std::memory_order_relaxed);
+  word(s.w[2]).store(task, std::memory_order_relaxed);
+  word(s.w[3]).store(static_cast<std::uint64_t>(device), std::memory_order_relaxed);
+  word(s.w[4]).store(std::bit_cast<std::uint64_t>(t0), std::memory_order_relaxed);
+  word(s.w[5]).store(std::bit_cast<std::uint64_t>(t1), std::memory_order_relaxed);
+  word(s.w[6]).store(std::bit_cast<std::uint64_t>(value), std::memory_order_relaxed);
+  word(s.w[7]).store(std::bit_cast<std::uint64_t>(value2), std::memory_order_relaxed);
+  word(s.w[0]).store(2 * seq + 2, std::memory_order_release);
+  // Publish last: a reader that sees head_ > seq also sees this slot's
+  // first write complete, so it never reads an uninitialized word.
+  head_.store(seq + 1, std::memory_order_release);
 }
 
 void FlightRing::snapshot_into(std::vector<FlightEvent>& out,
@@ -74,13 +83,13 @@ void FlightRing::snapshot_into(std::vector<FlightEvent>& out,
   const std::uint64_t cap = capacity();
   const std::uint64_t begin = head > cap ? head - cap : 0;
   for (std::uint64_t seq = begin; seq < head; ++seq) {
-    const Slot& s = slots_[seq & mask_];
-    const std::uint64_t stamp = s.w[0].load(std::memory_order_acquire);
-    if (stamp != 2 * seq + 2) continue;  // mid-write or already overwritten
+    Slot& s = slots_[seq & mask_];
+    const std::uint64_t stamp = word(s.w[0]).load(std::memory_order_acquire);
+    if (stamp != 2 * seq + 2) continue;  // already being overwritten
     std::uint64_t w[8];
-    for (int i = 1; i < 8; ++i) w[i] = s.w[i].load(std::memory_order_relaxed);
+    for (int i = 1; i < 8; ++i) w[i] = word(s.w[i]).load(std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_acquire);
-    if (s.w[0].load(std::memory_order_relaxed) != stamp) continue;  // lapped
+    if (word(s.w[0]).load(std::memory_order_relaxed) != stamp) continue;  // lapped
 
     FlightEvent e;
     e.seq = seq;

@@ -1,15 +1,19 @@
 // Always-on flight recorder: per-producer lock-free SPSC ring buffers of
 // fixed-size binary records, cheap enough to leave enabled on the starvm
 // hot path and bounded enough to forget about (capacity × 64 bytes per
-// ring, oldest records overwritten).
+// ring, oldest records overwritten). A ring's capacity is reserved, not
+// touched, until written: slots start out uninitialized, so a 1000-device
+// engine pays for the records it writes, not for the rings it could fill.
 //
-// Each slot is a seqlock over 8 atomic 64-bit words: the producer stamps
-// the slot odd, stores the payload with relaxed atomics, then stamps it
-// even with release semantics. A consumer may snapshot at any time from
-// any thread; a record whose stamp changed between the two reads (the
-// producer lapped it mid-read) is simply dropped. Every access is atomic,
-// so concurrent overruns are torn-read-safe under TSan, not just in
-// practice.
+// Each slot is a seqlock over 8 plain 64-bit words, every access going
+// through std::atomic_ref: the producer stamps the slot odd, stores the
+// payload with relaxed atomics, stamps it even with release semantics and
+// only then publishes the record by advancing the ring's head (release).
+// A consumer reads the head (acquire) and visits only sequence numbers
+// below it, so it never meets a slot that was not written; a record whose
+// stamp changed between the two reads (the producer lapped it mid-read)
+// is simply dropped. Every access is atomic, so concurrent overruns are
+// torn-read-safe under TSan, not just in practice.
 //
 // Ownership contract: record() on one ring must come from a single
 // producer at a time (a worker thread owning its device ring, or writers
@@ -84,6 +88,7 @@ class FlightRing {
   void snapshot_into(std::vector<FlightEvent>& out, std::uint32_t ring) const;
 
   std::size_t capacity() const { return mask_ + 1; }
+  /// Records completely written (a record counts once readable).
   std::uint64_t produced() const {
     return head_.load(std::memory_order_relaxed);
   }
@@ -96,8 +101,10 @@ class FlightRing {
  private:
   struct Slot {
     // w[0] is the stamp: 2*seq+1 while being written, 2*seq+2 when
-    // complete, 0 never written. w[1..7] is the payload.
-    std::atomic<std::uint64_t> w[8];
+    // complete. w[1..7] is the payload. Indeterminate until the first
+    // write; readers never visit a slot before head_ has passed it.
+    alignas(std::atomic_ref<std::uint64_t>::required_alignment)
+        std::uint64_t w[8];
   };
   std::unique_ptr<Slot[]> slots_;
   std::size_t mask_ = 0;

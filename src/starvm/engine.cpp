@@ -261,8 +261,8 @@ Engine::Engine(EngineConfig config) : config_(std::move(config)) {
   perf_store_path_ = config_.perf_store_path.empty()
                          ? perf_store::env_store_path()
                          : config_.perf_store_path;
-  descriptor_hash_ = perf_store::descriptor_hash(config_.devices);
   if (!perf_store_path_.empty()) {
+    descriptor_hash_ = perf_store::descriptor_hash(config_.devices);
     perf_store::LoadResult loaded = perf_store::load(perf_store_path_);
     if (loaded.status == perf_store::LoadStatus::kLoaded) {
       if (loaded.store.descriptor_hash == descriptor_hash_) {

@@ -1,12 +1,14 @@
 // Flight-recorder tests: the engine's always-on ring hooks (task
 // lifecycle records, submission accounting), explicit and post-mortem
-// dumps, and a concurrent wraparound stress run (picked up by the CI TSan
-// filter via the *Stress* suite name) that hammers snapshot() while the
-// producer laps the ring.
+// dumps, rings built over reused uninitialized memory, and concurrent
+// stress runs that hammer snapshot() while the producer fills the ring
+// and while it laps it. The CI TSan job runs every *Flight* and *Stress*
+// test of this file.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <cstdio>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -167,11 +169,40 @@ TEST(EngineFlight, PostMortemDumpOnPermanentFailure) {
   std::remove((prefix + ".trace.json").c_str());
 }
 
-// --- Concurrent wraparound stress (runs under the CI TSan filter) ------------
+// --- Rings over uninitialized memory ----------------------------------------
 
-TEST(FlightRecorderStress, SnapshotsStayConsistentWhileProducerWraps) {
-  obs::FlightRing ring(16);  // tiny: the producer laps it thousands of times
-  constexpr std::uint64_t kRecords = 200000;
+// Slots are never zeroed: a fresh recorder placed over the freed slots of a
+// full one (the allocator hands the same chunks back, as in an engine
+// rebuilt per program) must still read as empty.
+TEST(Flight, FreshRecorderOverReusedMemoryIsEmpty) {
+  constexpr std::size_t kRings = 1001;
+  constexpr std::size_t kRecords = 1024;
+  {
+    obs::FlightRecorder full(kRings, kRecords);
+    for (std::size_t r = 0; r < kRings; ++r) {
+      for (std::uint64_t i = 0; i < kRecords; ++i) {
+        full.ring(r).record(obs::FlightKind::kTaskEnd, 1, i + 1,
+                            static_cast<std::int64_t>(r),
+                            static_cast<double>(i), static_cast<double>(i + 1),
+                            1.0);
+      }
+    }
+    ASSERT_EQ(full.produced(), kRings * kRecords);
+  }
+  const obs::FlightRecorder fresh(kRings, kRecords);
+  EXPECT_EQ(fresh.produced(), 0u);
+  EXPECT_EQ(fresh.overwritten(), 0u);
+  EXPECT_TRUE(fresh.snapshot().empty());
+}
+
+// --- Concurrent readers (run under the CI TSan filter) ----------------------
+
+// First lap: nothing is overwritten yet, so every snapshot must be exactly
+// the records published so far — a gap-free prefix from seq 0, at least
+// as long as produced() before the read and never past produced() after.
+TEST(FlightRecorderStress, FirstLapSnapshotsSeeOnlyPublishedRecords) {
+  constexpr std::uint64_t kRecords = 50000;
+  obs::FlightRing ring(kRecords + 1);  // rounds up: never wraps
 
   std::thread producer([&ring] {
     for (std::uint64_t i = 0; i < kRecords; ++i) {
@@ -181,11 +212,52 @@ TEST(FlightRecorderStress, SnapshotsStayConsistentWhileProducerWraps) {
   });
 
   std::uint64_t snapshots = 0;
-  std::uint64_t total_events = 0;
   std::vector<obs::FlightEvent> events;
-  while (ring.produced() < kRecords) {
+  for (bool last = false; !last && !HasFailure();) {
+    const std::uint64_t before = ring.produced();
+    last = before == kRecords;
     events.clear();
     ring.snapshot_into(events, 0);
+    const std::uint64_t after = ring.produced();
+    ++snapshots;
+    EXPECT_GE(events.size(), before);
+    EXPECT_LE(events.size(), after);
+    std::size_t prefix = 0;
+    while (prefix < events.size() && events[prefix].seq == prefix &&
+           events[prefix].task == prefix &&
+           events[prefix].value == static_cast<double>(prefix)) {
+      ++prefix;
+    }
+    EXPECT_EQ(prefix, events.size()) << "snapshot " << snapshots;
+  }
+  producer.join();
+
+  EXPECT_EQ(events.size(), kRecords);
+  EXPECT_EQ(ring.overwritten(), 0u);
+}
+
+TEST(FlightRecorderStress, SnapshotsStayConsistentWhileProducerWraps) {
+  obs::FlightRing ring(16);  // tiny: the producer laps it thousands of times
+  constexpr std::uint64_t kRecords = 200000;
+
+  // The producer starts only after the first snapshot, so a fast producer
+  // cannot finish before the reader has looked at the ring even once.
+  std::latch first_snapshot(1);
+  std::thread producer([&ring, &first_snapshot] {
+    first_snapshot.wait();
+    for (std::uint64_t i = 0; i < kRecords; ++i) {
+      ring.record(obs::FlightKind::kQueueDepth, 0, i, 0,
+                  static_cast<double>(i), 0.0, static_cast<double>(i));
+    }
+  });
+
+  std::uint64_t snapshots = 0;
+  std::uint64_t total_events = 0;
+  std::vector<obs::FlightEvent> events;
+  do {
+    events.clear();
+    ring.snapshot_into(events, 0);
+    if (snapshots == 0) first_snapshot.count_down();
     ASSERT_LE(events.size(), ring.capacity());
     for (std::size_t i = 0; i < events.size(); ++i) {
       // Every surviving record is internally consistent (payload matches
@@ -198,7 +270,7 @@ TEST(FlightRecorderStress, SnapshotsStayConsistentWhileProducerWraps) {
     }
     ++snapshots;
     total_events += events.size();
-  }
+  } while (ring.produced() < kRecords);
   producer.join();
 
   EXPECT_GT(snapshots, 0u);

@@ -11,6 +11,9 @@ fresh results, so they hold on any machine:
 
   * BM_DagSubmitDrain: the 1000-device per-task cost stays within
     MAX_SCALE_RATIO of the 4-device cost;
+  * BM_EngineLifecycle: a whole 1000-device engine (set-up, 1000 tasks,
+    teardown) with the flight recorder costs at most MAX_RECORDER_RATIO
+    times as much as its RecorderOff twin;
   * BM_VariantSelection: the warm-store round beats the cold one;
   * bm_dgemm_kernels (--kernels): dgemm_tiled at n = 256 reaches at least
     MIN_TILED_SPEEDUP times the GFLOPS of dgemm_blocked. Its share of the
@@ -29,6 +32,7 @@ import sys
 
 TOLERANCE = 1.20  # shared-runner noise allowance on absolute real_time
 MAX_SCALE_RATIO = 3.0  # 1000-device vs 4-device per-task submit/drain cost
+MAX_RECORDER_RATIO = 2.0  # 1000-device engine lifecycle, recorder on vs off
 MIN_TILED_SPEEDUP = 2.0  # dgemm_tiled vs dgemm_blocked GFLOPS at n = 256
 MAX_PDL_SCALE_RATIO = 2.0  # PDL parse per byte / serialize per PU, 4096 vs 128 PUs
 
@@ -115,6 +119,11 @@ def main():
     check(scale <= MAX_SCALE_RATIO,
           f"1000-device vs 4-device per-task cost: x{scale:.2f} "
           f"(limit x{MAX_SCALE_RATIO:.1f})")
+    on = real_time(dag, path, "BM_EngineLifecycle/1000/real_time")
+    off = real_time(dag, path, "BM_EngineLifecycleRecorderOff/1000/real_time")
+    check(on / off <= MAX_RECORDER_RATIO,
+          f"1000-device engine lifecycle, flight recorder on vs off: "
+          f"x{on / off:.2f} (limit x{MAX_RECORDER_RATIO:.1f})")
 
     path, autotune = fresh["BENCH_pr9_autotune.json"]
     cold = real_time(autotune, path, "BM_VariantSelectionColdStore")
