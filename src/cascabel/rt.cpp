@@ -21,12 +21,17 @@ starvm::Access to_starvm(AccessMode mode) {
   return starvm::Access::kRead;
 }
 
+/// The extent a BLOCK/CYCLIC argument is split along: rows of a matrix,
+/// cols of a vector.
+std::size_t split_extent(const Arg& a) { return a.rows > 1 ? a.rows : a.cols; }
+
 /// Registration is one per pointer, so a buffer passed twice must be passed
 /// the same way: a second distribution or shape would re-partition or
-/// re-register the handle the first parameter already uses.
-pdl::util::Status check_aliasing(const std::string& iface,
-                                 const std::vector<ParamSpec>& params,
-                                 const std::vector<Arg>& args) {
+/// re-register the handle the first parameter already uses. Task b takes
+/// block b of every distributed argument, so they must split one extent.
+pdl::util::Status check_argument_pairs(const std::string& iface,
+                                       const std::vector<ParamSpec>& params,
+                                       const std::vector<Arg>& args) {
   const auto describe = [&](std::size_t i) {
     const Arg& a = args[i];
     const std::string name = i < params.size()
@@ -45,6 +50,12 @@ pdl::util::Status check_aliasing(const std::string& iface,
             "call of '" + iface + "': parameters " + describe(i) + " and " +
             describe(j) +
             " pass the same buffer with different distributions or shapes");
+      }
+      if (x.dist != DistributionKind::kNone && y.dist != DistributionKind::kNone &&
+          split_extent(x) != split_extent(y)) {
+        return pdl::util::Status::failure(
+            "call of '" + iface + "': distributed parameters " + describe(i) +
+            " and " + describe(j) + " split different extents");
       }
     }
   }
@@ -160,8 +171,8 @@ pdl::util::Status Context::execute(std::string_view interface_name,
                                       "' matches the target platform");
   }
 
-  if (auto status =
-          check_aliasing(iface, candidates->front().variant->pragma.params, args);
+  if (auto status = check_argument_pairs(
+          iface, candidates->front().variant->pragma.params, args);
       !status.ok()) {
     return status;
   }
@@ -310,23 +321,20 @@ pdl::util::Status Context::execute(std::string_view interface_name,
   }
   starvm::Codelet* codelet = codelet_it->second.get();
 
-  // Data registration and decomposition. Every BLOCK/CYCLIC argument is
-  // split into the same number of blocks; un-distributed arguments are
-  // passed whole to every task (e.g. the B matrix of row-banded DGEMM).
+  // Data registration and decomposition. Every BLOCK/CYCLIC argument splits
+  // the same extent (checked above) into only the blocks that hold data;
+  // un-distributed arguments are passed whole to every task (e.g. the B
+  // matrix of row-banded DGEMM).
   int nblocks = 1;
-  std::size_t min_extent = SIZE_MAX;
-  bool any_distributed = false;
-  for (const auto& a : args) {
-    if (a.dist != DistributionKind::kNone) {
-      any_distributed = true;
-      min_extent = std::min(min_extent, a.rows > 1 ? a.rows : a.cols);
-    }
-  }
-  if (any_distributed) {
+  const auto distributed = std::find_if(args.begin(), args.end(), [](const Arg& a) {
+    return a.dist != DistributionKind::kNone;
+  });
+  if (distributed != args.end()) {
     const int target_blocks =
         options_.blocks_per_device * static_cast<int>(engine_->device_count());
-    nblocks = std::max(1, std::min<int>(target_blocks,
-                                        static_cast<int>(min_extent)));
+    // An extent of 0 fills no block and still runs one whole-buffer task.
+    nblocks = std::max(1, starvm::filled_blocks(split_extent(*distributed),
+                                                std::max(1, target_blocks)));
   }
 
   std::vector<Registered*> regs;
@@ -339,12 +347,6 @@ pdl::util::Status Context::execute(std::string_view interface_name,
       repartition(reg, a, 1);  // whole-buffer use after being partitioned
     }
     regs.push_back(&reg);
-  }
-  // Partitioning may produce fewer blocks than requested (extent clamp).
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i].dist != DistributionKind::kNone && regs[i]->nblocks != 0) {
-      nblocks = std::min(nblocks, regs[i]->nblocks);
-    }
   }
 
   // CYCLIC distributions submit blocks in round-robin order over a stride;

@@ -57,8 +57,8 @@ inline Arg arg_matrix(double* ptr, std::size_t rows, std::size_t cols, AccessMod
 struct Options {
   starvm::SchedulerKind scheduler = starvm::SchedulerKind::kHeft;
   starvm::ExecutionMode mode = starvm::ExecutionMode::kHybrid;
-  /// BLOCK distributions split data into blocks_per_device * device_count
-  /// row bands (clamped to the data extent).
+  /// BLOCK distributions split data into up to blocks_per_device *
+  /// device_count row bands, fewer when the split would leave some empty.
   int blocks_per_device = 4;
   starvm::BridgeOptions bridge;
   /// Engine recovery policy (retries, backoff, blacklist, watchdog).

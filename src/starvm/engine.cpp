@@ -381,13 +381,23 @@ DataHandle* Engine::register_vector(double* ptr, std::size_t n, std::string name
   return register_matrix(ptr, 1, n, n, std::move(name));
 }
 
+BlockSpan block_span(std::size_t extent, int nblocks, int b) {
+  const std::size_t per = (extent + static_cast<std::size_t>(nblocks) - 1) /
+                          static_cast<std::size_t>(nblocks);
+  const std::size_t begin = std::min(static_cast<std::size_t>(b) * per, extent);
+  return {begin, std::min(per, extent - begin)};
+}
+
+int filled_blocks(std::size_t extent, int nblocks) {
+  // Every filled span but the last is full: the size of span 0.
+  const std::size_t per = block_span(extent, nblocks, 0).count;
+  return per == 0 ? 0 : static_cast<int>((extent + per - 1) / per);
+}
+
 std::vector<DataHandle*> Engine::partition_rows(DataHandle* handle, int nblocks) {
   assert(handle != nullptr && nblocks >= 1);
   assert(!handle->partitioned() && "handle is already partitioned");
   std::vector<DataHandle*> blocks;
-  const std::size_t rows = handle->rows();
-  const std::size_t per_block = (rows + static_cast<std::size_t>(nblocks) - 1) /
-                                static_cast<std::size_t>(nblocks);
   std::lock_guard<std::mutex> lock(submit_mutex_);
   std::lock_guard<std::mutex> mem(memory_mutex_);
   for (int b = 0; b < nblocks; ++b) {
@@ -395,15 +405,13 @@ std::vector<DataHandle*> Engine::partition_rows(DataHandle* handle, int nblocks)
     // blocks are empty (rows() == 0, bytes() == 0) so callers indexing
     // blocks[i] stay in bounds. Empty blocks point at one-past-the-end of
     // the parent (valid to form, never dereferenced — bytes() is 0).
-    const std::size_t row_begin =
-        std::min(static_cast<std::size_t>(b) * per_block, rows);
-    const std::size_t row_count = std::min(per_block, rows - row_begin);
+    const BlockSpan rows = block_span(handle->rows(), nblocks, b);
     DataHandle& block = handles_.emplace_back();
-    block.ptr_ = static_cast<double*>(handle->ptr_) + row_begin * handle->ld_;
-    block.rows_ = row_count;
+    block.ptr_ = static_cast<double*>(handle->ptr_) + rows.begin * handle->ld_;
+    block.rows_ = rows.count;
     block.cols_ = handle->cols_;
     block.ld_ = handle->ld_;
-    block.bytes_ = row_count * handle->cols_ * sizeof(double);
+    block.bytes_ = rows.count * handle->cols_ * sizeof(double);
     block.name_ = handle->name_ + "[" + std::to_string(b) + "]";
     block.parent_ = handle;
     // Blocks inherit only the host replica: device-side accounting is per
@@ -419,24 +427,19 @@ std::vector<DataHandle*> Engine::partition_vector(DataHandle* handle, int nblock
   assert(handle != nullptr && handle->rows() == 1);
   assert(!handle->partitioned() && "handle is already partitioned");
   std::vector<DataHandle*> blocks;
-  const std::size_t n = handle->cols();
-  const std::size_t per_block = (n + static_cast<std::size_t>(nblocks) - 1) /
-                                static_cast<std::size_t>(nblocks);
   std::lock_guard<std::mutex> lock(submit_mutex_);
   std::lock_guard<std::mutex> mem(memory_mutex_);
   for (int b = 0; b < nblocks; ++b) {
     // Exactly nblocks handles; tail blocks are empty when nblocks > n.
-    const std::size_t begin =
-        std::min(static_cast<std::size_t>(b) * per_block, n);
-    const std::size_t count = std::min(per_block, n - begin);
+    const BlockSpan span = block_span(handle->cols(), nblocks, b);
     DataHandle& block = handles_.emplace_back();
-    block.ptr_ = static_cast<double*>(handle->ptr_) + begin;
+    block.ptr_ = static_cast<double*>(handle->ptr_) + span.begin;
     // A surplus block is fully empty (0 x 0), not a degenerate 1 x 0 row:
     // callers test rows() == 0 to detect padding.
-    block.rows_ = count > 0 ? 1 : 0;
-    block.cols_ = count;
-    block.ld_ = count;
-    block.bytes_ = count * sizeof(double);
+    block.rows_ = span.count > 0 ? 1 : 0;
+    block.cols_ = span.count;
+    block.ld_ = span.count;
+    block.bytes_ = span.count * sizeof(double);
     block.name_ = handle->name_ + "[" + std::to_string(b) + "]";
     block.parent_ = handle;
     // Blocks inherit only the host replica: device-side accounting is per
@@ -453,32 +456,22 @@ std::vector<DataHandle*> Engine::partition_tiles(DataHandle* handle, int row_blo
   assert(handle != nullptr && row_blocks >= 1 && col_blocks >= 1);
   assert(!handle->partitioned() && "handle is already partitioned");
   std::vector<DataHandle*> tiles;
-  const std::size_t rows = handle->rows();
-  const std::size_t cols = handle->cols();
-  const std::size_t tile_rows = (rows + static_cast<std::size_t>(row_blocks) - 1) /
-                                static_cast<std::size_t>(row_blocks);
-  const std::size_t tile_cols = (cols + static_cast<std::size_t>(col_blocks) - 1) /
-                                static_cast<std::size_t>(col_blocks);
   std::lock_guard<std::mutex> lock(submit_mutex_);
   std::lock_guard<std::mutex> mem(memory_mutex_);
   for (int r = 0; r < row_blocks; ++r) {
     // Exactly row_blocks x col_blocks handles, row-major, so tile (r, c) is
     // always at index r * col_blocks + c; edge tiles are empty when the
     // grid is finer than the matrix.
-    const std::size_t row_begin =
-        std::min(static_cast<std::size_t>(r) * tile_rows, rows);
-    const std::size_t row_count = std::min(tile_rows, rows - row_begin);
+    const BlockSpan rows = block_span(handle->rows(), row_blocks, r);
     for (int c = 0; c < col_blocks; ++c) {
-      const std::size_t col_begin =
-          std::min(static_cast<std::size_t>(c) * tile_cols, cols);
-      const std::size_t col_count = std::min(tile_cols, cols - col_begin);
+      const BlockSpan cols = block_span(handle->cols(), col_blocks, c);
       DataHandle& tile = handles_.emplace_back();
-      tile.ptr_ = static_cast<double*>(handle->ptr_) + row_begin * handle->ld_ +
-                  col_begin;
-      tile.rows_ = row_count;
-      tile.cols_ = col_count;
+      tile.ptr_ = static_cast<double*>(handle->ptr_) + rows.begin * handle->ld_ +
+                  cols.begin;
+      tile.rows_ = rows.count;
+      tile.cols_ = cols.count;
       tile.ld_ = handle->ld_;  // tiles are strided views into the parent
-      tile.bytes_ = row_count * col_count * sizeof(double);
+      tile.bytes_ = rows.count * cols.count * sizeof(double);
       tile.name_ = handle->name_ + "(" + std::to_string(r) + "," +
                    std::to_string(c) + ")";
       tile.parent_ = handle;

@@ -58,6 +58,20 @@ class Counter;
 
 namespace starvm {
 
+/// Elements [begin, begin + count) of one block of a BLOCK split.
+struct BlockSpan {
+  std::size_t begin = 0;
+  std::size_t count = 0;
+};
+
+/// The one BLOCK split rule, shared by Engine::partition_* and
+/// cascabel::rt::Context: each of `nblocks` >= 1 blocks gets ceil(extent /
+/// nblocks) elements, so the last blocks are short or empty.
+BlockSpan block_span(std::size_t extent, int nblocks, int b);
+
+/// How many of the `nblocks` spans of block_span hold data.
+int filled_blocks(std::size_t extent, int nblocks);
+
 class Engine {
  public:
   explicit Engine(EngineConfig config);

@@ -498,6 +498,101 @@ TEST(Context, OneBufferUnderTwoDistributionsFailsNamingBothParameters) {
   for (double x : v) EXPECT_DOUBLE_EQ(x, 3.0);
 }
 
+TEST(Context, RejectsDistributedArgumentsOfDifferentExtents) {
+  // Task b takes block b of every BLOCK argument, so a 100-element A beside
+  // a 50-element B would pair mismatched blocks and read past B's end.
+  Options options;
+  options.mode = starvm::ExecutionMode::kDeterministic;
+  Context ctx(paper_platform_starpu_cpu(), builtin_repo(), options);
+  std::vector<double> a(100, 1.0), b(50, 2.0);
+  auto status = ctx.execute(
+      "Ivecadd", "",
+      {arg(a.data(), a.size(), AccessMode::kReadWrite, DistributionKind::kBlock),
+       arg(b.data(), b.size(), AccessMode::kRead, DistributionKind::kBlock)});
+  ASSERT_FALSE(status.ok());
+  const std::string message = status.error().str();
+  EXPECT_NE(message.find("'A' (BLOCK, 1x100)"), std::string::npos) << message;
+  EXPECT_NE(message.find("'B' (BLOCK, 1x50)"), std::string::npos) << message;
+  EXPECT_EQ(ctx.stats().tasks_submitted, 0u);
+  EXPECT_TRUE(ctx.wait().ok());
+  for (double v : a) ASSERT_EQ(v, 1.0);
+
+  // Matching extents on the same context still run.
+  std::vector<double> b2(100, 2.0);
+  ASSERT_TRUE(ctx.execute("Ivecadd", "",
+                          {arg(a.data(), a.size(), AccessMode::kReadWrite,
+                               DistributionKind::kBlock),
+                           arg(b2.data(), b2.size(), AccessMode::kRead,
+                               DistributionKind::kBlock)})
+                  .ok());
+  EXPECT_TRUE(ctx.wait().ok());
+  for (double v : a) EXPECT_EQ(v, 3.0);
+}
+
+TEST(Context, BlockDecompositionSubmitsOnlyFilledBlocks) {
+  Options options;
+  options.mode = starvm::ExecutionMode::kDeterministic;
+  {
+    // Listings 3/4 on 1000 cores: a target of 4 x 1000 blocks splits 4096
+    // elements two per block, which fills 2048 blocks. The 1952 empty ones
+    // must not become tasks (each was charged the perf model's 1 ms
+    // unknown-cost default).
+    Context ctx(pdl::discovery::manycore_platform(1000), builtin_repo(), options);
+    const std::size_t n = 4096;
+    std::vector<double> a(n), b(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      a[i] = static_cast<double>(i);
+      b[i] = static_cast<double>(3 * i + 1);
+    }
+    ASSERT_TRUE(ctx.execute("Ivecadd", "",
+                            {arg(a.data(), n, AccessMode::kReadWrite,
+                                 DistributionKind::kBlock),
+                             arg(b.data(), n, AccessMode::kRead,
+                                 DistributionKind::kBlock)})
+                    .ok());
+    ASSERT_TRUE(ctx.wait().ok());
+    const auto stats = ctx.stats();
+    EXPECT_EQ(stats.tasks_submitted, 2048u);
+    std::size_t charged_default = 0;
+    for (const auto& t : stats.trace) charged_default += t.exec_seconds >= 1e-3;
+    EXPECT_EQ(charged_default, 0u);
+    EXPECT_LT(stats.makespan_seconds, 1e-3);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(a[i], static_cast<double>(4 * i + 1)) << i;
+    }
+  }
+  // 8 devices give a target of 32 blocks; 40 rows or elements split two
+  // per block fill 20 of them.
+  Context ctx(paper_platform_starpu_cpu(), builtin_repo(), options);
+  std::vector<double> a(40, 1.0), b(40, 2.0);
+  ASSERT_TRUE(ctx.execute("Ivecadd", "",
+                          {arg(a.data(), a.size(), AccessMode::kReadWrite,
+                               DistributionKind::kBlock),
+                           arg(b.data(), b.size(), AccessMode::kRead,
+                               DistributionKind::kBlock)})
+                  .ok());
+  ASSERT_TRUE(ctx.wait().ok());
+  EXPECT_EQ(ctx.stats().tasks_submitted, 20u);
+  for (double v : a) EXPECT_EQ(v, 3.0);
+
+  const std::size_t n = 40;
+  kernels::Matrix ma(n, n), mb(n, n), mc(n, n), ref(n, n);
+  ma.fill_random(7);
+  mb.fill_random(8);
+  ASSERT_TRUE(ctx.execute("Idgemm", "",
+                          {arg_matrix(mc.data(), n, n, AccessMode::kReadWrite,
+                                      DistributionKind::kBlock),
+                           arg_matrix(ma.data(), n, n, AccessMode::kRead,
+                                      DistributionKind::kBlock),
+                           arg_matrix(mb.data(), n, n, AccessMode::kRead,
+                                      DistributionKind::kNone)})
+                  .ok());
+  ASSERT_TRUE(ctx.wait().ok());
+  EXPECT_EQ(ctx.stats().tasks_submitted, 40u);  // 20 vecadd + 20 dgemm bands
+  kernels::dgemm_naive(n, n, n, ma.data(), mb.data(), ref.data());
+  EXPECT_LT(kernels::max_abs_diff(mc.data(), ref.data(), n * n), 1e-9);
+}
+
 TEST(Context, SinglePlatformRunsSequentialFallback) {
   Context ctx(paper_platform_single(), builtin_repo());
   EXPECT_EQ(ctx.engine().device_count(), 1u);

@@ -2,6 +2,10 @@
 // write-back accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "discovery/presets.hpp"
 #include "starvm/bridge.hpp"
 #include "starvm/engine.hpp"
@@ -179,6 +183,70 @@ TEST(MemoryModel, PartitionTilesPadsWithEmptyBlocks) {
   // Row 2 and column 2 of the grid are empty.
   for (int r = 0; r < 3; ++r) EXPECT_EQ(tiles[r * 3 + 2]->cols(), 0u);
   for (int c = 0; c < 3; ++c) EXPECT_EQ(tiles[2 * 3 + c]->rows(), 0u);
+}
+
+// One split rule: for every extent and block count, block_span hands out
+// ceil(extent / nblocks)-element spans that tile [0, extent) in order with
+// only a suffix empty, filled_blocks counts the non-empty ones, and every
+// partition_* returns exactly those spans along the split dimension.
+TEST(MemoryModel, BlockSplitRuleTilesExtentAndDrivesEveryPartition) {
+  std::vector<double> data(80 * 3);
+  const BlockSpan halves[2] = {block_span(3, 2, 0), block_span(3, 2, 1)};
+  ASSERT_EQ(halves[0].count, 2u);
+  ASSERT_EQ(halves[1].begin, 2u);
+  for (std::size_t extent = 0; extent <= 70; ++extent) {
+    Engine engine(EngineConfig::cpus(1));
+    for (int nblocks = 1; nblocks <= 72; ++nblocks) {
+      SCOPED_TRACE("extent " + std::to_string(extent) + ", nblocks " +
+                   std::to_string(nblocks));
+      const std::size_t per = (extent + nblocks - 1) / nblocks;
+      std::size_t next = 0;
+      int filled = 0;
+      for (int b = 0; b < nblocks; ++b) {
+        const BlockSpan span = block_span(extent, nblocks, b);
+        ASSERT_EQ(span.begin, next) << "block " << b;
+        ASSERT_EQ(span.count, std::min(per, extent - span.begin)) << "block " << b;
+        if (span.count > 0) {
+          ASSERT_EQ(filled, b) << "empty block before filled block " << b;
+          ++filled;
+        }
+        next += span.count;
+      }
+      ASSERT_EQ(next, extent);
+      ASSERT_EQ(filled_blocks(extent, nblocks), filled);
+
+      const auto vec =
+          engine.partition_vector(engine.register_vector(data.data(), extent), nblocks);
+      const auto bands =
+          engine.partition_rows(engine.register_matrix(data.data(), extent, 3), nblocks);
+      const auto row_tiles = engine.partition_tiles(
+          engine.register_matrix(data.data(), extent, 3), nblocks, 2);
+      const auto col_tiles = engine.partition_tiles(
+          engine.register_matrix(data.data(), 3, extent), 2, nblocks);
+      ASSERT_EQ(vec.size(), static_cast<std::size_t>(nblocks));
+      ASSERT_EQ(bands.size(), static_cast<std::size_t>(nblocks));
+      ASSERT_EQ(row_tiles.size(), 2u * nblocks);
+      ASSERT_EQ(col_tiles.size(), 2u * nblocks);
+      for (int b = 0; b < nblocks; ++b) {
+        const BlockSpan span = block_span(extent, nblocks, b);
+        EXPECT_EQ(vec[b]->ptr(), data.data() + span.begin);
+        EXPECT_EQ(vec[b]->cols(), span.count);
+        EXPECT_EQ(bands[b]->ptr(), data.data() + span.begin * 3);
+        EXPECT_EQ(bands[b]->rows(), span.count);
+        for (int h = 0; h < 2; ++h) {
+          const DataHandle* row_tile = row_tiles[b * 2 + h];
+          EXPECT_EQ(row_tile->ptr(), data.data() + span.begin * 3 + halves[h].begin);
+          EXPECT_EQ(row_tile->rows(), span.count);
+          EXPECT_EQ(row_tile->cols(), halves[h].count);
+          const DataHandle* col_tile = col_tiles[h * nblocks + b];
+          EXPECT_EQ(col_tile->ptr(),
+                    data.data() + halves[h].begin * extent + span.begin);
+          EXPECT_EQ(col_tile->rows(), halves[h].count);
+          EXPECT_EQ(col_tile->cols(), span.count);
+        }
+      }
+    }
+  }
 }
 
 TEST(MemoryModel, BridgeReadsCapacityFromPdl) {
