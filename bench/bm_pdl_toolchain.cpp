@@ -11,7 +11,7 @@
 #include "pdl/serializer.hpp"
 #include "pdl/validate.hpp"
 #include "pdl/well_known.hpp"
-#include "xml/parser.hpp"
+#include "xml/reader.hpp"
 
 namespace {
 
@@ -94,16 +94,22 @@ void BM_ParseFlatPlatform(benchmark::State& state) {
 }
 BENCHMARK(BM_ParseFlatPlatform)->Arg(1000);
 
-void BM_XmlParseOnly(benchmark::State& state) {
+/// The XML layer alone: one xml::Reader walk over the text BM_ParsePlatform
+/// reads, with no model built from the tokens.
+void BM_XmlTokenScan(benchmark::State& state) {
   const std::string xml =
       pdl::serialize(synthetic_platform(static_cast<int>(state.range(0))));
   for (auto _ : state) {
-    auto doc = pdl::xml::parse(xml);
-    benchmark::DoNotOptimize(doc);
+    pdl::xml::Reader reader(xml);
+    pdl::xml::Token token = reader.next();
+    while (token != pdl::xml::Token::kEnd && token != pdl::xml::Token::kError) {
+      token = reader.next();
+    }
+    benchmark::DoNotOptimize(token);
   }
   state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(xml.size()));
 }
-BENCHMARK(BM_XmlParseOnly)->Arg(16)->Arg(128)->Arg(1024)->Arg(4096);
+BENCHMARK(BM_XmlTokenScan)->Arg(16)->Arg(128)->Arg(1024)->Arg(4096);
 
 void BM_Validate(benchmark::State& state) {
   const pdl::Platform p = synthetic_platform(static_cast<int>(state.range(0)));

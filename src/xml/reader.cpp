@@ -225,24 +225,19 @@ SourcePos Reader::position_of(std::size_t offset) const {
 Token Reader::read_prolog() {
   skip_ws();
   if (match("<?xml")) {
-    // The declaration's version/encoding pseudo-attributes.
+    // The declaration's pseudo-attributes are checked, not kept.
     pos_ += 5;
     while (!at_end() && !match("?>")) {
       skip_ws();
       if (match("?>")) break;
-      const std::string_view pseudo = read_name();
-      if (pseudo.empty()) return fail("malformed XML declaration");
+      if (read_name().empty()) return fail("malformed XML declaration");
       skip_ws();
       if (peek() != '=') return fail("expected '=' in XML declaration");
       ++pos_;
       skip_ws();
-      scratch_.clear();
       std::string_view value;
       std::size_t decoded_from = kNone;
       if (!read_quoted(value, decoded_from)) return Token::kError;
-      if (decoded_from != kNone) value = scratch_;
-      if (pseudo == "version") version_ = value;
-      if (pseudo == "encoding") encoding_ = value;
     }
     if (!match("?>")) return fail("unterminated XML declaration");
     pos_ += 2;
@@ -263,24 +258,37 @@ bool Reader::skip_misc() {
     } else if (match("<?")) {
       if (!skip_past("?>", 2, "unterminated processing instruction")) return false;
     } else if (match("<!DOCTYPE")) {
-      // Up to the matching '>', past an optional internal subset.
-      pos_ += 9;
-      int bracket_depth = 0;
-      for (;; ++pos_) {
-        if (at_end()) {
-          fail("unterminated DOCTYPE");
-          return false;
-        }
-        const char c = input_[pos_];
-        if (c == '[') ++bracket_depth;
-        if (c == ']') --bracket_depth;
-        if (c == '>' && bracket_depth <= 0) break;
-      }
-      ++pos_;
+      if (!skip_doctype()) return false;
     } else {
       return true;
     }
   }
+}
+
+bool Reader::skip_doctype() {
+  // Up to the '>' that closes it, past an optional internal subset. Quoted
+  // literals, comments and processing instructions may hold '[', ']' and
+  // '>' of their own, so each is skipped whole.
+  constexpr const char* kUnterminated = "unterminated DOCTYPE";
+  pos_ += 9;  // "<!DOCTYPE"
+  int bracket_depth = 0;
+  while (!at_end()) {
+    const char c = input_[pos_];
+    if (c == '"' || c == '\'') {
+      if (!skip_past(input_.substr(pos_, 1), 1, kUnterminated)) return false;
+    } else if (match("<!--")) {
+      if (!skip_past("-->", 4, kUnterminated)) return false;
+    } else if (match("<?")) {
+      if (!skip_past("?>", 2, kUnterminated)) return false;
+    } else {
+      ++pos_;
+      if (c == '[') ++bracket_depth;
+      if (c == ']') --bracket_depth;
+      if (c == '>' && bracket_depth <= 0) return true;
+    }
+  }
+  fail(kUnterminated);
+  return false;
 }
 
 bool Reader::skip_past(std::string_view terminator, std::size_t skip, const char* what) {
@@ -425,13 +433,6 @@ bool is_name(std::string_view name) {
     if (!name_part(c)) return false;
   }
   return true;
-}
-
-util::Result<std::string> decode_entities(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  if (auto message = append_decoded(text, out)) return util::Error{std::move(*message)};
-  return out;
 }
 
 void count_read(const Reader& reader, bool ok) {

@@ -5,8 +5,8 @@
 // open elements itself (no recursion, nesting is capped at kMaxDepth),
 // hands out names, attribute values and text as views that stay valid
 // until the next call to next(), and works out line:column only when a
-// caller asks for a position. xml::parse builds its DOM from these tokens;
-// pdl::parse_platform reads a Platform straight from them.
+// caller asks for a position. pdl::parse_platform reads a Platform straight
+// from these tokens, and xml::Emitter (writer.hpp) writes the text back.
 //
 // Supported surface: XML declaration, comments, CDATA, processing
 // instructions and DOCTYPE (both skipped), namespaced names, single- or
@@ -23,14 +23,19 @@
 #include <vector>
 
 #include "util/result.hpp"
-#include "xml/dom.hpp"
 
 namespace pdl::xml {
 
-/// Deepest element nesting a document may have. The DOM, the writer, path
-/// queries and the PDL model walk trees recursively; past this depth the
-/// reader fails with a positioned error instead.
+/// Deepest element nesting a document may have. The PDL model and its
+/// serializer walk the PU tree recursively; past this depth the reader fails
+/// with a positioned error instead.
 inline constexpr std::size_t kMaxDepth = 1024;
+
+/// 1-based position in the source text.
+struct SourcePos {
+  int line = 0;
+  int column = 0;
+};
 
 enum class Token {
   kStartElement,  ///< name(), attributes(); `<a/>` is followed by its kEndElement
@@ -75,10 +80,6 @@ class Reader {
   std::size_t elements() const { return elements_; }
   std::size_t size() const { return input_.size(); }
 
-  /// Pseudo-attributes of the XML declaration ("1.0"/"UTF-8" without one).
-  const std::string& xml_version() const { return version_; }
-  const std::string& encoding() const { return encoding_; }
-
  private:
   enum class State { kProlog, kContent, kEpilog, kDone, kFailed };
 
@@ -98,6 +99,7 @@ class Reader {
   Token read_prolog();
   /// Skips whitespace, comments, processing instructions and DOCTYPE.
   bool skip_misc();
+  bool skip_doctype();
   bool skip_past(std::string_view terminator, std::size_t skip, const char* what);
   Token read_start_tag();
   Token read_end_tag();
@@ -122,8 +124,6 @@ class Reader {
   std::unordered_set<std::string_view> seen_;  // duplicate check, wide tags only
   std::vector<std::string_view> open_;
 
-  std::string version_ = "1.0";
-  std::string encoding_ = "UTF-8";
   std::size_t elements_ = 0;
   util::Error error_;
 
@@ -135,10 +135,6 @@ class Reader {
 
 /// Whether `name` is a name this reader accepts for elements/attributes.
 bool is_name(std::string_view name);
-
-/// Decode the predefined entities and numeric character references in `text`.
-/// Unknown entities are an error.
-util::Result<std::string> decode_entities(std::string_view text);
 
 /// Adds one finished read to the xml.* counters: xml.bytes_parsed,
 /// xml.nodes_parsed, and xml.documents_parsed or xml.parse_errors.

@@ -27,39 +27,14 @@ void append_escaped(std::string& out, std::string_view text, bool attribute) {
   out.append(text.substr(run));
 }
 
-bool has_element_children(const Element& e) {
-  for (const auto& c : e.children()) {
-    if (c->is_element()) return true;
-  }
-  return false;
-}
-
-void write_element(Emitter& emit, const Element& e) {
-  emit.start(e.name());
-  for (const auto& a : e.attributes()) emit.attribute(a.name, a.value);
-  if (e.children().empty()) {
-    emit.end_empty();
-    return;
-  }
-  emit.begin_content(has_element_children(e));
-  for (const auto& c : e.children()) {
-    switch (c->kind()) {
-      case NodeKind::kElement: write_element(emit, *c->as_element()); break;
-      case NodeKind::kText: emit.text(c->text()); break;
-      case NodeKind::kCData: emit.cdata(c->text()); break;
-      case NodeKind::kComment: emit.comment(c->text()); break;
-      case NodeKind::kProcInstr: emit.processing_instruction(c->text()); break;
-    }
-  }
-  emit.end(e.name());
-}
-
 }  // namespace
 
-Emitter::Emitter(std::string& out, bool pretty, int indent_width)
-    : out_(out), pretty_(pretty), indent_width_(static_cast<std::size_t>(indent_width)) {}
+Emitter::Emitter(std::string& out, bool pretty) : out_(out), pretty_(pretty) {}
 
-void Emitter::indent(std::size_t depth) { out_.append(depth * indent_width_, ' '); }
+void Emitter::indent(std::size_t depth) {
+  constexpr std::size_t kIndentWidth = 2;
+  out_.append(depth * kIndentWidth, ' ');
+}
 
 void Emitter::newline_if_nested() {
   if (nested_line()) out_ += '\n';
@@ -105,28 +80,6 @@ void Emitter::text(std::string_view text) {
   newline_if_nested();
 }
 
-void Emitter::cdata(std::string_view text) {
-  out_ += "<![CDATA[";
-  out_ += text;
-  out_ += "]]>";
-  newline_if_nested();
-}
-
-void Emitter::comment(std::string_view text) {
-  if (nested_line()) indent(open_.size());
-  out_ += "<!--";
-  out_ += text;
-  out_ += "-->";
-  newline_if_nested();
-}
-
-void Emitter::processing_instruction(std::string_view text) {
-  out_ += "<?";
-  out_ += text;
-  out_ += "?>";
-  newline_if_nested();
-}
-
 void Emitter::end(std::string_view name) {
   const bool nested = nested_line();
   open_.pop_back();
@@ -135,21 +88,6 @@ void Emitter::end(std::string_view name) {
   out_ += name;
   out_ += '>';
   if (pretty_) out_ += '\n';
-}
-
-std::string write(const Document& doc, const WriteOptions& options) {
-  std::string out;
-  Emitter emit(out, options.pretty, options.indent_width);
-  if (options.declaration) emit.declaration(doc.xml_version(), doc.encoding());
-  if (doc.root() != nullptr) write_element(emit, *doc.root());
-  return out;
-}
-
-std::string write(const Element& element, const WriteOptions& options) {
-  std::string out;
-  Emitter emit(out, options.pretty, options.indent_width);
-  write_element(emit, element);
-  return out;
 }
 
 }  // namespace pdl::xml

@@ -6,6 +6,8 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <optional>
+#include <string>
 
 #include "cascabel/builtin_variants.hpp"
 #include "cascabel/rt.hpp"
@@ -118,6 +120,41 @@ TEST(CaseStudy, Figure5ShapeInPureSim) {
   EXPECT_GT(speedup_gpu, speedup_cpu);
 }
 
+/// Writes `source` to the test temp dir as `<stem>.cpp`, compiles it with
+/// the system compiler and this build's flags against this repository's
+/// libraries, runs it and returns its output. Fails the test (and returns
+/// nullopt) when compiling fails or the program exits non-zero.
+std::optional<std::string> compile_and_run(const std::string& source, const std::string& stem) {
+  const std::string dir = testing::TempDir();
+  const std::string source_path = dir + "/" + stem + ".cpp";
+  const std::string binary_path = dir + "/" + stem + "_bin";
+  const std::string errors_path = dir + "/" + stem + "_compile_errors.txt";
+  const std::string output_path = dir + "/" + stem + "_output.txt";
+  if (!pdl::util::write_file(source_path, source)) {
+    ADD_FAILURE() << "cannot write " << source_path;
+    return std::nullopt;
+  }
+  std::string compile_cmd = std::string("g++ -std=c++20 -O1 ") + PDL_CXX_FLAGS + " -I " +
+                            PDL_SOURCE_DIR + "/src " + source_path;
+  for (const char* library :
+       {"cascabel/libcascabel.a", "annot/libcascabel_annot.a",
+        "discovery/libpdl_discovery.a", "starvm/libstarvm.a", "kernels/libpdl_kernels.a",
+        "pdl/libpdl_core.a", "xml/libpdl_xml.a", "util/libpdl_util.a", "obs/libpdl_obs.a"}) {
+    compile_cmd += std::string(" ") + PDL_BINARY_DIR + "/src/" + library;
+  }
+  compile_cmd += " -lpthread -o " + binary_path + " 2> " + errors_path;
+  if (std::system(compile_cmd.c_str()) != 0) {
+    ADD_FAILURE() << compile_cmd << "\n"
+                  << pdl::util::read_file(errors_path).value_or("(no stderr captured)");
+    return std::nullopt;
+  }
+  const std::string run_cmd = binary_path + " > " + output_path + " 2>&1";
+  const int run_rc = std::system(run_cmd.c_str());
+  auto output = pdl::util::read_file(output_path);
+  EXPECT_EQ(run_rc, 0) << output.value_or("(no output captured)");
+  return output;
+}
+
 TEST(GeneratedSource, DgemmCaseStudyCompilesAndVerifies) {
   // The §IV-D case study as a really-compiled generated program: the
   // translated DGEMM must produce the same matrix as an inline reference.
@@ -158,31 +195,7 @@ int main() {
   auto translation =
       translate(kProgram, "dgemm_main.cpp", paper_platform_starpu_2gpu());
   ASSERT_TRUE(translation.ok()) << translation.error().str();
-
-  const std::string dir = testing::TempDir();
-  const std::string source_path = dir + "/cascabel_dgemm_gen.cpp";
-  const std::string binary_path = dir + "/cascabel_dgemm_bin";
-  ASSERT_TRUE(pdl::util::write_file(source_path, translation.value().output_source));
-
-  const std::string compile_cmd =
-      std::string("g++ -std=c++20 -O1 -I ") + PDL_SOURCE_DIR + "/src " + source_path +
-      " " + PDL_BINARY_DIR + "/src/cascabel/libcascabel.a " + PDL_BINARY_DIR +
-      "/src/annot/libcascabel_annot.a " + PDL_BINARY_DIR +
-      "/src/discovery/libpdl_discovery.a " + PDL_BINARY_DIR +
-      "/src/starvm/libstarvm.a " + PDL_BINARY_DIR +
-      "/src/kernels/libpdl_kernels.a " + PDL_BINARY_DIR +
-      "/src/pdl/libpdl_core.a " + PDL_BINARY_DIR + "/src/xml/libpdl_xml.a " +
-      PDL_BINARY_DIR + "/src/util/libpdl_util.a " + PDL_BINARY_DIR +
-      "/src/obs/libpdl_obs.a -lpthread -o " + binary_path +
-      " 2> " + dir + "/dgemm_compile_errors.txt";
-  ASSERT_EQ(std::system(compile_cmd.c_str()), 0)
-      << pdl::util::read_file(dir + "/dgemm_compile_errors.txt")
-             .value_or("(no stderr)");
-
-  const std::string run_cmd =
-      binary_path + " > " + dir + "/dgemm_run_output.txt 2>&1";
-  EXPECT_EQ(std::system(run_cmd.c_str()), 0);
-  const auto output = pdl::util::read_file(dir + "/dgemm_run_output.txt");
+  const auto output = compile_and_run(translation.value().output_source, "cascabel_dgemm");
   ASSERT_TRUE(output.has_value());
   EXPECT_NE(output->find("DGEMM_OK"), std::string::npos) << *output;
 }
@@ -216,31 +229,7 @@ int main() {
   auto translation =
       translate(kProgram, "vecadd_main.cpp", paper_platform_starpu_cpu());
   ASSERT_TRUE(translation.ok()) << translation.error().str();
-
-  const std::string dir = testing::TempDir();
-  const std::string source_path = dir + "/cascabel_generated.cpp";
-  const std::string binary_path = dir + "/cascabel_generated_bin";
-  ASSERT_TRUE(pdl::util::write_file(source_path, translation.value().output_source));
-
-  const std::string compile_cmd =
-      std::string("g++ -std=c++20 -O1 -I ") + PDL_SOURCE_DIR + "/src " + source_path +
-      " " + PDL_BINARY_DIR + "/src/cascabel/libcascabel.a " + PDL_BINARY_DIR +
-      "/src/annot/libcascabel_annot.a " + PDL_BINARY_DIR +
-      "/src/discovery/libpdl_discovery.a " + PDL_BINARY_DIR +
-      "/src/starvm/libstarvm.a " + PDL_BINARY_DIR +
-      "/src/kernels/libpdl_kernels.a " + PDL_BINARY_DIR +
-      "/src/pdl/libpdl_core.a " + PDL_BINARY_DIR + "/src/xml/libpdl_xml.a " +
-      PDL_BINARY_DIR + "/src/util/libpdl_util.a " + PDL_BINARY_DIR +
-      "/src/obs/libpdl_obs.a -lpthread -o " + binary_path +
-      " 2> " + dir + "/compile_errors.txt";
-  const int compile_rc = std::system(compile_cmd.c_str());
-  ASSERT_EQ(compile_rc, 0) << pdl::util::read_file(dir + "/compile_errors.txt")
-                                  .value_or("(no stderr captured)");
-
-  const std::string run_cmd = binary_path + " > " + dir + "/run_output.txt 2>&1";
-  const int run_rc = std::system(run_cmd.c_str());
-  EXPECT_EQ(run_rc, 0);
-  const auto output = pdl::util::read_file(dir + "/run_output.txt");
+  const auto output = compile_and_run(translation.value().output_source, "cascabel_generated");
   ASSERT_TRUE(output.has_value());
   EXPECT_NE(output->find("CASE_STUDY_OK"), std::string::npos) << *output;
 }
