@@ -5,10 +5,13 @@
 // set the process dispatched to. dgemm_blocked is the untuned dgemm_seq
 // side the autotuner learns against, and dgemm_parallel the SMP reference.
 //
-// Per compiled path the CPU supports, BM_DgemmTiledBand/<path> times the
-// shape of one translated Fig-5 task at n = 256 (an 8-row band of C and A
-// against the whole 256 x 256 B), and BM_MaddPeak/<path> the peak at that
-// path's vector width: independent multiply-add chains, no memory traffic.
+// Per compiled path the CPU supports, BM_DgemmTiledBand/<path>/<rows> times
+// a band of C and A against the whole 256 x 256 B. 8 rows is the shape of
+// one translated Fig-5 task at n = 256 (one AVX-512 register block, two
+// 4-row blocks elsewhere); 4 rows takes only the 4-row pass and 12 rows an
+// 8-row block plus the 4-row pass. BM_MaddPeak/<path> times the peak at
+// that path's vector width: independent multiply-add chains, no memory
+// traffic.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -69,12 +72,13 @@ BENCHMARK(BM_DgemmTiled)->Arg(128)->Arg(256)->Arg(512)
     ->Unit(benchmark::kMillisecond);
 
 void tiled_band(benchmark::State& state, const kernels::detail::DgemmPath& path) {
-  const std::size_t m = 8, n = 256, k = 256;
+  const std::size_t m = static_cast<std::size_t>(state.range(0));
+  const std::size_t n = 256, k = 256;
   kernels::Matrix a(m, k), b(k, n), c(m, n);
   a.fill_random(1);
   b.fill_random(2);
   for (auto _ : state) {
-    path.tiled(m, n, k, a.data(), b.data(), c.data(), 0);
+    path.tiled(m, n, k, a.data(), b.data(), c.data());
     benchmark::DoNotOptimize(c.data());
     benchmark::ClobberMemory();
   }
@@ -135,7 +139,7 @@ int main(int argc, char** argv) {
                                  [&path](benchmark::State& state) {
                                    tiled_band(state, path);
                                  })
-        ->Unit(benchmark::kMicrosecond);
+        ->Arg(4)->Arg(8)->Arg(12)->Unit(benchmark::kMicrosecond);
     benchmark::RegisterBenchmark(("BM_MaddPeak" + suffix).c_str(),
                                  [&path](benchmark::State& state) {
                                    madd_peak(state, path);

@@ -1,5 +1,7 @@
 #include "cascabel/builtin_variants.hpp"
 
+#include <string>
+
 #include "kernels/cholesky.hpp"
 #include "kernels/dgemm.hpp"
 #include "kernels/vector_ops.hpp"
@@ -41,9 +43,39 @@ const starvm::ErrorModel kSyrkModel = starvm::ErrorModel::rounding(2.0, kUlp);
 const starvm::ErrorModel kVecaddModel =
     starvm::ErrorModel::rounding(1.0, kUlp, 1.0);
 
+std::string shape(std::size_t rows, std::size_t cols, std::size_t ld) {
+  return std::to_string(rows) + "x" + std::to_string(cols) + " (ld " +
+         std::to_string(ld) + ")";
+}
+
+/// The GEMM kernels read C as m x n, A as m x k and B as k x n, all dense
+/// (ld == cols), with m, n and k taken from C and A. Fails the task naming
+/// the first operand that breaks this, before any element is written.
+bool gemm_operands_fit(const starvm::ExecContext& ctx, const char* interface_name) {
+  const auto& c = ctx.handle(0);
+  const auto& a = ctx.handle(1);
+  const std::size_t m = c.rows(), n = c.cols(), k = a.cols();
+  const struct {
+    const char* name;
+    const starvm::DataHandle& handle;
+    std::size_t rows, cols;
+  } operands[] = {{"C", c, m, n}, {"A", a, m, k}, {"B", ctx.handle(2), k, n}};
+  for (const auto& op : operands) {
+    const auto& h = op.handle;
+    if (h.rows() != op.rows || h.cols() != op.cols || h.ld() != h.cols()) {
+      ctx.fail(std::string(interface_name) + ": operand " + op.name + " is " +
+               shape(h.rows(), h.cols(), h.ld()) + ", expected " +
+               shape(op.rows, op.cols, op.cols));
+      return false;
+    }
+  }
+  return true;
+}
+
 /// C (rows x cols) += A (rows x k) * B (k x cols); geometry from handles.
 /// The scalar cache-tiled kernel: the untuned side of the interface.
 void dgemm_exec(const starvm::ExecContext& ctx) {
+  if (!gemm_operands_fit(ctx, "Idgemm")) return;
   const auto& c = ctx.handle(0);
   const auto& a = ctx.handle(1);
   kernels::dgemm_blocked(c.rows(), c.cols(), a.cols(), ctx.buffer(1), ctx.buffer(2),
@@ -52,6 +84,7 @@ void dgemm_exec(const starvm::ExecContext& ctx) {
 
 /// Same geometry on the SIMD register-blocked kernel (see dgemm_tiled).
 void dgemm_tiled_exec(const starvm::ExecContext& ctx) {
+  if (!gemm_operands_fit(ctx, "Idgemm")) return;
   const auto& c = ctx.handle(0);
   const auto& a = ctx.handle(1);
   kernels::dgemm_tiled(c.rows(), c.cols(), a.cols(), ctx.buffer(1), ctx.buffer(2),
@@ -67,6 +100,7 @@ double dgemm_flops(const std::vector<starvm::BufferView>& buffers) {
 /// Mixed-precision dgemm on the same Idgemm geometry; own interface so
 /// measured-rate selection can never swap it in for full-precision callers.
 void dgemm_mixed_exec(const starvm::ExecContext& ctx) {
+  if (!gemm_operands_fit(ctx, "Idgemm_mixed")) return;
   const auto& c = ctx.handle(0);
   const auto& a = ctx.handle(1);
   kernels::dgemm_mixed(c.rows(), c.cols(), a.cols(), ctx.buffer(1), ctx.buffer(2),
@@ -139,8 +173,16 @@ double dsyrk_flops(const std::vector<starvm::BufferView>& buffers) {
                              buffers[1].handle->cols());
 }
 
+/// A += B over A's length; B must have A's shape.
 void vecadd_exec(const starvm::ExecContext& ctx) {
-  kernels::vector_add(ctx.buffer(0), ctx.buffer(1), ctx.handle(0).cols());
+  const auto& a = ctx.handle(0);
+  const auto& b = ctx.handle(1);
+  if (b.rows() != a.rows() || b.cols() != a.cols()) {
+    ctx.fail("Ivecadd: operand B is " + shape(b.rows(), b.cols(), b.ld()) +
+             ", expected the shape of A, " + shape(a.rows(), a.cols(), a.ld()));
+    return;
+  }
+  kernels::vector_add(ctx.buffer(0), ctx.buffer(1), a.cols());
 }
 
 double vecadd_flops(const std::vector<starvm::BufferView>& buffers) {

@@ -70,9 +70,14 @@ void dgemm_blocked_rows(std::size_t row_begin, std::size_t row_end, std::size_t 
 
 // --- dgemm_tiled: one micro-kernel, compiled per instruction set ------------
 //
-// The micro-kernel keeps a 4-row x 2-vector block of C in registers over a
-// whole p-block: each step loads two vectors of one B row, broadcasts four
-// A values and issues eight multiply-adds into independent accumulators.
+// The micro-kernel keeps an MR-row x 2-vector block of C in registers over a
+// whole p-block: each step loads two vectors of one B row, broadcasts MR
+// A values and issues 2*MR multiply-adds into independent accumulators.
+// AVX-512 has 32 vector registers and runs 8-row blocks, so one load of B
+// feeds all 8 rows of a translated task's band; SSE2 and AVX2 have 16 and
+// run 4-row blocks. Rows an 8-row block leaves over get one 4-row pass, so
+// the vector path covers the same rows as with 4-row blocks; the block
+// height changes no element's summation order, hence none of its bits.
 // B is read in place, not packed: translated tasks are 8-row bands, where
 // a packing pass costs about as much as the product itself.
 //
@@ -87,6 +92,9 @@ typedef double Vec8 __attribute__((vector_size(8 * sizeof(double))));
 template <typename V>
 constexpr std::size_t kLanes = sizeof(V) / sizeof(double);
 
+/// Vectors per row of the register block.
+constexpr std::size_t kBlockVectors = 2;
+
 /// dst[0..lanes) += v, unaligned.
 template <typename V>
 [[gnu::always_inline]] inline void add_into(double* dst, const V& v) {
@@ -96,58 +104,65 @@ template <typename V>
   std::memcpy(dst, &d, sizeof(V));
 }
 
-/// C[i..i+4) x [j..j+2W) += A*B over [p0..p1), W = kLanes<V>.
-template <typename V>
-[[gnu::always_inline]] inline void micro_4x2v(std::size_t i, std::size_t j,
-                                              std::size_t p0, std::size_t p1,
-                                              std::size_t n, std::size_t k,
-                                              const double* a, const double* b,
-                                              double* c) {
+/// C[i..i+MR) x [j..j+NV*W) += A*B over [p0..p1), W = kLanes<V>. The loops
+/// are unrolled so that the MR x NV accumulators stay in registers.
+template <typename V, std::size_t MR, std::size_t NV>
+[[gnu::always_inline]] inline void micro(std::size_t i, std::size_t j,
+                                         std::size_t p0, std::size_t p1,
+                                         std::size_t n, std::size_t k,
+                                         const double* a, const double* b,
+                                         double* c) {
   constexpr std::size_t w = kLanes<V>;
-  V c00{}, c01{}, c10{}, c11{}, c20{}, c21{}, c30{}, c31{};
-  const double* a0 = a + i * k;
-  const double* a1 = a0 + k;
-  const double* a2 = a1 + k;
-  const double* a3 = a2 + k;
+  V acc[MR][NV] = {};
+  const double* a_block = a + i * k;
   for (std::size_t p = p0; p < p1; ++p) {
-    const double* b_row = b + p * n + j;
-    V b0;
-    V b1;
-    std::memcpy(&b0, b_row, sizeof(V));
-    std::memcpy(&b1, b_row + w, sizeof(V));
-    c00 += a0[p] * b0; c01 += a0[p] * b1;
-    c10 += a1[p] * b0; c11 += a1[p] * b1;
-    c20 += a2[p] * b0; c21 += a2[p] * b1;
-    c30 += a3[p] * b0; c31 += a3[p] * b1;
+    V b_row[NV];
+#pragma GCC unroll 8
+    for (std::size_t v = 0; v < NV; ++v) {
+      std::memcpy(&b_row[v], b + p * n + j + v * w, sizeof(V));
+    }
+#pragma GCC unroll 8
+    for (std::size_t r = 0; r < MR; ++r) {
+      const double air = a_block[r * k + p];
+#pragma GCC unroll 8
+      for (std::size_t v = 0; v < NV; ++v) acc[r][v] += air * b_row[v];
+    }
   }
-  double* c0 = c + i * n + j;
-  double* c1 = c0 + n;
-  double* c2 = c1 + n;
-  double* c3 = c2 + n;
-  add_into(c0, c00); add_into(c0 + w, c01);
-  add_into(c1, c10); add_into(c1 + w, c11);
-  add_into(c2, c20); add_into(c2 + w, c21);
-  add_into(c3, c30); add_into(c3 + w, c31);
+  for (std::size_t r = 0; r < MR; ++r) {
+    for (std::size_t v = 0; v < NV; ++v) {
+      add_into(c + (i + r) * n + j + v * w, acc[r][v]);
+    }
+  }
 }
 
-template <typename V>
+/// dgemm_tiled on MR-row register blocks of C; MR is 8 or 4.
+template <typename V, std::size_t MR>
 [[gnu::always_inline]] inline void tiled(std::size_t m, std::size_t n,
                                          std::size_t k, const double* a,
-                                         const double* b, double* c,
-                                         std::size_t block) {
-  constexpr std::size_t cols = 2 * kLanes<V>;
-  if (block == 0) block = kDefaultBlock;
+                                         const double* b, double* c) {
+  constexpr std::size_t block = kDefaultBlock;
+  constexpr std::size_t cols = kBlockVectors * kLanes<V>;
   for (std::size_t i0 = 0; i0 < m; i0 += block) {
     const std::size_t i1 = std::min(m, i0 + block);
+    // Rows [i0, im) take MR-row blocks and [im, i4) one 4-row block, so the
+    // vector path covers the same rows for either MR.
     const std::size_t i4 = i0 + (i1 - i0) / 4 * 4;
+    const std::size_t im = i0 + (i4 - i0) / MR * MR;
     for (std::size_t p0 = 0; p0 < k; p0 += block) {
       const std::size_t p1 = std::min(k, p0 + block);
       for (std::size_t j0 = 0; j0 < n; j0 += block) {
         const std::size_t j1 = std::min(n, j0 + block);
         const std::size_t jv = j0 + (j1 - j0) / cols * cols;
-        for (std::size_t i = i0; i < i4; i += 4) {
+        for (std::size_t i = i0; i < im; i += MR) {
           for (std::size_t j = j0; j < jv; j += cols) {
-            micro_4x2v<V>(i, j, p0, p1, n, k, a, b, c);
+            micro<V, MR, kBlockVectors>(i, j, p0, p1, n, k, a, b, c);
+          }
+        }
+        // Runs at most once. Written as a loop, not an if: GCC 12 then
+        // keeps the general registers of its inner loop off the stack.
+        for (std::size_t i = im; MR > 4 && i < i4; i += 4) {
+          for (std::size_t j = j0; j < jv; j += cols) {
+            micro<V, 4, kBlockVectors>(i, j, p0, p1, n, k, a, b, c);
           }
         }
         // Tile edges that do not fill a register block use the scalar kernel.
@@ -177,8 +192,8 @@ template <typename V>
 }
 
 void tiled_baseline(std::size_t m, std::size_t n, std::size_t k, const double* a,
-                    const double* b, double* c, std::size_t block) {
-  tiled<Vec2>(m, n, k, a, b, c, block);
+                    const double* b, double* c) {
+  tiled<Vec2, 4>(m, n, k, a, b, c);
 }
 
 double peak_baseline(std::size_t iterations, double x, double y) {
@@ -188,9 +203,8 @@ double peak_baseline(std::size_t iterations, double x, double y) {
 #if defined(__x86_64__)
 [[gnu::target("avx2,fma")]] void tiled_avx2(std::size_t m, std::size_t n,
                                             std::size_t k, const double* a,
-                                            const double* b, double* c,
-                                            std::size_t block) {
-  tiled<Vec4>(m, n, k, a, b, c, block);
+                                            const double* b, double* c) {
+  tiled<Vec4, 4>(m, n, k, a, b, c);
 }
 
 [[gnu::target("avx2,fma")]] double peak_avx2(std::size_t iterations, double x,
@@ -200,9 +214,8 @@ double peak_baseline(std::size_t iterations, double x, double y) {
 
 [[gnu::target("avx512f")]] void tiled_avx512(std::size_t m, std::size_t n,
                                              std::size_t k, const double* a,
-                                             const double* b, double* c,
-                                             std::size_t block) {
-  tiled<Vec8>(m, n, k, a, b, c, block);
+                                             const double* b, double* c) {
+  tiled<Vec8, 8>(m, n, k, a, b, c);
 }
 
 [[gnu::target("avx512f")]] double peak_avx512(std::size_t iterations, double x,
@@ -246,8 +259,8 @@ std::span<const detail::DgemmPath> detail::supported_dgemm_paths() {
 }
 
 void dgemm_tiled(std::size_t m, std::size_t n, std::size_t k, const double* a,
-                 const double* b, double* c, std::size_t block) {
-  detail::supported_dgemm_paths().back().tiled(m, n, k, a, b, c, block);
+                 const double* b, double* c) {
+  detail::supported_dgemm_paths().back().tiled(m, n, k, a, b, c);
 }
 
 void dgemm_batched_ref(std::size_t batch, std::size_t m, std::size_t n,

@@ -25,15 +25,17 @@ void dgemm_naive(std::size_t m, std::size_t n, std::size_t k, const double* a,
 void dgemm_blocked(std::size_t m, std::size_t n, std::size_t k, const double* a,
                    const double* b, double* c, std::size_t block = 0);
 
-/// Cache-tiled like dgemm_blocked, with a register-blocked micro-kernel in
-/// the interior: a 4-row x 2-vector block of C stays in SIMD registers
-/// across the k extent of a tile, and B is read in place (no packing). The
-/// micro-kernel is compiled for baseline x86-64 (SSE2), AVX2+FMA and
-/// AVX-512F, and each process runs the widest one its CPU supports (other
-/// architectures build only the portable one). Tile edges that do not fill
-/// a register block use the scalar kernel.
+/// Cache-tiled like dgemm_blocked (64 x 64 x 64 tiles), with a
+/// register-blocked micro-kernel in the interior: a block of C of 2 SIMD
+/// vectors per row stays in registers across the k extent of a tile, and B
+/// is read in place (no packing). The micro-kernel is compiled for baseline
+/// x86-64 (SSE2) and AVX2+FMA with 4-row blocks and for AVX-512F with
+/// 8-row blocks plus one 4-row pass for the rows left over; each process
+/// runs the widest build its CPU supports (other architectures build only
+/// the portable one). Tile edges that do not fill a 4-row block use the
+/// scalar kernel.
 void dgemm_tiled(std::size_t m, std::size_t n, std::size_t k, const double* a,
-                 const double* b, double* c, std::size_t block = 0);
+                 const double* b, double* c);
 
 /// dgemm_blocked with row-band parallelism. `threads` == 0 (the default)
 /// runs on the process-wide shared pool (pdl::util::global_pool()) so

@@ -18,9 +18,9 @@ inline constexpr std::size_t kPeakChains = 12;
 struct DgemmPath {
   const char* name;            ///< "sse2" (or "generic"), "avx2", "avx512"
   std::size_t vector_doubles;  ///< doubles per SIMD vector of this build
-  /// dgemm_tiled compiled for this instruction set (block 0 = default).
+  /// dgemm_tiled compiled for this instruction set.
   void (*tiled)(std::size_t m, std::size_t n, std::size_t k, const double* a,
-                const double* b, double* c, std::size_t block);
+                const double* b, double* c);
   /// Multiply-add peak loop at this build's vector width: `iterations`
   /// steps of kPeakChains independent chains acc = acc * x + y, i.e.
   /// iterations * kPeakChains * vector_doubles * 2 flops. Returns the sum

@@ -529,6 +529,56 @@ TEST(Context, RejectsDistributedArgumentsOfDifferentExtents) {
   for (double v : a) EXPECT_EQ(v, 3.0);
 }
 
+TEST(Context, DgemmWithBandedBFailsNamingOperandB) {
+  // C:BLOCK, A:BLOCK, B:BLOCK split the same 64 rows, so the call passes the
+  // extent check; but each task's band of B holds only a few of the k = 64
+  // rows its kernel reads. The task must fail instead of reading past B.
+  Options options;
+  options.mode = starvm::ExecutionMode::kDeterministic;
+  Context ctx(paper_platform_starpu_2gpu(), builtin_repo(), options);
+  const std::size_t n = 64;
+  kernels::Matrix a(n, n), b(n, n), c(n, n);
+  a.fill_random(21);
+  b.fill_random(22);
+  ASSERT_TRUE(ctx.execute("Idgemm", "",
+                          {arg_matrix(c.data(), n, n, AccessMode::kReadWrite,
+                                      DistributionKind::kBlock),
+                           arg_matrix(a.data(), n, n, AccessMode::kRead,
+                                      DistributionKind::kBlock),
+                           arg_matrix(b.data(), n, n, AccessMode::kRead,
+                                      DistributionKind::kBlock)})
+                  .ok());
+  const auto status = ctx.wait();
+  ASSERT_FALSE(status.ok());
+  const std::string message = status.error().str();
+  EXPECT_NE(message.find("Idgemm: operand B is "), std::string::npos) << message;
+  EXPECT_NE(message.find("expected 64x64 (ld 64)"), std::string::npos) << message;
+  for (std::size_t i = 0; i < n * n; ++i) ASSERT_EQ(c.data()[i], 0.0) << i;
+}
+
+TEST(Context, VecaddWithShorterBFailsNamingOperandB) {
+  // A whole beside B:BLOCK: every task pairs all 64 elements of A with one
+  // block of B, so the kernel would read past each block.
+  Options options;
+  options.mode = starvm::ExecutionMode::kDeterministic;
+  Context ctx(paper_platform_starpu_2gpu(), builtin_repo(), options);
+  const std::size_t n = 64;
+  std::vector<double> a(n, 1.0), b(n, 2.0);
+  ASSERT_TRUE(ctx.execute("Ivecadd", "",
+                          {arg(a.data(), n, AccessMode::kReadWrite,
+                               DistributionKind::kNone),
+                           arg(b.data(), n, AccessMode::kRead,
+                               DistributionKind::kBlock)})
+                  .ok());
+  const auto status = ctx.wait();
+  ASSERT_FALSE(status.ok());
+  const std::string message = status.error().str();
+  EXPECT_NE(message.find("Ivecadd: operand B is "), std::string::npos) << message;
+  EXPECT_NE(message.find("expected the shape of A, 1x64"), std::string::npos)
+      << message;
+  for (double v : a) ASSERT_EQ(v, 1.0);
+}
+
 TEST(Context, BlockDecompositionSubmitsOnlyFilledBlocks) {
   Options options;
   options.mode = starvm::ExecutionMode::kDeterministic;

@@ -56,10 +56,12 @@ void fill_integers(Matrix& m, unsigned seed) {
 
 TEST(Dgemm, TiledFringeShapesMatchNaive) {
   // Every compiled path the CPU supports, called directly so the narrower
-  // ones stay checked on hosts that dispatch to a wider one. m and n sweep
-  // every interior/fringe split of the 4-row x 2-vector register block (n
-  // up to 33 covers two 16-column AVX-512 blocks and a remainder); k = 67
-  // crosses the 64-deep p-block.
+  // ones stay checked on hosts that dispatch to a wider one. m sweeps every
+  // row split of the register blocks: 4-row blocks plus 0..3 scalar rows,
+  // and for 8-row blocks one block (m = 8), 8 + 4 (m = 12), 8 + 4 + scalar
+  // rows (m = 13..15) and two blocks + 1 (m = 17). n up to 33 covers two
+  // 16-column AVX-512 blocks and a remainder; k = 67 crosses the 64-deep
+  // p-block.
   const auto paths = detail::supported_dgemm_paths();
 #if defined(__x86_64__)
   __builtin_cpu_init();
@@ -69,7 +71,7 @@ TEST(Dgemm, TiledFringeShapesMatchNaive) {
 #endif
   for (const detail::DgemmPath& path : paths) {
     for (const std::size_t k : {1, 5, 67}) {
-      for (std::size_t m = 1; m <= 9; ++m) {
+      for (std::size_t m = 1; m <= 17; ++m) {
         for (std::size_t n = 1; n <= 33; ++n) {
           const auto seed = static_cast<unsigned>(k * 10000 + m * 100 + n);
           Matrix a(m, k), b(k, n), c_ref(m, n), c_path(m, n);
@@ -78,7 +80,7 @@ TEST(Dgemm, TiledFringeShapesMatchNaive) {
           c_ref.fill(0.25);
           c_path.fill(0.25);
           dgemm_naive(m, n, k, a.data(), b.data(), c_ref.data());
-          path.tiled(m, n, k, a.data(), b.data(), c_path.data(), 0);
+          path.tiled(m, n, k, a.data(), b.data(), c_path.data());
           ASSERT_LT(max_abs_diff(c_ref.data(), c_path.data(), m * n), 1e-9)
               << path.name << " m=" << m << " n=" << n << " k=" << k;
 
@@ -87,7 +89,7 @@ TEST(Dgemm, TiledFringeShapesMatchNaive) {
           fill_integers(c_ref, seed + 2);
           c_path = c_ref;
           dgemm_naive(m, n, k, a.data(), b.data(), c_ref.data());
-          path.tiled(m, n, k, a.data(), b.data(), c_path.data(), 0);
+          path.tiled(m, n, k, a.data(), b.data(), c_path.data());
           ASSERT_EQ(std::memcmp(c_ref.data(), c_path.data(), m * n * sizeof(double)),
                     0)
               << path.name << " m=" << m << " n=" << n << " k=" << k;
