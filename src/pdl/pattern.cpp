@@ -1,6 +1,7 @@
 #include "pdl/pattern.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
 #include "pdl/query.hpp"
@@ -108,7 +109,9 @@ class PatternParser {
         advance();
       }
       auto q = util::parse_int(digits);
-      if (!q || *q < 1) return fail("expected positive integer after 'x'");
+      if (!q || *q < 1 || *q > std::numeric_limits<int>::max()) {
+        return fail("expected positive integer after 'x'");
+      }
       pu->set_quantity(static_cast<int>(*q));
     }
 
@@ -143,17 +146,23 @@ class PatternParser {
 // --- Matching -------------------------------------------------------------------
 
 /// Check the pattern PU's property constraints against a concrete PU.
+/// `reason` may be null: a mismatch is formatted only for a caller that
+/// reads it.
 bool properties_satisfied(const ProcessingUnit& pattern, const ProcessingUnit& concrete,
-                          std::string& reason) {
+                          std::string* reason) {
   for (const auto& p : pattern.descriptor().properties()) {
     const Property* c = resolve_property(concrete, p.name);
     if (c == nullptr) {
-      reason = "concrete PU '" + concrete.id() + "' lacks property '" + p.name + "'";
+      if (reason != nullptr) {
+        *reason = "concrete PU '" + concrete.id() + "' lacks property '" + p.name + "'";
+      }
       return false;
     }
     if (p.fixed && !util::iequals(c->value, p.value)) {
-      reason = "property '" + p.name + "' is '" + c->value + "', pattern requires '" +
-               p.value + "' on PU '" + concrete.id() + "'";
+      if (reason != nullptr) {
+        *reason = "property '" + p.name + "' is '" + c->value + "', pattern requires '" +
+                  p.value + "' on PU '" + concrete.id() + "'";
+      }
       return false;
     }
   }
@@ -161,7 +170,7 @@ bool properties_satisfied(const ProcessingUnit& pattern, const ProcessingUnit& c
 }
 
 bool match_pu(const ProcessingUnit& pattern, const ProcessingUnit& concrete,
-              std::vector<MatchBinding>& bindings, std::string& reason);
+              std::vector<MatchBinding>& bindings, std::string* reason);
 
 /// Satisfy each pattern child against disjoint concrete children.
 ///
@@ -171,8 +180,10 @@ bool match_pu(const ProcessingUnit& pattern, const ProcessingUnit& concrete,
 /// because pattern children with identical constraints are interchangeable
 /// and more-specific pattern children are processed in declaration order —
 /// the documented contract is "declare more-specific children first".
+/// A rejected child's reason is never reported, so child attempts format
+/// none.
 bool match_children(const ProcessingUnit& pattern, const ProcessingUnit& concrete,
-                    std::vector<MatchBinding>& bindings, std::string& reason) {
+                    std::vector<MatchBinding>& bindings, std::string* reason) {
   std::vector<bool> used(concrete.children().size(), false);
   for (const auto& pchild : pattern.children()) {
     int satisfied = 0;
@@ -181,17 +192,18 @@ bool match_children(const ProcessingUnit& pattern, const ProcessingUnit& concret
       if (used[i]) continue;
       const ProcessingUnit& cchild = *concrete.children()[i];
       std::vector<MatchBinding> sub_bindings;
-      std::string sub_reason;
-      if (match_pu(*pchild, cchild, sub_bindings, sub_reason)) {
+      if (match_pu(*pchild, cchild, sub_bindings, nullptr)) {
         used[i] = true;
         satisfied += cchild.quantity();
         bindings.insert(bindings.end(), sub_bindings.begin(), sub_bindings.end());
       }
     }
     if (satisfied < required) {
-      reason = "pattern requires " + std::to_string(required) + " x " +
-               std::string(to_string(pchild->kind())) + " under '" + concrete.id() +
-               "', only " + std::to_string(satisfied) + " available";
+      if (reason != nullptr) {
+        *reason = "pattern requires " + std::to_string(required) + " x " +
+                  std::string(to_string(pchild->kind())) + " under '" + concrete.id() +
+                  "', only " + std::to_string(satisfied) + " available";
+      }
       return false;
     }
   }
@@ -199,11 +211,13 @@ bool match_children(const ProcessingUnit& pattern, const ProcessingUnit& concret
 }
 
 bool match_pu(const ProcessingUnit& pattern, const ProcessingUnit& concrete,
-              std::vector<MatchBinding>& bindings, std::string& reason) {
+              std::vector<MatchBinding>& bindings, std::string* reason) {
   if (pattern.kind() != concrete.kind()) {
-    reason = "kind mismatch: pattern " + std::string(to_string(pattern.kind())) +
-             " vs concrete " + std::string(to_string(concrete.kind())) + " ('" +
-             concrete.id() + "')";
+    if (reason != nullptr) {
+      *reason = "kind mismatch: pattern " + std::string(to_string(pattern.kind())) +
+                " vs concrete " + std::string(to_string(concrete.kind())) + " ('" +
+                concrete.id() + "')";
+    }
     return false;
   }
   if (!properties_satisfied(pattern, concrete, reason)) return false;
@@ -271,13 +285,12 @@ std::string pattern_to_string(const Platform& pattern) {
 
 bool pu_satisfies(const ProcessingUnit& pattern_pu, const ProcessingUnit& concrete) {
   if (pattern_pu.kind() != concrete.kind()) return false;
-  std::string reason;
-  return properties_satisfied(pattern_pu, concrete, reason);
+  return properties_satisfied(pattern_pu, concrete, nullptr);
 }
 
 MatchResult match(const ProcessingUnit& pattern, const ProcessingUnit& concrete) {
   MatchResult result;
-  result.matched = match_pu(pattern, concrete, result.bindings, result.reason);
+  result.matched = match_pu(pattern, concrete, result.bindings, &result.reason);
   if (!result.matched) result.bindings.clear();
   return result;
 }
@@ -292,7 +305,7 @@ MatchResult match(const Platform& pattern, const Platform& concrete) {
       if (used[i]) continue;
       std::vector<MatchBinding> bindings;
       std::string reason;
-      if (match_pu(*pmaster, *concrete.masters()[i], bindings, reason)) {
+      if (match_pu(*pmaster, *concrete.masters()[i], bindings, &reason)) {
         used[i] = true;
         satisfied = true;
         result.bindings.insert(result.bindings.end(), bindings.begin(), bindings.end());

@@ -1,5 +1,6 @@
 #include "pdl/validate.hpp"
 
+#include <algorithm>
 #include <functional>
 #include <set>
 #include <string>
@@ -29,42 +30,47 @@ struct Checker {
     return p.loc.valid() ? p.loc : owner;
   }
 
-  void check_descriptor(const Descriptor& d, const SourceLoc& loc,
-                        const std::string& where) {
-    std::set<std::string> seen;
-    for (const auto& p : d.properties()) {
-      if (p.name.empty()) {
+  /// `where` returns the finding's locator; it is called only when a
+  /// finding is reported, so a clean descriptor builds no string.
+  template <typename Where>
+  void check_descriptor(const Descriptor& d, const SourceLoc& loc, const Where& where) {
+    const auto& props = d.properties();
+    for (auto p = props.begin(); p != props.end(); ++p) {
+      if (p->name.empty()) {
         report(Severity::kWarning, "V11", "property with empty name",
-               prop_loc(p, loc), where);
+               prop_loc(*p, loc), where());
         continue;
       }
-      if (!seen.insert(p.name).second) {
-        report(Severity::kWarning, "V11", "duplicate property '" + p.name + "'",
-               prop_loc(p, loc), where);
+      // Descriptors hold a handful of properties: a scan of the earlier
+      // ones is cheaper than a set of names.
+      const auto same_name = [&](const Property& q) { return q.name == p->name; };
+      if (std::any_of(props.begin(), p, same_name)) {
+        report(Severity::kWarning, "V11", "duplicate property '" + p->name + "'",
+               prop_loc(*p, loc), where());
       }
-      if (p.fixed && p.value.empty()) {
+      if (p->fixed && p->value.empty()) {
         report(Severity::kWarning, "V12",
-               "fixed property '" + p.name + "' has no value", prop_loc(p, loc),
-               where);
+               "fixed property '" + p->name + "' has no value", prop_loc(*p, loc),
+               where());
       }
     }
   }
 
   void check_pu(const ProcessingUnit& pu) {
-    const std::string where = pu.path();
+    const auto where = [&pu] { return pu.path(); };
     const SourceLoc& loc = pu.loc();
 
     // V6: unique ids.
     if (!pu.id().empty() && !pu_ids.insert(pu.id()).second) {
-      report(Severity::kError, "V6", "duplicate PU id '" + pu.id() + "'", loc, where);
+      report(Severity::kError, "V6", "duplicate PU id '" + pu.id() + "'", loc, where());
     }
     if (pu.id().empty()) {
-      report(Severity::kError, "V6", "PU without id", loc, where);
+      report(Severity::kError, "V6", "PU without id", loc, where());
     }
 
     // V7: quantity.
     if (pu.quantity() < 1) {
-      report(Severity::kError, "V7", "PU quantity must be >= 1", loc, where);
+      report(Severity::kError, "V7", "PU quantity must be >= 1", loc, where());
     }
 
     // V2/V3/V5: position rules per kind.
@@ -73,28 +79,28 @@ struct Checker {
       case PuKind::kMaster:
         if (!top_level) {
           report(Severity::kError, "V2", "Master '" + pu.id() + "' below the top level",
-                 loc, where);
+                 loc, where());
         }
         break;
       case PuKind::kWorker:
         if (top_level) {
           report(Severity::kError, "V4",
-                 "Worker '" + pu.id() + "' is uncontrolled at top level", loc, where);
+                 "Worker '" + pu.id() + "' is uncontrolled at top level", loc, where());
         }
         if (!pu.is_leaf()) {
           report(Severity::kError, "V3", "Worker '" + pu.id() + "' controls other PUs",
-                 loc, where);
+                 loc, where());
         }
         break;
       case PuKind::kHybrid:
         if (top_level) {
           report(Severity::kError, "V5",
-                 "Hybrid '" + pu.id() + "' is uncontrolled at top level", loc, where);
+                 "Hybrid '" + pu.id() + "' is uncontrolled at top level", loc, where());
         }
         if (pu.is_leaf()) {
           report(Severity::kWarning, "V5",
                  "Hybrid '" + pu.id() + "' controls nothing; use Worker instead", loc,
-                 where);
+                 where());
         }
         break;
     }
@@ -106,9 +112,10 @@ struct Checker {
       const SourceLoc mr_loc = mr.loc.valid() ? mr.loc : loc;
       if (!mr.id.empty() && !mr_ids.insert(mr.id).second) {
         report(Severity::kWarning, "V10", "duplicate MemoryRegion id '" + mr.id + "'",
-               mr_loc, where);
+               mr_loc, where());
       }
-      check_descriptor(mr.descriptor, mr_loc, where + "/MR:" + mr.id);
+      check_descriptor(mr.descriptor, mr_loc,
+                       [&] { return pu.path() + "/MR:" + mr.id; });
     }
 
     for (const auto& child : pu.children()) {
@@ -118,14 +125,13 @@ struct Checker {
 
   /// Interconnects are checked after the id set is complete (V8/V9).
   void check_interconnects(const ProcessingUnit& pu) {
-    const std::string where = pu.path();
     for (const auto& ic : pu.interconnects()) {
       const SourceLoc ic_loc = ic.loc.valid() ? ic.loc : pu.loc();
       for (const std::string* endpoint : {&ic.from, &ic.to}) {
         if (endpoint->empty() || pu_ids.count(*endpoint) == 0) {
           report(Severity::kError, "V8",
                  "interconnect endpoint '" + *endpoint + "' is not a known PU id",
-                 ic_loc, where);
+                 ic_loc, pu.path());
         }
       }
       // V9: the declaring PU should be involved, directly or via a descendant.
@@ -144,9 +150,10 @@ struct Checker {
         report(Severity::kWarning, "V9",
                "interconnect " + ic.from + "->" + ic.to +
                    " does not involve the declaring PU's scope",
-               ic_loc, where);
+               ic_loc, pu.path());
       }
-      check_descriptor(ic.descriptor, ic_loc, where + "/IC:" + ic.from + "->" + ic.to);
+      check_descriptor(ic.descriptor, ic_loc,
+                       [&] { return pu.path() + "/IC:" + ic.from + "->" + ic.to; });
     }
     for (const auto& child : pu.children()) {
       check_interconnects(*child);

@@ -182,7 +182,7 @@ Engine::Engine(EngineConfig config) : config_(std::move(config)) {
   // Memory nodes: host = 0; every accelerator gets its own node.
   MemoryNodeId next_node = kHostNode + 1;
   for (std::size_t i = 0; i < config_.devices.size(); ++i) {
-    // DeviceState embeds mutexes and atomics (immovable): build in place.
+    // DeviceState embeds atomics (immovable): build in place.
     detail::DeviceState& state = devices_.emplace_back();
     state.spec = config_.devices[i];
     state.id = static_cast<DeviceId>(i);

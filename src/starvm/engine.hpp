@@ -300,7 +300,7 @@ class Engine {
                                MemoryNodeId to) const;
 
   EngineConfig config_;
-  /// deque, not vector: DeviceState embeds mutexes/atomics (immovable) and
+  /// deque, not vector: DeviceState embeds atomics (immovable) and
   /// deque growth never relocates elements.
   mutable std::deque<detail::DeviceState> devices_;
   /// Simulation-mode scheduler (null in hybrid mode).

@@ -11,15 +11,15 @@
 //     kWaiting -> kReady (publish) or kWaiting -> kFailed (cancel) race.
 //   - `successors`, `released` and the finish_vtime handoff to late
 //     subscribers are guarded by the per-task `edge_mutex`.
-//   - Each DeviceState embeds its own ReadyQueue (mutex + cv + deque); the
-//     owning worker pops from the front, idle peers steal from the back.
-// The virtual-clock simulation modes keep the single engine mutex and
-// simply use the atomics with plain load/store semantics.
+//   - Ready queues are not device state: HybridDispatch (scheduler.hpp) owns
+//     one ReadyQueue (mutex + cv + deque) per device; the owning worker pops
+//     from the front, idle peers steal from the back.
+// The virtual-clock simulation modes keep the single engine mutex, simply
+// use the atomics with plain load/store semantics and build no ReadyQueue.
 #pragma once
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -88,23 +88,6 @@ inline void vtime_raise(std::atomic<double>& clock, double v) {
   }
 }
 
-/// Per-device ready queue for the real-threads path. The owning worker
-/// pops from the front; idle peers steal from the back (oldest work first,
-/// the classic Cilk/ABP orientation that minimizes owner interference).
-struct ReadyQueue {
-  std::mutex m;
-  std::condition_variable cv;
-  std::deque<TaskNode*> tasks;     ///< guarded by m
-  std::uint64_t steals_out = 0;    ///< tasks stolen FROM this queue (by m)
-  /// Workers currently blocked in cv.wait. Written under m (between the
-  /// queue re-check and the wait, so a pusher holding m sees either the
-  /// task consumed or the sleeper registered — no lost wakeup); atomic so
-  /// heuristic reads (peer nudges) may skip the lock. Pushers skip the
-  /// notify syscall entirely when this is zero: an awake worker re-polls
-  /// the queue before it ever sleeps.
-  std::atomic<int> sleepers{0};
-};
-
 struct DeviceState {
   DeviceSpec spec;
   DeviceId id = -1;
@@ -117,8 +100,6 @@ struct DeviceState {
   /// Racy-by-design in hybrid mode (a stale read only degrades placement,
   /// never correctness); the simulation scheduler keeps its own copy.
   std::atomic<double> est_avail{0.0};
-
-  ReadyQueue queue;  ///< hybrid path; unused by the simulation modes
 
   /// Completed-task trace, owner-written (worker thread or sim loop);
   /// merged and sorted by Engine::stats() after quiescence.

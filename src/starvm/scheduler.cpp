@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <limits>
 #include <set>
 #include <thread>
@@ -48,6 +49,62 @@ void priority_insert(std::deque<TaskNode*>& queue, TaskNode* task) {
   }
   queue.insert(it, task);
 }
+
+/// One device's ready tasks in the simulation schedulers: a vector plus a
+/// head index. Unlike std::deque, whose constructor allocates a map and a
+/// node, it allocates nothing until its first push, so a device that is
+/// never given work costs nothing. Pops advance the head; the popped
+/// prefix is reclaimed once it is half the buffer, so a queue that never
+/// runs empty stays bounded. Order is a deque's: FIFO, and erase keeps the
+/// order of the rest.
+class TaskFifo {
+ public:
+  using iterator = std::vector<TaskNode*>::iterator;
+  using const_iterator = std::vector<TaskNode*>::const_iterator;
+
+  bool empty() const { return head_ == buf_.size(); }
+  std::size_t size() const { return buf_.size() - head_; }
+  TaskNode* front() const { return buf_[head_]; }
+
+  void push_back(TaskNode* task) { buf_.push_back(task); }
+
+  void pop_front() {
+    if (++head_ == buf_.size()) {
+      clear();
+    } else if (2 * head_ >= buf_.size()) {
+      buf_.erase(buf_.begin(), begin());
+      head_ = 0;
+    }
+  }
+
+  void erase(iterator it) {
+    if (it == begin()) {
+      pop_front();
+    } else {
+      buf_.erase(it);
+    }
+  }
+
+  void clear() {
+    buf_.clear();
+    head_ = 0;
+  }
+
+  iterator begin() { return buf_.begin() + static_cast<std::ptrdiff_t>(head_); }
+  iterator end() { return buf_.end(); }
+  const_iterator begin() const {
+    return buf_.begin() + static_cast<std::ptrdiff_t>(head_);
+  }
+  const_iterator end() const { return buf_.end(); }
+  auto rbegin() { return std::make_reverse_iterator(end()); }
+  auto rend() { return std::make_reverse_iterator(begin()); }
+  auto rbegin() const { return std::make_reverse_iterator(end()); }
+  auto rend() const { return std::make_reverse_iterator(begin()); }
+
+ private:
+  std::vector<TaskNode*> buf_;
+  std::size_t head_ = 0;  ///< index of the front task in buf_
+};
 
 /// (avail_vtime, device) ordered index with cached keys, so one device can
 /// be re-keyed in O(log n) when its clock advances. Backs pop_earliest():
@@ -179,7 +236,7 @@ class EagerScheduler final : public Scheduler {
   AvailIndex avail_;  ///< every live device, keyed by its virtual clock
 };
 
-/// Per-device deques with round-robin placement and back-stealing.
+/// Per-device FIFOs with round-robin placement and back-stealing.
 class WorkStealingScheduler final : public Scheduler {
  public:
   explicit WorkStealingScheduler(const std::deque<DeviceState>* devices)
@@ -304,7 +361,7 @@ class WorkStealingScheduler final : public Scheduler {
 
  private:
   const std::deque<DeviceState>* devices_;
-  std::vector<std::deque<TaskNode*>> queues_;
+  std::vector<TaskFifo> queues_;
   std::size_t next_ = 0;
   std::size_t total_ = 0;
   AvailIndex avail_;  ///< every live device, keyed by its virtual clock
@@ -465,7 +522,7 @@ class HeftScheduler final : public Scheduler {
   const std::deque<DeviceState>* devices_;
   const PlacementClassSet* classes_;
   CostClassFn cost_fn_;
-  std::vector<std::deque<TaskNode*>> queues_;
+  std::vector<TaskFifo> queues_;
   std::vector<double> est_avail_;
   std::vector<std::size_t> class_of_;
   /// Per-class live members ordered by (estimated backlog, id); begin() is
@@ -506,6 +563,7 @@ HybridDispatch::HybridDispatch(SchedulerKind kind,
       devices_(devices),
       classes_(classes),
       cost_fn_(std::move(cost_fn)),
+      queues_(std::make_unique<ReadyQueue[]>(devices->size())),
       class_rr_(new std::atomic<std::size_t>[classes->size()]) {
   for (std::size_t c = 0; c < classes->size(); ++c) {
     class_rr_[c].store(0, std::memory_order_relaxed);
@@ -601,17 +659,18 @@ DeviceId HybridDispatch::place(const TaskNode& task) {
 }
 
 bool HybridDispatch::push_to(DeviceId device, TaskNode* task, bool notify) {
-  DeviceState& dev = (*devices_)[static_cast<std::size_t>(device)];
+  const DeviceState& dev = (*devices_)[static_cast<std::size_t>(device)];
+  ReadyQueue& q = queues_[static_cast<std::size_t>(device)];
   bool wake = false;
   bool nudge_peer = false;
   {
-    std::lock_guard<std::mutex> lock(dev.queue.m);
+    std::lock_guard<std::mutex> lock(q.m);
     // Re-check under the queue mutex: blacklisting sets the flag first and
     // drains the queue after, both against this mutex, so either we insert
     // before the drain (and the task is re-routed) or we see the flag.
     if (dev.blacklisted.load(std::memory_order_relaxed)) return false;
-    const bool was_empty = dev.queue.tasks.empty();
-    dev.queue.tasks.push_back(task);
+    const bool was_empty = q.tasks.empty();
+    q.tasks.push_back(task);
     count_.fetch_add(1, std::memory_order_relaxed);
     // Wake only on the empty -> non-empty transition, and only when someone
     // is actually asleep (sleepers is registered under this mutex before
@@ -621,22 +680,21 @@ bool HybridDispatch::push_to(DeviceId device, TaskNode* task, bool notify) {
     // this mutex before it ever sleeps again. Skipping the futex syscall on
     // the other pushes is the difference between one wake per task and one
     // per burst.
-    wake = notify && was_empty &&
-           dev.queue.sleepers.load(std::memory_order_relaxed) > 0;
+    wake = notify && was_empty && q.sleepers.load(std::memory_order_relaxed) > 0;
     nudge_peer = notify && kind_ == SchedulerKind::kWorkStealing &&
-                 dev.queue.tasks.size() > 1 && devices_->size() > 1;
+                 q.tasks.size() > 1 && devices_->size() > 1;
   }
   // Notify with the mutex released: a woken worker immediately re-acquires
   // the queue mutex, so signalling while holding it forces an extra block/
   // unblock cycle on every handoff.
-  if (wake) dev.queue.cv.notify_one();
+  if (wake) q.cv.notify_one();
   if (nudge_peer) {
     // The owner may be busy for a while; nudge one sleeping peer so
     // back-stealing picks the backlog up without waiting for its rescan
     // timeout (heuristic — a stale sleepers read at worst delays a steal).
     const std::size_t peer =
         (static_cast<std::size_t>(device) + 1) % devices_->size();
-    ReadyQueue& pq = (*devices_)[peer].queue;
+    ReadyQueue& pq = queues_[peer];
     if (pq.sleepers.load(std::memory_order_relaxed) > 0) pq.cv.notify_one();
   }
   return true;
@@ -700,14 +758,15 @@ std::vector<TaskNode*> HybridDispatch::push_batch(
   }
   for (std::size_t i = 0; i < buckets.size(); ++i) {
     if (buckets[i].empty()) continue;
-    DeviceState& dev = (*devices_)[i];
+    const DeviceState& dev = (*devices_)[i];
+    ReadyQueue& q = queues_[i];
     bool placed = false;
     bool was_empty = false;
     {
-      std::lock_guard<std::mutex> lock(dev.queue.m);
+      std::lock_guard<std::mutex> lock(q.m);
       if (!dev.blacklisted.load(std::memory_order_relaxed)) {
-        was_empty = dev.queue.tasks.empty();
-        for (TaskNode* task : buckets[i]) dev.queue.tasks.push_back(task);
+        was_empty = q.tasks.empty();
+        for (TaskNode* task : buckets[i]) q.tasks.push_back(task);
         count_.fetch_add(buckets[i].size(), std::memory_order_relaxed);
         placed = true;
       }
@@ -717,13 +776,12 @@ std::vector<TaskNode*> HybridDispatch::push_batch(
         // A burst on one device is exactly what stealing exists for: wake
         // every worker, not just the owner.
         notify_all();
-      } else if (was_empty &&
-                 dev.queue.sleepers.load(std::memory_order_relaxed) > 0) {
+      } else if (was_empty && q.sleepers.load(std::memory_order_relaxed) > 0) {
         // Empty -> non-empty transition only (see push_to). Safe to read
         // sleepers after unlocking: a sleeper either registered before our
         // push (visible via the mutex) or re-checked the queue after it
         // and found the batch.
-        dev.queue.cv.notify_one();
+        q.cv.notify_one();
       }
     } else {
       // Blacklisted while batching: fall back to one-by-one re-placement.
@@ -736,7 +794,7 @@ std::vector<TaskNode*> HybridDispatch::push_batch(
 }
 
 TaskNode* HybridDispatch::pop_local(DeviceId device) {
-  DeviceState& dev = (*devices_)[static_cast<std::size_t>(device)];
+  const DeviceState& dev = (*devices_)[static_cast<std::size_t>(device)];
   if (kind_ == SchedulerKind::kEager) {
     std::lock_guard<std::mutex> lock(shared_.m);
     for (auto it = shared_.tasks.begin(); it != shared_.tasks.end(); ++it) {
@@ -749,11 +807,12 @@ TaskNode* HybridDispatch::pop_local(DeviceId device) {
     }
     return nullptr;
   }
-  std::lock_guard<std::mutex> lock(dev.queue.m);
-  if (dev.queue.tasks.empty()) return nullptr;
+  ReadyQueue& q = queues_[static_cast<std::size_t>(device)];
+  std::lock_guard<std::mutex> lock(q.m);
+  if (q.tasks.empty()) return nullptr;
   // Per-device queues only ever receive tasks the device can run.
-  TaskNode* task = dev.queue.tasks.front();
-  dev.queue.tasks.pop_front();
+  TaskNode* task = q.tasks.front();
+  q.tasks.pop_front();
   count_.fetch_sub(1, std::memory_order_relaxed);
   return task;
 }
@@ -767,16 +826,15 @@ TaskNode* HybridDispatch::steal_for(DeviceId thief) {
   const DeviceState& me = (*devices_)[static_cast<std::size_t>(thief)];
   for (std::size_t offset = 1; offset < n; ++offset) {
     const std::size_t v = (static_cast<std::size_t>(thief) + offset) % n;
-    DeviceState& victim = (*devices_)[v];
-    std::lock_guard<std::mutex> lock(victim.queue.m);
+    ReadyQueue& victim = queues_[v];
+    std::lock_guard<std::mutex> lock(victim.m);
     // Steal the oldest work we can actually run, from the back — the
     // owner pops the front, so contention on a 2-element queue is nil.
-    for (auto it = victim.queue.tasks.rbegin();
-         it != victim.queue.tasks.rend(); ++it) {
+    for (auto it = victim.tasks.rbegin(); it != victim.tasks.rend(); ++it) {
       if ((*it)->codelet->supports(me.spec.kind)) {
         TaskNode* task = *it;
-        victim.queue.tasks.erase(std::next(it).base());
-        ++victim.queue.steals_out;
+        victim.tasks.erase(std::next(it).base());
+        ++victim.steals_out;
         count_.fetch_sub(1, std::memory_order_relaxed);
         return task;
       }
@@ -787,8 +845,10 @@ TaskNode* HybridDispatch::steal_for(DeviceId thief) {
 
 TaskNode* HybridDispatch::wait_pop(DeviceId device,
                                    const std::atomic<bool>& stopping) {
-  DeviceState& dev = (*devices_)[static_cast<std::size_t>(device)];
-  ReadyQueue& q = kind_ == SchedulerKind::kEager ? shared_ : dev.queue;
+  const DeviceState& dev = (*devices_)[static_cast<std::size_t>(device)];
+  ReadyQueue& q = kind_ == SchedulerKind::kEager
+                      ? shared_
+                      : queues_[static_cast<std::size_t>(device)];
   // Empty polls since the last task; governs the yield-before-sleep below.
   int idle_polls = 0;
   for (;;) {
@@ -819,9 +879,9 @@ TaskNode* HybridDispatch::wait_pop(DeviceId device,
           return task;
         }
       }
-    } else if (!dev.queue.tasks.empty()) {
-      TaskNode* task = dev.queue.tasks.front();
-      dev.queue.tasks.pop_front();
+    } else if (!q.tasks.empty()) {
+      TaskNode* task = q.tasks.front();
+      q.tasks.pop_front();
       count_.fetch_sub(1, std::memory_order_relaxed);
       return task;
     }
@@ -846,7 +906,6 @@ TaskNode* HybridDispatch::wait_pop(DeviceId device,
 }
 
 std::vector<TaskNode*> HybridDispatch::drain_device(DeviceId device) {
-  DeviceState& dev = (*devices_)[static_cast<std::size_t>(device)];
   if (kind_ == SchedulerKind::kEager) {
     // Shared queue: survivors keep draining it; evict only orphans.
     std::vector<TaskNode*> orphans;
@@ -862,19 +921,19 @@ std::vector<TaskNode*> HybridDispatch::drain_device(DeviceId device) {
     }
     return orphans;
   }
-  std::lock_guard<std::mutex> lock(dev.queue.m);
-  std::vector<TaskNode*> drained(dev.queue.tasks.begin(),
-                                 dev.queue.tasks.end());
-  dev.queue.tasks.clear();
+  ReadyQueue& q = queues_[static_cast<std::size_t>(device)];
+  std::lock_guard<std::mutex> lock(q.m);
+  std::vector<TaskNode*> drained(q.tasks.begin(), q.tasks.end());
+  q.tasks.clear();
   count_.fetch_sub(drained.size(), std::memory_order_relaxed);
   return drained;
 }
 
 std::uint64_t HybridDispatch::steals() const {
   std::uint64_t total = 0;
-  for (DeviceState& dev : *devices_) {
-    std::lock_guard<std::mutex> lock(dev.queue.m);
-    total += dev.queue.steals_out;
+  for (std::size_t i = 0; i < devices_->size(); ++i) {
+    std::lock_guard<std::mutex> lock(queues_[i].m);
+    total += queues_[i].steals_out;
   }
   return total;
 }
@@ -888,11 +947,11 @@ void HybridDispatch::notify_all() {
     std::lock_guard<std::mutex> lock(shared_.m);
   }
   shared_.cv.notify_all();
-  for (DeviceState& dev : *devices_) {
+  for (std::size_t i = 0; i < devices_->size(); ++i) {
     {
-      std::lock_guard<std::mutex> lock(dev.queue.m);
+      std::lock_guard<std::mutex> lock(queues_[i].m);
     }
-    dev.queue.cv.notify_all();
+    queues_[i].cv.notify_all();
   }
 }
 

@@ -6,9 +6,10 @@
 //   - Scheduler: the single-queue-discipline used by the virtual-clock
 //     simulation modes. All methods are called with the engine mutex held.
 //   - HybridDispatch: the lock-split dispatch used by the real-threads
-//     (kHybrid) path — per-device ready queues + condition variables with
-//     work stealing; it takes only the ReadyQueue mutexes of the devices
-//     involved, never a global lock.
+//     (kHybrid) path — it owns one ReadyQueue (deque + mutex + condition
+//     variable) per device, with work stealing; it takes only the
+//     ReadyQueue mutexes of the devices involved, never a global lock. The
+//     simulation modes build no ReadyQueue at all.
 //
 // Both HEFT implementations are hierarchical: candidates are the engine's
 // placement classes (groups of interchangeable devices, see
@@ -21,10 +22,12 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "starvm/oracle.hpp"
@@ -95,6 +98,25 @@ std::unique_ptr<Scheduler> make_scheduler(SchedulerKind kind,
                                           CostClassFn cost_fn,
                                           DecisionOracle* oracle = nullptr);
 
+/// Ready queue for the real-threads path. The owning worker pops from the
+/// front; idle peers steal from the back (oldest work first, the classic
+/// Cilk/ABP orientation that minimizes owner interference). Cache-line
+/// aligned: HybridDispatch packs one per device into an array, and the
+/// workers of neighbouring devices must not share a line.
+struct alignas(64) ReadyQueue {
+  std::mutex m;
+  std::condition_variable cv;
+  std::deque<TaskNode*> tasks;     ///< guarded by m
+  std::uint64_t steals_out = 0;    ///< tasks stolen FROM this queue (by m)
+  /// Workers currently blocked in cv.wait. Written under m (between the
+  /// queue re-check and the wait, so a pusher holding m sees either the
+  /// task consumed or the sleeper registered — no lost wakeup); atomic so
+  /// heuristic reads (peer nudges) may skip the lock. Pushers skip the
+  /// notify syscall entirely when this is zero: an awake worker re-polls
+  /// the queue before it ever sleeps.
+  std::atomic<int> sleepers{0};
+};
+
 /// Lock-split ready-task dispatch for the real-threads path.
 ///
 /// Placement happens at push time per policy (kEager: one shared
@@ -156,6 +178,9 @@ class HybridDispatch {
   const PlacementClassSet* classes_;
   CostClassFn cost_fn_;
   ReadyQueue shared_;  ///< kEager: one priority-ordered queue for everyone
+  /// One queue per device, indexed by device id (heap-allocated array:
+  /// mutexes are immovable and the count is fixed at construction).
+  std::unique_ptr<ReadyQueue[]> queues_;
   std::atomic<std::size_t> count_{0};
   std::atomic<std::size_t> rr_{0};  ///< kWorkStealing round-robin cursor
   /// Per-class probe cursors for kHeft member selection (heap-allocated

@@ -212,6 +212,31 @@ TEST(Preselect, InlinePatternRequirement) {
   }
 }
 
+TEST(Preselect, InlinePatternCountAboveIntMaxIsPruned) {
+  // A count past INT_MAX must not wrap to a requirement the CPU-only
+  // testbed meets: the variant is pruned exactly like its x2 twin.
+  for (const char* count : {"x2", "x4294967296"}) {
+    TaskRepository repo = TaskRepository::with_defaults();
+    TaskVariant fallback;
+    fallback.pragma.task_interface = "I";
+    fallback.pragma.variant_name = "seq";
+    fallback.pragma.target_platforms = {"x86"};
+    repo.add_variant(fallback);
+    TaskVariant tuned;
+    tuned.pragma.task_interface = "I";
+    tuned.pragma.variant_name = "gpu_tuned";
+    tuned.pragma.target_platforms = {std::string("pattern(M[W(ARCHITECTURE=gpu)") +
+                                     count + "])"};
+    repo.add_variant(tuned);
+
+    pdl::Platform target = paper_platform_starpu_cpu();
+    pdl::Diagnostics diags;
+    SelectionResult result = preselect(repo, target, diags);
+    EXPECT_EQ(selected_names(result, "I"), std::vector<std::string>({"seq"}))
+        << count;
+  }
+}
+
 TEST(Preselect, InlinePatternWithCommasParses) {
   TaskRepository repo = TaskRepository::with_defaults();
   TaskVariant v;

@@ -46,6 +46,21 @@ TEST(PatternParse, RejectsMalformedPatterns) {
   EXPECT_FALSE(parse_pattern("M trailing").ok());
 }
 
+TEST(PatternParse, RejectsCountsAboveIntMax) {
+  // A count that does not fit the quantity's int used to wrap: x4294967296
+  // became 0 and x3000000000 became -1294967296, and either matched a
+  // platform without a single GPU.
+  for (const char* pattern :
+       {"M[W(ARCHITECTURE=gpu)x4294967296]", "M[W(ARCHITECTURE=gpu)x3000000000]"}) {
+    auto p = parse_pattern(pattern);
+    ASSERT_FALSE(p.ok()) << pattern;
+    EXPECT_EQ(p.error().message, "expected positive integer after 'x'") << pattern;
+  }
+  auto largest = parse_pattern("M[Wx2147483647]");
+  ASSERT_TRUE(largest.ok());
+  EXPECT_EQ(largest.value().masters()[0]->children()[0]->quantity(), 2147483647);
+}
+
 TEST(PatternToString, RoundTripsCompactSyntax) {
   const char* kPattern = "M(ARCHITECTURE=x86)[W(ARCHITECTURE=gpu)x2]";
   auto p = parse_pattern(kPattern);

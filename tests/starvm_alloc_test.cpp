@@ -1,12 +1,23 @@
-// Allocation budget for the submission hot path.
+// Allocation budgets for the submission hot path and for set-up on a
+// 1000-PU platform.
 //
 // The lock-split engine amortizes node and handle storage through
 // chunked arenas (detail::Arena) and caches perf-model rows per codelet,
 // so steady-state submission must average only a few heap allocations
 // per task (the TaskDesc buffer vector and occasional arena/queue
-// growth). This test counts global operator new calls around a pure-sim
-// submit loop and fails if the average regresses — e.g. a reintroduced
-// per-task map lookup, string build, or candidate-vector copy.
+// growth). AllocBudget.SubmissionAveragesFewAllocationsPerTask counts
+// global operator new calls around a pure-sim submit loop and fails if
+// the average regresses — e.g. a reintroduced per-task map lookup,
+// string build, or candidate-vector copy.
+//
+// Set-up must cost what its work costs, not a fixed toll per PU. Three
+// budgets count the calls that a translated program makes once per
+// target: building and destroying a deterministic engine over 1000
+// devices (no per-device ready queues until a device is given work),
+// pre-selecting the builtin repository against a 1000-worker description
+// (no mismatch reason formatted for a PU whose reason nobody reads) and
+// validating that description (no locator built for a PU without a
+// finding).
 //
 // Built as its own binary (test_starvm_alloc) so the interposed
 // operator new cannot perturb the rest of the suite, and skipped under
@@ -16,8 +27,16 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
+#include "cascabel/builtin_variants.hpp"
+#include "cascabel/selection.hpp"
+#include "discovery/presets.hpp"
+#include "pdl/query.hpp"
+#include "pdl/validate.hpp"
+#include "pdl/well_known.hpp"
+#include "starvm/bridge.hpp"
 #include "starvm/engine.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -101,6 +120,108 @@ TEST(AllocBudget, SubmissionAveragesFewAllocationsPerTask) {
   // amortized arena/trace growth. Seed behaviour was ~3; fail well before
   // a per-task map/string/vector regression (each adds >= 1).
   EXPECT_LT(per_task, 5.0) << "allocations per submitted task regressed";
+}
+
+/// operator new calls made while `f` runs.
+template <typename F>
+std::uint64_t allocations_during(F&& f) {
+  const std::uint64_t before = g_new_calls.load(std::memory_order_relaxed);
+  f();
+  return g_new_calls.load(std::memory_order_relaxed) - before;
+}
+
+/// 1000 x86 cores under one Master, each written out as its own Worker
+/// (no quantity shorthand): the description shape whose set-up these
+/// budgets bound.
+pdl::Platform wide_platform() {
+  namespace props = pdl::props;
+  pdl::Platform platform("wide-x86");
+  pdl::ProcessingUnit* master = platform.add_master("m0");
+  master->descriptor().add(props::kArchitecture, props::kArchX86);
+  master->descriptor().add(props::kFrequencyMhz, "2660");
+  master->descriptor().add(props::kSustainedGflops, "9.8");
+  for (int core = 0; core < 1000; ++core) {
+    pdl::ProcessingUnit* worker =
+        master->add_child(pdl::PuKind::kWorker, "core" + std::to_string(core));
+    worker->descriptor().add(props::kArchitecture, "x86_core");
+    worker->descriptor().add(props::kFrequencyMhz, "2660");
+    worker->descriptor().add(props::kPeakGflops, "10.64");
+    worker->descriptor().add(props::kSustainedGflops, "9.8");
+    worker->logic_groups().push_back("all");
+  }
+  return platform;
+}
+
+TEST(AllocBudget, EngineSetUpAllocatesFewPerDevice) {
+  if (PDL_UNDER_SANITIZER) {
+    GTEST_SKIP() << "sanitizer owns the allocator";
+  }
+  constexpr int kDevices = 1000;
+  BridgeOptions bridge;
+  bridge.mode = ExecutionMode::kDeterministic;
+  auto config =
+      engine_config_from_platform(pdl::discovery::manycore_platform(kDevices), bridge);
+  ASSERT_TRUE(config.ok());
+  EngineConfig engine_config = std::move(config).value();
+  engine_config.flight_records_per_device = 0;
+  ASSERT_EQ(engine_config.devices.size(), static_cast<std::size_t>(kDevices));
+
+  const std::uint64_t allocations = allocations_during(
+      [&] { Engine engine(std::move(engine_config)); });
+  RecordProperty("allocations", static_cast<int>(allocations));
+  // Per device: its share of the device deque and HEFT's class-member set
+  // node. A ready queue built up front (a std::deque allocates a map and a
+  // node when constructed) adds two per device for each such queue.
+  EXPECT_LT(allocations, 3u * kDevices)
+      << "engine set-up allocates per device again";
+}
+
+TEST(AllocBudget, PreselectAllocatesLessThanOncePerPu) {
+  if (PDL_UNDER_SANITIZER) {
+    GTEST_SKIP() << "sanitizer owns the allocator";
+  }
+  const pdl::Platform target = wide_platform();
+  const std::size_t pus = pdl::all_pus(target).size();
+  cascabel::TaskRepository repo = cascabel::TaskRepository::with_defaults();
+  cascabel::register_builtin_variants(repo);
+  {
+    // The first call registers the selection counters.
+    pdl::Diagnostics warm_up;
+    cascabel::preselect(repo, target, warm_up);
+  }
+
+  pdl::Diagnostics diags;
+  const std::uint64_t allocations =
+      allocations_during([&] { cascabel::preselect(repo, target, diags); });
+  RecordProperty("allocations", static_cast<int>(allocations));
+  EXPECT_FALSE(pdl::has_errors(diags));
+  // A PU that fails a pattern costs no string: only the reasons the
+  // "pruned for" diagnostics print are formatted.
+  EXPECT_LT(allocations, pus) << "pre-selection allocates per PU again";
+}
+
+TEST(AllocBudget, ValidateAllocatesFewPerPu) {
+  if (PDL_UNDER_SANITIZER) {
+    GTEST_SKIP() << "sanitizer owns the allocator";
+  }
+  const pdl::Platform target = wide_platform();
+  const std::size_t pus = pdl::all_pus(target).size();
+  {
+    pdl::Diagnostics warm_up;
+    ASSERT_TRUE(pdl::validate(target, warm_up));
+  }
+
+  pdl::Diagnostics diags;
+  bool valid = false;
+  const std::uint64_t allocations =
+      allocations_during([&] { valid = pdl::validate(target, diags); });
+  RecordProperty("allocations", static_cast<int>(allocations));
+  EXPECT_TRUE(valid);
+  EXPECT_TRUE(diags.empty());
+  // One node of the PU-id set per PU (the duplicate-id and interconnect
+  // endpoint checks need it); no locator for a PU without a finding and no
+  // set of property names per descriptor.
+  EXPECT_LT(allocations, 2 * pus) << "validation allocates per PU again";
 }
 
 }  // namespace
