@@ -45,10 +45,14 @@ void analyze_schedule_plan(const SchedulePlan& plan,
                            const starvm::TaskGraph& graph,
                            const AnalysisOptions& options,
                            pdl::Diagnostics& diags) {
+  if (!plan.failure.empty()) {
+    pdl::add_error(diags, "schedule analysis skipped: " + plan.failure);
+    return;
+  }
   const Emit emit{options, diags};
   const auto& tasks = graph.tasks();
 
-  // A501: peak modeled footprint vs declared capacity.
+  // A501: peak resident bytes vs declared capacity.
   for (const SimMemorySpace& space : plan.spaces) {
     if (space.capacity_bytes == 0 || space.peak_bytes <= space.capacity_bytes) {
       continue;
@@ -61,7 +65,7 @@ void analyze_schedule_plan(const SchedulePlan& plan,
          space.loc, space.pu_path);
   }
 
-  // A502: transfers modeled onto a device with no declared Interconnect.
+  // A502: transfers charged to a device with no declared Interconnect.
   for (std::size_t d = 0; d < plan.devices.size(); ++d) {
     const SimDevice& dev = plan.devices[d];
     if (dev.is_cpu || dev.has_declared_link) continue;
@@ -74,7 +78,7 @@ void analyze_schedule_plan(const SchedulePlan& plan,
          "modeled schedule moves " + std::to_string(moved) + " B to device '" +
              dev.name +
              "' but its PU declares no Interconnect to its controller; "
-             "transfer costs use control-link defaults",
+             "transfer costs use the runtime's default link",
          dev.loc, dev.pu_path);
   }
 
@@ -137,8 +141,8 @@ SchedulePlan analyze_schedule(const starvm::TaskGraph& graph,
                               const pdl::Platform& platform,
                               const AnalysisOptions& options,
                               pdl::Diagnostics& diags,
-                              const starvm::PerfModel* model) {
-  SchedulePlan plan = simulate_schedule(graph, platform, model);
+                              const starvm::perf_store::Store* store) {
+  SchedulePlan plan = simulate_schedule(graph, platform, store);
   analyze_schedule_plan(plan, graph, options, diags);
   return plan;
 }

@@ -4,7 +4,9 @@
 #include <cstdio>
 #include <deque>
 #include <map>
+#include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "starvm/bridge.hpp"
@@ -35,9 +37,8 @@ std::string ratio2(double r) {
 }
 
 /// Codelet identity for aggregation: the translator stamps each expanded
-/// call-site instance as "Idgemm[17]"; the static model only ever sees the
-/// un-expanded "Idgemm". Stripping the trailing "[...]" lets drift and
-/// model-vs-measured rows line up per codelet instead of per instance.
+/// call-site instance as "Idgemm[17]". Stripping the trailing "[...]" lets
+/// drift rows line up per codelet instead of per instance.
 std::string base_label(const std::string& label) {
   if (!label.empty() && label.back() == ']') {
     const std::size_t open = label.rfind('[');
@@ -208,64 +209,40 @@ void apply_store_rates(RunProfile& profile,
   }
 }
 
-ModelComparison diff_against_plan(const RunProfile& profile,
-                                  const SchedulePlan& plan,
-                                  const starvm::TaskGraph& graph) {
-  ModelComparison cmp;
-  cmp.modeled_makespan_seconds = plan.makespan_seconds;
-  cmp.measured_makespan_seconds = profile.makespan_seconds;
-  cmp.modeled_critical_seconds = plan.critical_path_seconds;
-
-  std::map<std::string, ModelComparison::NameDelta> by_name;
-  const std::vector<starvm::GraphTask>& tasks = graph.tasks();
-  for (std::size_t i = 0; i < plan.placements.size() && i < tasks.size(); ++i) {
-    ModelComparison::NameDelta& d = by_name[base_label(tasks[i].name)];
-    d.name = base_label(tasks[i].name);
-    ++d.modeled_tasks;
-    d.modeled_seconds +=
-        plan.placements[i].finish_seconds - plan.placements[i].start_seconds;
-  }
-  for (const TaskProfile& t : profile.tasks) {
-    ModelComparison::NameDelta& d = by_name[base_label(t.label)];
-    d.name = base_label(t.label);
-    ++d.measured_tasks;
-    d.measured_seconds += t.finish_seconds - t.start_seconds;
-  }
-  for (auto& [name, d] : by_name) {
-    if (d.modeled_seconds > 0.0 && d.measured_seconds > 0.0) {
-      d.ratio = d.measured_seconds / d.modeled_seconds;
-    }
-    cmp.tasks.push_back(std::move(d));
-  }
-  return cmp;
-}
-
 pdl::util::Result<starvm::EngineStats> run_graph_on_platform(
-    const starvm::TaskGraph& graph, const pdl::Platform& platform) {
+    const starvm::TaskGraph& graph, const pdl::Platform& platform,
+    const starvm::perf_store::Store* store,
+    std::vector<const pdl::ProcessingUnit*>* origins) {
   starvm::BridgeOptions options;
   options.mode = starvm::ExecutionMode::kPureSim;
-  // The static simulator schedules every PU; dropping driver cores here
-  // would diff a smaller machine against the plan's larger one.
+  // Every PU: an analysis run sets no cores aside as accelerator drivers.
   options.dedicate_driver_cores = false;
-  auto config = starvm::engine_config_from_platform(platform, options);
+  auto config = starvm::engine_config_from_platform(platform, options, origins);
   if (!config.ok()) return config.error();
+  // A fault-free run: the analysis must not depend on $PDL_FAULT_PLAN.
+  config.value().fault_plan = std::make_shared<const starvm::FaultPlan>();
 
-  // Synthetic backing store: the kernels never run in pure-sim mode, but
-  // registration wants real byte ranges for the transfer model. Declared
-  // before the engine so the engine (and its workers) die first.
-  std::vector<std::vector<double>> storage;
+  // Pure-sim runs no kernel, so no buffer byte is ever read or written:
+  // every handle aliases one shared word and only its registered extent
+  // reaches the transfer model. Declared before the engine so the engine
+  // dies first.
+  double shared = 0.0;
   std::deque<starvm::Codelet> codelets;  // deque: stable addresses
-  starvm::Engine engine(std::move(config).value());
+  std::unique_ptr<starvm::Engine> engine;
+  try {
+    engine = std::make_unique<starvm::Engine>(std::move(config).value());
+  } catch (const std::invalid_argument& refused) {
+    return pdl::util::Error{std::string("the runtime refuses this platform: ") +
+                            refused.what()};
+  }
+  if (store != nullptr) starvm::perf_store::preload(*store, engine->perf_model());
 
   std::vector<starvm::DataHandle*> handles;
   handles.reserve(graph.buffers().size());
-  storage.reserve(graph.buffers().size());
   for (const starvm::GraphBuffer& buffer : graph.buffers()) {
     const std::size_t doubles =
         std::max<std::size_t>(1, static_cast<std::size_t>(buffer.bytes / 8));
-    storage.emplace_back(doubles, 0.0);
-    handles.push_back(
-        engine.register_vector(storage.back().data(), doubles, buffer.name));
+    handles.push_back(engine->register_vector(&shared, doubles, buffer.name));
   }
 
   const std::vector<starvm::GraphTask>& tasks = graph.tasks();
@@ -298,12 +275,12 @@ pdl::util::Result<starvm::EngineStats> run_graph_on_platform(
         desc.depends_on.push_back(static_cast<starvm::TaskId>(dep + 1));
       }
     }
-    engine.submit(std::move(desc));
+    engine->submit(std::move(desc));
   }
   // A failed drain still yields a profile-worthy trace; the stats carry the
   // errors for the caller to surface.
-  (void)engine.wait_all();
-  return engine.stats();
+  (void)engine->wait_all();
+  return engine->stats();
 }
 
 std::string render_profile_text(const RunProfile& profile) {
@@ -346,30 +323,6 @@ std::string render_profile_text(const RunProfile& profile) {
   }
   os << "flight recorder: " << profile.flight_records << " record(s), "
      << profile.flight_overwritten << " overwritten\n";
-  return os.str();
-}
-
-std::string render_comparison_text(const ModelComparison& cmp) {
-  std::ostringstream os;
-  os << "model vs measured:\n";
-  os << "  makespan: modeled " << ms(cmp.modeled_makespan_seconds)
-     << ", measured " << ms(cmp.measured_makespan_seconds);
-  if (cmp.modeled_makespan_seconds > 0.0 &&
-      cmp.measured_makespan_seconds > 0.0) {
-    os << " (ratio "
-       << ratio2(cmp.measured_makespan_seconds / cmp.modeled_makespan_seconds)
-       << ")";
-  }
-  os << "; critical-path lower bound " << ms(cmp.modeled_critical_seconds)
-     << "\n";
-  os << "  per-task (by name):\n";
-  for (const ModelComparison::NameDelta& d : cmp.tasks) {
-    os << "    " << d.name << ": modeled " << d.modeled_tasks << " x "
-       << ms(d.modeled_seconds) << ", measured " << d.measured_tasks << " x "
-       << ms(d.measured_seconds);
-    if (d.ratio > 0.0) os << ", ratio " << ratio2(d.ratio);
-    os << "\n";
-  }
   return os.str();
 }
 

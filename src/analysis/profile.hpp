@@ -1,9 +1,9 @@
-// Model-vs-measured critical-path profiler (the observability counterpart
-// of schedule_sim): take the trace of a finished engine run, attribute each
-// task's span to queue wait / transfer / compute / runtime overhead,
-// extract the *measured* critical path by walking finish -> ready edges
-// backwards, and diff the result against the modeled SchedulePlan the A5xx
-// simulator predicted for the same graph and platform.
+// Critical-path profiler: take the trace of a finished engine run,
+// attribute each task's span to queue wait / transfer / compute / runtime
+// overhead, and extract the critical path by walking finish -> ready edges
+// backwards. run_graph_on_platform lowers a recorded task graph into the
+// pure-sim engine the bridge builds; that one run is also what the A5xx
+// schedule plan (schedule_sim.hpp) is read from.
 //
 // The drift table is the paper's feedback loop made concrete: PDL declares
 // SUSTAINED_GFLOPS per PU; the profiler reports, per (codelet label,
@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/schedule_sim.hpp"
 #include "pdl/model.hpp"
 #include "starvm/graph.hpp"
 #include "starvm/perf_store.hpp"
@@ -105,42 +104,20 @@ RunProfile profile_run(const starvm::EngineStats& stats);
 void apply_store_rates(RunProfile& profile,
                        const starvm::perf_store::Store& store);
 
-/// Modeled vs measured, aggregated by task name (robust to the two sides
-/// decomposing work differently: all same-named tasks pool together).
-struct ModelComparison {
-  struct NameDelta {
-    std::string name;
-    std::uint64_t modeled_tasks = 0;
-    std::uint64_t measured_tasks = 0;
-    double modeled_seconds = 0.0;   ///< Sum of placement spans.
-    double measured_seconds = 0.0;  ///< Sum of start->finish spans.
-    /// measured / modeled; 0 when either side never saw the name.
-    double ratio = 0.0;
-  };
-  std::vector<NameDelta> tasks;  ///< Sorted by name.
-  double modeled_makespan_seconds = 0.0;
-  double measured_makespan_seconds = 0.0;
-  double modeled_critical_seconds = 0.0;  ///< Plan's lower bound.
-};
-
-/// Diff a measured profile against the schedule the simulator predicted
-/// for `graph` (names come from the graph's tasks / the trace's labels).
-ModelComparison diff_against_plan(const RunProfile& profile,
-                                  const SchedulePlan& plan,
-                                  const starvm::TaskGraph& graph);
-
-/// Execute a recorded graph on a platform for real (pure-sim engine built
-/// through the PDL bridge, one synthetic codelet per task, deterministic)
-/// and return the run's statistics for profiling. Fails when the bridge
-/// rejects the platform.
+/// Execute a recorded graph on a platform: a pure-sim engine the bridge
+/// builds over every PU, one synthetic codelet per task, deterministic and
+/// fault-free.
+/// `store`, when given, is preloaded into the run's perf model (the caller
+/// has matched its descriptor hash); `origins` receives the PU of each
+/// device. Fails, naming the reason, when the bridge or the engine refuses
+/// the platform.
 pdl::util::Result<starvm::EngineStats> run_graph_on_platform(
-    const starvm::TaskGraph& graph, const pdl::Platform& platform);
+    const starvm::TaskGraph& graph, const pdl::Platform& platform,
+    const starvm::perf_store::Store* store = nullptr,
+    std::vector<const pdl::ProcessingUnit*>* origins = nullptr);
 
 /// Human-readable report: critical path with per-step attribution, the
 /// makespan breakdown, and the rate-drift table. Deterministic.
 std::string render_profile_text(const RunProfile& profile);
-
-/// Human-readable model-vs-measured table.
-std::string render_comparison_text(const ModelComparison& comparison);
 
 }  // namespace analysis

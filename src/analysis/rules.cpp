@@ -64,12 +64,12 @@ const std::vector<RuleInfo>& rule_catalog() {
        "task interface has implementation variants but no execute site ever "
        "submits it"},
       {kMemoryCapacityExceeded, Severity::kError,
-       "peak working set placed on a device by the modeled HEFT schedule "
-       "exceeds the capacity its PDL MemoryRegion declares (SIZE)"},
+       "peak bytes the runtime's schedule keeps resident on a device exceed "
+       "the capacity its PDL MemoryRegion declares (SIZE)"},
       {kNoTransferPath, Severity::kWarning,
        "modeled schedule moves data to a device whose PU has no declared "
-       "Interconnect to its controller; transfer cost falls back to "
-       "control-link defaults"},
+       "Interconnect to its controller; transfer cost falls back to the "
+       "runtime's default link"},
       {kTransferBoundTask, Severity::kWarning,
        "task whose modeled transfer time under declared BANDWIDTH_GB_S / "
        "LATENCY_US exceeds its modeled compute time on the chosen device"},

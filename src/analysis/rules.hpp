@@ -5,7 +5,7 @@
 //   A1xx  PDL platform lint beyond the structural validator's V1-V12
 //   A3xx  program-platform matching (Cascabel pragmas vs the target PDL)
 //   A4xx  task-graph analysis (hazards, aliasing, cycles)
-//   A5xx  schedule-aware capacity & interference analysis (modeled HEFT)
+//   A5xx  schedule-aware capacity & interference analysis (pure-sim run)
 // Ids are of the form "A301-dead-variant"; user-facing options accept the
 // full id or the bare number ("A301").
 #pragma once

@@ -4,34 +4,15 @@
 #include <cstdio>
 #include <map>
 #include <set>
-#include <tuple>
+#include <utility>
 
+#include "analysis/profile.hpp"
 #include "pdl/query.hpp"
 #include "pdl/well_known.hpp"
-#include "util/string_util.hpp"
 
 namespace analysis {
 
 namespace {
-
-// Mirrors BridgeOptions defaults so the modeled schedule agrees with the
-// engine the bridge would actually build.
-constexpr double kDefaultCpuGflops = 5.0;
-constexpr double kDefaultAccelGflops = 50.0;
-// Control-link fallback when no Interconnect is declared (A502 fires, but
-// the schedule still needs a number); matches pdl::data_path_seconds.
-constexpr double kControlLinkBandwidthGbs = 10.0;
-constexpr double kControlLinkLatencyUs = 1.0;
-
-bool is_cpu_architecture(const pdl::ProcessingUnit& pu) {
-  const std::string arch = pdl::resolved_value(pu, pdl::props::kArchitecture);
-  return pdl::util::iequals(arch, "x86_core") ||
-         pdl::util::iequals(arch, "x86") ||
-         pdl::util::iequals(arch, "cpu_core") ||
-         pdl::util::iequals(arch, "ppe") ||
-         pdl::util::iequals(arch, "riscv") ||
-         pdl::util::iequals(arch, "riscv_core") || arch.empty();
-}
 
 /// Host memory space (index 0): the first sized MemoryRegion found on a
 /// Master, in declaration order. No capacity (0) when none declares SIZE.
@@ -53,189 +34,36 @@ SimMemorySpace host_space(const pdl::Platform& platform) {
   return space;
 }
 
-struct Derived {
-  std::vector<SimDevice> devices;
-  std::vector<SimMemorySpace> spaces;
-  std::vector<SimInterconnect> interconnects;
-};
-
-Derived derive_devices(const pdl::Platform& platform) {
-  Derived d;
-  d.spaces.push_back(host_space(platform));
-
-  // Same executing set as the starvm bridge: Workers plus Hybrids.
-  std::vector<const pdl::ProcessingUnit*> executing =
-      pdl::pus_of_kind(platform, pdl::PuKind::kWorker);
-  for (const pdl::ProcessingUnit* hybrid :
-       pdl::pus_of_kind(platform, pdl::PuKind::kHybrid)) {
-    executing.push_back(hybrid);
-  }
-
-  std::map<const pdl::Interconnect*, int> ic_index;
-  for (const pdl::ProcessingUnit* pu : executing) {
-    if (is_cpu_architecture(*pu)) {
-      SimDevice dev;
-      dev.is_cpu = true;
-      dev.pu_path = pu->path();
-      dev.loc = pu->loc();
-      dev.gflops =
-          pdl::props::sustained_gflops(*pu, 0.9, kDefaultCpuGflops);
-      dev.space = 0;
-      // Bridge naming rule: `id` for quantity 1, `id#i` for expansions.
-      for (int i = 0; i < pu->quantity(); ++i) {
-        dev.name = pu->quantity() == 1 ? pu->id()
-                                       : pu->id() + "#" + std::to_string(i);
-        d.devices.push_back(dev);
-      }
-      continue;
-    }
-
-    SimDevice dev;
-    dev.is_cpu = false;
-    dev.pu_path = pu->path();
-    dev.loc = pu->loc();
-    dev.gflops = pdl::props::sustained_gflops(*pu, 0.65, kDefaultAccelGflops);
-    dev.link_bandwidth_gbs = kControlLinkBandwidthGbs;
-    dev.link_latency_us = kControlLinkLatencyUs;
-    dev.has_declared_link = false;
-    if (const pdl::ProcessingUnit* controller = pu->parent()) {
-      if (const pdl::Interconnect* ic = pdl::find_interconnect(
-              platform, controller->id(), pu->id())) {
-        dev.has_declared_link = true;
-        if (auto bw = pdl::props::link_bandwidth_gbs(*ic)) {
-          dev.link_bandwidth_gbs = *bw;
-        }
-        if (auto lat = pdl::props::link_latency_us(*ic)) {
-          dev.link_latency_us = *lat;
-        }
-        auto [it, inserted] =
-            ic_index.emplace(ic, static_cast<int>(d.interconnects.size()));
-        if (inserted) {
-          SimInterconnect sic;
-          sic.label = ic->from + "<->" + ic->to;
-          if (!ic->type.empty()) sic.label += " (" + ic->type + ")";
-          sic.loc = ic->loc;
-          d.interconnects.push_back(std::move(sic));
-        }
-        dev.ic = it->second;
-      }
-    }
-
-    // One memory space per accelerator *instance*: each carries its own
-    // copy of the declared capacity (quantity="2" means two physical
-    // devices with two local memories, not one shared pool).
-    const pdl::MemoryRegion* sized = nullptr;
-    std::uint64_t capacity = 0;
-    for (const pdl::MemoryRegion& mr : pu->memory_regions()) {
-      if (auto bytes = pdl::props::memory_capacity_bytes(mr)) {
-        sized = &mr;
-        capacity = *bytes;
-        break;
-      }
-    }
-    for (int i = 0; i < pu->quantity(); ++i) {
-      dev.name = pu->quantity() == 1 ? pu->id()
-                                     : pu->id() + "#" + std::to_string(i);
-      SimMemorySpace space;
-      space.label = sized != nullptr
-                        ? dev.name + "/" + sized->id
-                        : dev.name + "/<no sized MemoryRegion>";
-      space.loc = sized != nullptr && sized->loc.valid() ? sized->loc
-                                                         : pu->loc();
-      space.pu_path = pu->path();
-      space.capacity_bytes = capacity;
-      dev.space = static_cast<int>(d.spaces.size());
-      d.spaces.push_back(std::move(space));
-      d.devices.push_back(dev);
+/// One accelerator's local memory: the PU's first sized MemoryRegion, the
+/// region the bridge reads the device's capacity from.
+SimMemorySpace accelerator_space(const pdl::ProcessingUnit& pu,
+                                 const std::string& device_name) {
+  SimMemorySpace space;
+  space.label = device_name + "/<no sized MemoryRegion>";
+  space.loc = pu.loc();
+  space.pu_path = pu.path();
+  for (const pdl::MemoryRegion& mr : pu.memory_regions()) {
+    if (auto bytes = pdl::props::memory_capacity_bytes(mr)) {
+      space.label = device_name + "/" + mr.id;
+      if (mr.loc.valid()) space.loc = mr.loc;
+      space.capacity_bytes = *bytes;
+      break;
     }
   }
-
-  if (d.devices.empty() && !platform.masters().empty()) {
-    // The "single" configuration: the Master executes everything itself.
-    const pdl::ProcessingUnit& master = *platform.masters().front();
-    SimDevice dev;
-    dev.is_cpu = true;
-    dev.name = "master:" + master.id();
-    dev.pu_path = master.path();
-    dev.loc = master.loc();
-    dev.gflops = pdl::props::sustained_gflops(master, 0.9, kDefaultCpuGflops);
-    dev.space = 0;
-    d.devices.push_back(std::move(dev));
-  }
-  return d;
+  return space;
 }
 
-double compute_estimate(const starvm::GraphTask& task, const SimDevice& dev,
-                        int device_index, const starvm::PerfModel* model) {
-  if (model != nullptr) {
-    if (auto h = model->history_estimate(task.name, device_index)) return *h;
-  }
-  if (task.flops > 0.0 && dev.gflops > 0.0) {
-    return task.flops / (dev.gflops * 1e9);
-  }
-  return starvm::PerfModel::default_estimate_seconds();
-}
-
-/// One closed residency interval of a root buffer in a memory space,
-/// collected for the peak-footprint sweep.
-struct FootprintInterval {
-  int space = 0;
-  std::uint64_t bytes = 0;
-  double begin = 0.0;
-  double end = 0.0;
-};
-
-/// One modeled transfer window on an interconnect.
-struct TransferWindow {
-  int ic = -1;
-  double begin = 0.0;
-  double end = 0.0;
-};
-
-/// Peak concurrent footprint of one space via an event sweep; arrivals at
-/// time t count before releases at t so back-to-back reuse is conservative.
-void sweep_peak(const std::vector<FootprintInterval>& intervals,
-                SimMemorySpace& space, int space_index) {
-  struct Event {
-    double time;
-    int kind;  // 0 = arrival, 1 = release
-    std::uint64_t bytes;
-  };
-  std::vector<Event> events;
-  for (const FootprintInterval& iv : intervals) {
-    if (iv.space != space_index || iv.bytes == 0) continue;
-    events.push_back({iv.begin, 0, iv.bytes});
-    events.push_back({iv.end, 1, iv.bytes});
-  }
-  std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.kind < b.kind;
-  });
-  std::uint64_t current = 0;
-  for (const Event& e : events) {
-    if (e.kind == 0) {
-      current += e.bytes;
-      if (current > space.peak_bytes) {
-        space.peak_bytes = current;
-        space.peak_seconds = e.time;
-      }
-    } else {
-      current -= e.bytes;
-    }
-  }
-}
-
-/// Time covered by >= 2 overlapping windows on one interconnect.
-double contended_time(const std::vector<TransferWindow>& windows, int ic) {
+/// Time covered by >= 2 of one interconnect's [begin, end] leg windows.
+double contended_time(const std::vector<std::pair<double, double>>& windows) {
   struct Edge {
     double time;
     int delta;
   };
   std::vector<Edge> edges;
-  for (const TransferWindow& w : windows) {
-    if (w.ic != ic || w.end <= w.begin) continue;
-    edges.push_back({w.begin, +1});
-    edges.push_back({w.end, -1});
+  for (const auto& [begin, end] : windows) {
+    if (end <= begin) continue;
+    edges.push_back({begin, +1});
+    edges.push_back({end, -1});
   }
   std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
     if (a.time != b.time) return a.time < b.time;
@@ -268,290 +96,163 @@ std::string format_pct(double fraction) {
 
 SchedulePlan simulate_schedule(const starvm::TaskGraph& graph,
                                const pdl::Platform& platform,
-                               const starvm::PerfModel* model) {
+                               const starvm::perf_store::Store* store) {
   SchedulePlan plan;
-  Derived derived = derive_devices(platform);
-  plan.devices = std::move(derived.devices);
-  plan.spaces = std::move(derived.spaces);
-  plan.interconnects = std::move(derived.interconnects);
-
   const auto& tasks = graph.tasks();
-  const auto& buffers = graph.buffers();
-  const int n = static_cast<int>(tasks.size());
-  const int ndev = static_cast<int>(plan.devices.size());
   plan.placements.assign(tasks.size(), TaskPlacement{});
-  plan.device_busy_seconds.assign(plan.devices.size(), 0.0);
-  if (ndev == 0) return plan;
-
-  // --- Placement classes: interchangeable devices evaluated once ------------
-  // Mirrors the runtime's grouping (Engine::build_placement_classes): same
-  // kind/rate/link/space means one candidate per class, and accelerators
-  // stay singleton because each owns a private space. Keeps this model
-  // O(classes) per task — and consistent with what the engine actually
-  // evaluates — on quantity-expanded 1k-worker platforms. Classes are
-  // created in order of their lowest member, preserving the exhaustive
-  // loop's lowest-index tie-breaking.
-  std::vector<int> class_rep;                   // representative device index
-  std::vector<int> class_of(plan.devices.size(), 0);
-  {
-    std::map<std::tuple<bool, double, double, double, int, int>, int> flavors;
-    for (int d = 0; d < ndev; ++d) {
-      const SimDevice& dev = plan.devices[d];
-      const auto key =
-          std::make_tuple(dev.is_cpu, dev.gflops, dev.link_bandwidth_gbs,
-                          dev.link_latency_us, dev.space, dev.ic);
-      const auto [it, inserted] =
-          flavors.emplace(key, static_cast<int>(class_rep.size()));
-      if (inserted) class_rep.push_back(d);
-      class_of[d] = it->second;
-    }
+  std::vector<const pdl::ProcessingUnit*> origins;
+  auto run = run_graph_on_platform(graph, platform, store, &origins);
+  if (!run.ok()) {
+    plan.failure = run.error().str();
+    return plan;
   }
-  const int nclasses = static_cast<int>(class_rep.size());
+  const starvm::EngineStats& stats = run.value();
+
+  // --- Devices, named by the engine, located by the PU each came from ------
+  // Every root starts on the host, so the host space peaks at t = 0.
+  plan.spaces.push_back(host_space(platform));
+  plan.spaces[0].peak_bytes = graph.total_root_bytes();
+  std::map<const pdl::Interconnect*, int> ic_index;
+  for (std::size_t d = 0; d < stats.devices.size(); ++d) {
+    const pdl::ProcessingUnit& pu = *origins[d];
+    SimDevice dev;
+    dev.name = stats.devices[d].name;
+    dev.pu_path = pu.path();
+    dev.loc = pu.loc();
+    dev.is_cpu = stats.devices[d].kind == starvm::DeviceKind::kCpu;
+    if (!dev.is_cpu) {
+      dev.space = static_cast<int>(plan.spaces.size());
+      plan.spaces.push_back(accelerator_space(pu, dev.name));
+      const pdl::Interconnect* ic =
+          pu.parent() != nullptr
+              ? pdl::find_interconnect(platform, pu.parent()->id(), pu.id())
+              : nullptr;
+      dev.has_declared_link = ic != nullptr;
+      if (ic != nullptr) {
+        const auto [it, inserted] = ic_index.emplace(
+            ic, static_cast<int>(plan.interconnects.size()));
+        if (inserted) {
+          SimInterconnect link;
+          link.label = ic->from + "<->" + ic->to;
+          if (!ic->type.empty()) link.label += " (" + ic->type + ")";
+          link.loc = ic->loc;
+          plan.interconnects.push_back(std::move(link));
+        }
+        dev.ic = it->second;
+      }
+    }
+    plan.devices.push_back(std::move(dev));
+  }
+  std::map<starvm::MemoryNodeId, int> device_of_node;
+  for (const starvm::NodePeak& peak : stats.node_peaks) {
+    device_of_node[peak.node] = peak.device;
+    SimMemorySpace& space =
+        plan.spaces[static_cast<std::size_t>(plan.devices[peak.device].space)];
+    space.peak_bytes = peak.bytes;
+    space.peak_seconds = peak.vtime;
+  }
+
+  // --- Placements, loads and legs, straight from the run --------------------
+  const double overhead = stats.task_overhead_us * 1e-6;
+  plan.device_busy_seconds.assign(plan.devices.size(), 0.0);
+  for (const starvm::TaskTrace& t : stats.trace) {
+    TaskPlacement& p = plan.placements[static_cast<std::size_t>(t.id - 1)];
+    p.device = t.device;
+    // The engine's start_vtime adds its dispatch overhead to the moment
+    // the device took the task.
+    p.start_seconds = std::max(t.ready_vtime, t.start_vtime - overhead);
+    p.finish_seconds = t.finish_vtime;
+    p.compute_seconds = t.exec_seconds;
+    p.transfer_seconds = t.transfer_seconds;
+    plan.device_busy_seconds[static_cast<std::size_t>(t.device)] +=
+        p.finish_seconds - p.start_seconds;
+  }
+  plan.makespan_seconds = stats.makespan_seconds;
+  std::vector<std::vector<std::pair<double, double>>> windows(
+      plan.interconnects.size());
+  for (const starvm::TransferLeg& leg : stats.transfer_legs) {
+    plan.placements[static_cast<std::size_t>(leg.task - 1)].transfer_bytes +=
+        leg.bytes;
+    const int ic = plan.devices[static_cast<std::size_t>(
+                                    device_of_node.at(leg.node))]
+                       .ic;
+    if (ic < 0) continue;
+    SimInterconnect& link = plan.interconnects[static_cast<std::size_t>(ic)];
+    link.transfers += 1;
+    link.busy_seconds += leg.end_vtime - leg.begin_vtime;
+    windows[static_cast<std::size_t>(ic)].emplace_back(leg.begin_vtime,
+                                                       leg.end_vtime);
+  }
+  for (std::size_t ic = 0; ic < plan.interconnects.size(); ++ic) {
+    plan.interconnects[ic].contended_seconds = contended_time(windows[ic]);
+  }
 
   // --- Critical path on the fastest device (the makespan lower bound) -------
-  std::vector<double> fastest(tasks.size(), 0.0);
-  for (int t = 0; t < n; ++t) {
-    double best = 0.0;
-    for (int c = 0; c < nclasses; ++c) {
-      const int d = class_rep[c];
-      const double est = compute_estimate(tasks[t], plan.devices[d], d, model);
-      if (c == 0 || est < best) best = est;
-    }
-    fastest[t] = best;
-  }
-  const std::vector<starvm::TaskGraph::Edge> edges = graph.edges();
-  {
-    std::vector<std::vector<int>> preds(tasks.size());
-    for (const auto& e : edges) {
-      if (e.from >= 0 && e.from < n && e.to >= 0 && e.to < n) {
-        preds[e.to].push_back(e.from);
-      }
-    }
-    std::vector<double> dp(tasks.size(), 0.0);
-    std::vector<int> via(tasks.size(), -1);
-    int tail = -1;
-    for (int t = 0; t < n; ++t) {  // submission order is topological
-      double longest = 0.0;
-      for (int p : preds[t]) {
-        if (dp[p] > longest) {
-          longest = dp[p];
-          via[t] = p;
-        } else if (dp[p] == longest && via[t] >= 0 && p < via[t]) {
-          via[t] = p;  // deterministic tie-break
-        }
-      }
-      dp[t] = longest + fastest[t];
-      if (tail < 0 || dp[t] > dp[tail]) tail = t;
-    }
-    if (tail >= 0) {
-      plan.critical_path_seconds = dp[tail];
-      for (int node = tail; node >= 0; node = via[node]) {
-        plan.critical_path.push_back(node);
-      }
-      std::reverse(plan.critical_path.begin(), plan.critical_path.end());
+  // Priced like the engine's estimates (learned rate, else declared rate),
+  // on one device per declared rate plus every device the store names.
+  starvm::PerfModel rates;
+  std::set<int> stored;
+  if (store != nullptr) {
+    starvm::perf_store::preload(*store, rates);
+    for (const starvm::perf_store::Entry& e : store->entries) {
+      stored.insert(e.device);
     }
   }
-
-  // --- HEFT placement with residency-aware transfer modeling ----------------
+  std::vector<int> probes;
+  std::set<double> seen_rates;
+  for (int d = 0; d < static_cast<int>(stats.devices.size()); ++d) {
+    const double gflops =
+        stats.devices[static_cast<std::size_t>(d)].declared_gflops;
+    if (seen_rates.insert(gflops).second || stored.count(d) > 0) {
+      probes.push_back(d);
+    }
+  }
+  const int n = static_cast<int>(tasks.size());
   std::vector<std::vector<int>> preds(tasks.size());
-  for (const auto& e : edges) {
+  for (const auto& e : graph.edges()) {
     if (e.from >= 0 && e.from < n && e.to >= 0 && e.to < n) {
       preds[e.to].push_back(e.from);
     }
   }
-
-  // Residency: which spaces hold a current copy of each root, and since when.
-  std::vector<std::map<int, double>> resident(buffers.size());
-  for (int b = 0; b < static_cast<int>(buffers.size()); ++b) {
-    if (buffers[b].parent < 0) resident[b][0] = 0.0;  // roots start on host
-  }
-  std::vector<FootprintInterval> intervals;
-  std::vector<TransferWindow> windows;
-  std::vector<double> device_free(plan.devices.size(), 0.0);
-  // Per-class members ordered by (free time, index): begin() is the member
-  // the exhaustive scan would pick from that class, so placement evaluates
-  // one candidate per class instead of one per device.
-  std::vector<std::set<std::pair<double, int>>> class_free(
-      static_cast<std::size_t>(nclasses));
-  for (int d = 0; d < ndev; ++d) {
-    class_free[static_cast<std::size_t>(class_of[d])].insert({0.0, d});
-  }
-
-  // The legs data must travel for task access on `dev` given residency:
-  // nothing when a copy is already in dev's space, otherwise source->host
-  // (when no host copy exists) then host->dev, each leg on the owning
-  // device's link. Returns total seconds; `charge` records the windows.
-  const auto transfer_legs = [&](int root, const SimDevice& dev, double start,
-                                 bool charge, std::uint64_t* bytes_moved) {
-    const std::uint64_t bytes = buffers[root].bytes;
-    if (resident[root].count(dev.space) > 0) return 0.0;
-    double total = 0.0;
-    double clock = start;
-    if (resident[root].count(0) == 0) {
-      // Copy lives only in accelerator spaces; stage through the host on
-      // the owning device's link. Pick the lowest-index resident space for
-      // determinism.
-      const int src_space = resident[root].begin()->first;
-      const SimDevice* src_dev = nullptr;
-      for (const SimDevice& d : plan.devices) {
-        if (d.space == src_space) {
-          src_dev = &d;
-          break;
-        }
-      }
-      const double leg =
-          src_dev != nullptr
-              ? starvm::transfer_seconds(bytes, src_dev->link_bandwidth_gbs,
-                                         src_dev->link_latency_us)
-              : starvm::transfer_seconds(bytes, kControlLinkBandwidthGbs,
-                                         kControlLinkLatencyUs);
-      if (charge && src_dev != nullptr && src_dev->ic >= 0) {
-        windows.push_back({src_dev->ic, clock, clock + leg});
-        plan.interconnects[src_dev->ic].transfers += 1;
-        plan.interconnects[src_dev->ic].busy_seconds += leg;
-      }
-      clock += leg;
-      total += leg;
-      if (charge) {
-        resident[root][0] = clock;
-        if (bytes_moved != nullptr) *bytes_moved += bytes;
-      }
+  std::vector<double> dp(tasks.size(), 0.0);
+  std::vector<int> via(tasks.size(), -1);
+  int tail = -1;
+  for (int t = 0; t < n; ++t) {  // submission order is topological
+    double fastest = 0.0;
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+      const int d = probes[i];
+      const double est = rates.estimate(
+          tasks[t].name, d, tasks[t].flops,
+          stats.devices[static_cast<std::size_t>(d)].declared_gflops);
+      if (i == 0 || est < fastest) fastest = est;
     }
-    if (dev.space != 0) {
-      const double leg = starvm::transfer_seconds(
-          bytes, dev.link_bandwidth_gbs, dev.link_latency_us);
-      if (charge && dev.ic >= 0) {
-        windows.push_back({dev.ic, clock, clock + leg});
-        plan.interconnects[dev.ic].transfers += 1;
-        plan.interconnects[dev.ic].busy_seconds += leg;
-      }
-      clock += leg;
-      total += leg;
-      if (charge) {
-        resident[root][dev.space] = clock;
-        if (bytes_moved != nullptr) *bytes_moved += bytes;
-      }
-    }
-    return total;
-  };
-
-  for (int t = 0; t < n; ++t) {
-    double ready = 0.0;
+    double longest = 0.0;
     for (int p : preds[t]) {
-      ready = std::max(ready, plan.placements[p].finish_seconds);
-    }
-
-    // Distinct accessed roots, in first-access order (deterministic).
-    std::vector<int> roots;
-    bool writes_any = false;
-    std::vector<int> written_roots;
-    for (const starvm::GraphAccess& access : tasks[t].accesses) {
-      const int root = graph.root_of(access.buffer);
-      if (root < 0) continue;
-      if (std::find(roots.begin(), roots.end(), root) == roots.end()) {
-        roots.push_back(root);
-      }
-      if (starvm::writes(access.mode)) {
-        writes_any = true;
-        if (std::find(written_roots.begin(), written_roots.end(), root) ==
-            written_roots.end()) {
-          written_roots.push_back(root);
-        }
+      if (dp[p] > longest) {
+        longest = dp[p];
+        via[t] = p;
+      } else if (dp[p] == longest && via[t] >= 0 && p < via[t]) {
+        via[t] = p;  // deterministic tie-break
       }
     }
-
-    int best = 0;
-    double best_finish = 0.0;
-    double best_transfer = 0.0;
-    double best_compute = 0.0;
-    double best_start = 0.0;
-    for (int c = 0; c < nclasses; ++c) {
-      // Least-loaded member stands for the class: any other member only
-      // starts later and costs the same, so it can never win.
-      const int d = class_free[static_cast<std::size_t>(c)].begin()->second;
-      const SimDevice& dev = plan.devices[d];
-      const double start = std::max(ready, device_free[d]);
-      double transfer = 0.0;
-      for (int root : roots) {
-        transfer += transfer_legs(root, dev, start + transfer, false, nullptr);
-      }
-      const double compute =
-          compute_estimate(tasks[t], dev, class_rep[c], model);
-      const double finish = start + transfer + compute;
-      if (c == 0 || finish < best_finish) {
-        best = d;
-        best_finish = finish;
-        best_transfer = transfer;
-        best_compute = compute;
-        best_start = start;
-      }
-    }
-
-    // Commit: charge the windows and move residency for real.
-    const SimDevice& dev = plan.devices[best];
-    TaskPlacement& placement = plan.placements[t];
-    placement.device = best;
-    placement.start_seconds = best_start;
-    double clock = best_start;
-    for (int root : roots) {
-      clock += transfer_legs(root, dev, clock, true, &placement.transfer_bytes);
-    }
-    placement.transfer_seconds = best_transfer;
-    placement.compute_seconds = best_compute;
-    placement.finish_seconds = best_finish;
-    class_free[static_cast<std::size_t>(class_of[best])].erase(
-        {device_free[best], best});
-    device_free[best] = best_finish;
-    class_free[static_cast<std::size_t>(class_of[best])].insert(
-        {best_finish, best});
-    plan.device_busy_seconds[best] += best_finish - best_start;
-    plan.makespan_seconds = std::max(plan.makespan_seconds, best_finish);
-
-    // A write leaves the only valid copy in the executing space: close the
-    // other copies' residency intervals here.
-    if (writes_any) {
-      for (int root : written_roots) {
-        for (auto it = resident[root].begin(); it != resident[root].end();) {
-          if (it->first != dev.space) {
-            intervals.push_back({it->first, buffers[root].bytes, it->second,
-                                 placement.finish_seconds});
-            it = resident[root].erase(it);
-          } else {
-            ++it;
-          }
-        }
-        resident[root][dev.space] =
-            resident[root].count(dev.space) > 0 ? resident[root][dev.space]
-                                                : placement.start_seconds;
-      }
-    }
+    dp[t] = longest + fastest;
+    if (tail < 0 || dp[t] > dp[tail]) tail = t;
   }
-
-  // Close the remaining residency intervals: a copy is held until the
-  // owning root's last use finishes (or for never-used roots, forever —
-  // they occupy their initial space for the whole modeled run).
-  const auto live = graph.root_live_intervals();
-  for (int b = 0; b < static_cast<int>(buffers.size()); ++b) {
-    for (const auto& [space, since] : resident[b]) {
-      double release = plan.makespan_seconds;
-      if (live[b].last_task >= 0) {
-        release = std::max(since,
-                           plan.placements[live[b].last_task].finish_seconds);
-      }
-      intervals.push_back({space, buffers[b].bytes, since, release});
+  if (tail >= 0) {
+    plan.critical_path_seconds = dp[tail];
+    for (int node = tail; node >= 0; node = via[node]) {
+      plan.critical_path.push_back(node);
     }
-  }
-  for (int s = 0; s < static_cast<int>(plan.spaces.size()); ++s) {
-    sweep_peak(intervals, plan.spaces[s], s);
-  }
-  for (int ic = 0; ic < static_cast<int>(plan.interconnects.size()); ++ic) {
-    plan.interconnects[ic].contended_seconds = contended_time(windows, ic);
+    std::reverse(plan.critical_path.begin(), plan.critical_path.end());
   }
   return plan;
 }
 
 std::string render_plan_text(const SchedulePlan& plan,
                              const starvm::TaskGraph& graph) {
+  if (!plan.failure.empty()) {
+    return "schedule plan: none (" + plan.failure + ")\n";
+  }
   std::string out;
   out += "schedule plan: " + std::to_string(graph.tasks().size()) +
          " task(s) on " + std::to_string(plan.devices.size()) +

@@ -1,22 +1,20 @@
-// Static HEFT schedule simulation: place a recorded starvm::TaskGraph onto
-// the device set a PDL platform describes, entirely at analysis time.
+// The A5xx schedule plan: where and when the runtime places a recorded
+// starvm::TaskGraph on the device set a PDL platform describes.
 //
-// The simulator mirrors the starvm bridge's reading of the platform (same
-// PU classification, same GFLOPS precedence, same MemoryRegion/Interconnect
-// lookups — via pdl::props accessors) and the engine's HEFT placement
-// (earliest finish time including modeled transfers), but never executes
-// anything: compute costs come from a side-effect-free PerfModel probe or
-// the analytic FLOPs model, transfer costs from the declared BANDWIDTH_GB_S
-// / LATENCY_US. The resulting SchedulePlan carries everything the A5xx
+// The plan is a view over one kPureSim run of the graph on the engine the
+// starvm bridge builds for the platform (run_graph_on_platform,
+// profile.hpp). Placements, transfer legs, device loads, accelerator memory
+// peaks and the makespan all come from that run, so the analyzer and the
+// runtime cannot disagree about where a task runs or what its data
+// movement costs. What the run does not know — which MemoryRegion,
+// Interconnect and source location a device's numbers belong to — is read
+// from the PU the bridge made the device from. Only the critical-path lower
+// bound is analytic. The resulting SchedulePlan carries everything the A5xx
 // capacity/interference rules (capacity.hpp) and the plan-summary renderer
-// need: per-task placements, per-space peak footprints, per-interconnect
-// contention windows, device loads, makespan, and the critical-path lower
-// bound.
+// need.
 //
-// Determinism: ties break on the lowest device index, input order is the
-// graph's submission order (a valid topological order — effective edges
-// only point backward), and no wall-clock or randomness is involved, so
-// identical inputs give byte-identical plans.
+// Determinism: the pure-sim engine is a single-threaded discrete-event
+// loop with fixed tie-breaks, so identical inputs give byte-identical plans.
 #pragma once
 
 #include <cstdint>
@@ -26,23 +24,20 @@
 #include "pdl/diagnostics.hpp"
 #include "pdl/model.hpp"
 #include "starvm/graph.hpp"
-#include "starvm/perf_model.hpp"
+#include "starvm/perf_store.hpp"
 
 namespace analysis {
 
-/// One schedulable device derived from the platform (a PU instance).
+/// One engine device, with the PU it came from.
 struct SimDevice {
-  std::string name;      ///< PU id, "#i"-suffixed when quantity > 1.
+  std::string name;      ///< Engine device name ("id", or "id#i" expanded).
   std::string pu_path;   ///< Master/…/pu path for diagnostics.
   pdl::SourceLoc loc;    ///< The PU's source location.
   bool is_cpu = true;
-  double gflops = 0.0;
   int space = 0;   ///< Index into SchedulePlan::spaces.
   int ic = -1;     ///< Index into SchedulePlan::interconnects; -1 = none.
-  double link_bandwidth_gbs = 0.0;
-  double link_latency_us = 0.0;
-  /// False when the PU has no declared Interconnect to its controller and
-  /// transfers were modeled with control-link defaults (A502).
+  /// False when the PU has no declared Interconnect to its controller, so
+  /// the engine priced its transfers with the default link (A502).
   bool has_declared_link = true;
 };
 
@@ -53,7 +48,7 @@ struct SimMemorySpace {
   pdl::SourceLoc loc;    ///< The MemoryRegion's (or owning PU's) location.
   std::string pu_path;
   std::uint64_t capacity_bytes = 0;  ///< 0 = no SIZE declared (no A501).
-  std::uint64_t peak_bytes = 0;      ///< Peak modeled footprint.
+  std::uint64_t peak_bytes = 0;      ///< Peak resident bytes in the run.
   double peak_seconds = 0.0;         ///< When the peak is reached.
 };
 
@@ -61,18 +56,18 @@ struct SimMemorySpace {
 struct SimInterconnect {
   std::string label;   ///< "from<->to" plus the type when declared.
   pdl::SourceLoc loc;
-  int transfers = 0;               ///< Modeled transfer count.
-  double busy_seconds = 0.0;       ///< Sum of window lengths.
-  double contended_seconds = 0.0;  ///< Time covered by >= 2 windows.
+  int transfers = 0;               ///< Charged transfer legs.
+  double busy_seconds = 0.0;       ///< Sum of leg lengths.
+  double contended_seconds = 0.0;  ///< Time covered by >= 2 legs.
 };
 
-/// Where and when the modeled schedule runs one task.
+/// Where and when the run executed one task.
 struct TaskPlacement {
-  int device = -1;
-  double start_seconds = 0.0;     ///< Transfers begin here.
+  int device = -1;                ///< -1 when the task never completed.
+  double start_seconds = 0.0;     ///< The device takes the task here.
   double finish_seconds = 0.0;
   double compute_seconds = 0.0;
-  double transfer_seconds = 0.0;  ///< Total modeled data movement.
+  double transfer_seconds = 0.0;  ///< Total charged data movement.
   std::uint64_t transfer_bytes = 0;
 };
 
@@ -85,16 +80,19 @@ struct SchedulePlan {
   std::vector<int> critical_path;             ///< Task indices, in order.
   double critical_path_seconds = 0.0;  ///< Lower bound: fastest device, no transfers.
   double makespan_seconds = 0.0;
+  /// Why the runtime refused the platform (no plan was built); empty
+  /// when the run happened.
+  std::string failure;
 };
 
-/// Simulate a HEFT schedule of `graph` on `platform`. `model`, when given,
-/// supplies calibrated per-(codelet, device-kind) history via its
-/// side-effect-free probe; without it (the static-tool case) costs are
-/// purely analytic. Platforms without any executing PU fall back to the
-/// Master as a single CPU device, like the starvm bridge.
+/// Run `graph` on `platform` (run_graph_on_platform) and read the plan off
+/// the run. `store`, when given, must match the platform's descriptor hash;
+/// its learned rates price compute in the run and in the lower bound.
+/// Platforms without any executing PU fall back to the Master as a single
+/// CPU device, like the starvm bridge.
 SchedulePlan simulate_schedule(const starvm::TaskGraph& graph,
                                const pdl::Platform& platform,
-                               const starvm::PerfModel* model = nullptr);
+                               const starvm::perf_store::Store* store = nullptr);
 
 /// Human-readable plan summary (makespan, lower bound, critical path,
 /// per-device loads, per-space peaks); deterministic, millisecond-formatted.

@@ -26,7 +26,8 @@ void apply_reliability(const pdl::ProcessingUnit& pu, DeviceSpec& spec) {
 }  // namespace
 
 pdl::util::Result<EngineConfig> engine_config_from_platform(
-    const pdl::Platform& platform, const BridgeOptions& options) {
+    const pdl::Platform& platform, const BridgeOptions& options,
+    std::vector<const pdl::ProcessingUnit*>* origins) {
   if (platform.masters().empty()) {
     return pdl::util::Error{"platform has no Master PU"};
   }
@@ -38,6 +39,8 @@ pdl::util::Result<EngineConfig> engine_config_from_platform(
 
   std::vector<DeviceSpec> cpus;
   std::vector<DeviceSpec> accelerators;
+  std::vector<const pdl::ProcessingUnit*> cpu_pus;  // parallel to `cpus`
+  std::vector<const pdl::ProcessingUnit*> accelerator_pus;
 
   // Workers execute tasks; Hybrid PUs "act as master and worker at the
   // same time" (paper §III-A), so they contribute execution capacity too.
@@ -66,6 +69,7 @@ pdl::util::Result<EngineConfig> engine_config_from_platform(
         spec.name = pu->quantity() == 1 ? pu->id()
                                         : pu->id() + "#" + std::to_string(i);
         cpus.push_back(spec);
+        cpu_pus.push_back(pu);
       }
     } else {
       // Everything non-CPU is a simulated accelerator (gpu, spe, ...).
@@ -95,6 +99,7 @@ pdl::util::Result<EngineConfig> engine_config_from_platform(
         spec.name = pu->quantity() == 1 ? pu->id()
                                         : pu->id() + "#" + std::to_string(i);
         accelerators.push_back(spec);
+        accelerator_pus.push_back(pu);
       }
     }
   }
@@ -108,6 +113,7 @@ pdl::util::Result<EngineConfig> engine_config_from_platform(
     spec.sustained_gflops = pdl::props::sustained_gflops(master, 0.9, options.default_cpu_gflops);
     apply_reliability(master, spec);
     config.devices.push_back(std::move(spec));
+    if (origins != nullptr) *origins = {&master};
     return config;
   }
 
@@ -120,6 +126,12 @@ pdl::util::Result<EngineConfig> engine_config_from_platform(
                         cpus.begin() + static_cast<std::ptrdiff_t>(cpu_count));
   config.devices.insert(config.devices.end(), accelerators.begin(),
                         accelerators.end());
+  if (origins != nullptr) {
+    origins->assign(cpu_pus.begin(),
+                    cpu_pus.begin() + static_cast<std::ptrdiff_t>(cpu_count));
+    origins->insert(origins->end(), accelerator_pus.begin(),
+                    accelerator_pus.end());
+  }
   return config;
 }
 

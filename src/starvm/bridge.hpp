@@ -21,6 +21,8 @@
 //     (never below zero). Disable via BridgeOptions.
 #pragma once
 
+#include <vector>
+
 #include "pdl/model.hpp"
 #include "starvm/device.hpp"
 #include "util/result.hpp"
@@ -40,9 +42,12 @@ struct BridgeOptions {
   bool record_decisions = false;
 };
 
-/// Build an engine configuration from a platform description.
-/// Fails when the platform has no Master.
+/// Build an engine configuration from a platform description. When
+/// `origins` is given it receives, parallel to EngineConfig::devices, the
+/// PU each device was made from (the Master in the "single"
+/// configuration). Fails when the platform has no Master.
 pdl::util::Result<EngineConfig> engine_config_from_platform(
-    const pdl::Platform& platform, const BridgeOptions& options = {});
+    const pdl::Platform& platform, const BridgeOptions& options = {},
+    std::vector<const pdl::ProcessingUnit*>* origins = nullptr);
 
 }  // namespace starvm

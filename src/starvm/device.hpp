@@ -90,11 +90,12 @@ struct EngineConfig {
   /// Persisted perf-model store (docs/RUNTIME.md "Persisted performance
   /// models"): path of a perf_store file preloaded into the EMA cells at
   /// engine construction — so HEFT estimates are warm from the first task
-  /// — and atomically rewritten with the merged history at engine
-  /// destruction. The store is keyed by a hash of the device descriptors;
-  /// a mismatched, corrupt, or wrong-version store is rejected (counted in
-  /// EngineStats::perf_store_rejected) and the run proceeds from declared
-  /// rates. Empty = consult the PDL_PERF_STORE environment variable at
+  /// — and, by a kHybrid engine only, atomically rewritten with the merged
+  /// history at destruction (the simulation modes observe nothing but the
+  /// model's own estimates). The store is keyed by a hash of the device
+  /// descriptors; a mismatched, corrupt, or wrong-version store is rejected
+  /// (counted in EngineStats::perf_store_rejected) and the run proceeds
+  /// from declared rates. Empty = consult the PDL_PERF_STORE environment variable at
   /// engine construction ("0" or unset disables persistence).
   std::string perf_store_path;
 

@@ -342,8 +342,11 @@ Engine::~Engine() {
   stopping_.store(true);
   if (dispatch_) dispatch_->notify_all();
   for (auto& w : workers_) w.join();
-  // Workers are gone: the model is quiescent, snapshot and persist it.
-  if (!perf_store_path_.empty()) {
+  // Workers are gone: the model is quiescent, snapshot and persist it. Only
+  // a hybrid run measures anything; in the simulation modes every
+  // "observation" is the model's own estimate, and writing those back
+  // would overwrite the rates real runs learned.
+  if (hybrid() && !perf_store_path_.empty()) {
     (void)perf_store::save(
         perf_store::from_model(perf_model_, descriptor_hash_),
         perf_store_path_);
@@ -885,10 +888,10 @@ void Engine::run_simulation_locked() {
     // Before acquire_buffers: candidate costs must see decision-time
     // replica placement.
     record_decision(*task, *device);
-    const double transfer = acquire_buffers(*task, device->node);
     task->start_vtime =
         std::max(device->avail_vtime.load(), task->ready_vtime.load()) +
         config_.task_overhead_us * 1e-6;
+    const double transfer = acquire_buffers(*task, device->node);
     task->transfer_seconds = transfer;
     if (flight_) {
       // mutex_ is held: the sim loop is the sole producer for every ring.
@@ -1419,66 +1422,74 @@ double Engine::link_transfer_seconds(std::size_t bytes, MemoryNodeId from,
   if (from == to) return 0.0;
   // Each accelerator node connects to the host with its own link; transfers
   // between two accelerators bounce through the host (PCIe peer-to-peer is
-  // post-2011 and the paper's testbed routes via host RAM). Link parameters
-  // come from the node→spec index built at construction — O(1) per leg.
-  const auto link_of = [this](MemoryNodeId node) -> const DeviceSpec* {
-    const DeviceSpec* spec = node_link_spec(node);
-    if (spec == nullptr) {
-      // Every non-host node is created from a device at construction, so a
-      // miss means the caller passed a node this engine never made. Flag it
-      // (EngineStats::link_spec_misses; tests assert it stays zero) rather
-      // than silently modeling the default link.
-      assert(false && "memory node without an owning device spec");
-      link_spec_misses_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return spec;
-  };
+  // post-2011 and the paper's testbed routes via host RAM).
   double seconds = 0.0;
-  if (from != kHostNode) {
-    const DeviceSpec* spec = link_of(from);
-    seconds += transfer_seconds(bytes, spec ? spec->link_bandwidth_gbs : 5.0,
-                                spec ? spec->link_latency_us : 10.0);
-  }
-  if (to != kHostNode) {
-    const DeviceSpec* spec = link_of(to);
-    seconds += transfer_seconds(bytes, spec ? spec->link_bandwidth_gbs : 5.0,
-                                spec ? spec->link_latency_us : 10.0);
-  }
+  if (from != kHostNode) seconds += hop_seconds(bytes, from);
+  if (to != kHostNode) seconds += hop_seconds(bytes, to);
   return seconds;
+}
+
+double Engine::hop_seconds(std::size_t bytes, MemoryNodeId node) const {
+  // Link parameters come from the node→spec index built at construction.
+  const DeviceSpec* spec = node_link_spec(node);
+  if (spec == nullptr) {
+    // Every non-host node is created from a device at construction, so a
+    // miss means the caller passed a node this engine never made. Flag it
+    // (EngineStats::link_spec_misses; tests assert it stays zero) rather
+    // than silently modeling the default link.
+    assert(false && "memory node without an owning device spec");
+    link_spec_misses_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return transfer_seconds(bytes, spec ? spec->link_bandwidth_gbs : 5.0,
+                          spec ? spec->link_latency_us : 10.0);
+}
+
+void Engine::charge_transfer_locked(const detail::TaskNode& task,
+                                    std::size_t bytes, MemoryNodeId from,
+                                    MemoryNodeId to, double& cost) {
+  // The sum link_transfer_seconds forms, hop by hop, so the charged total
+  // stays bit-identical to the estimate's.
+  const double begin = task.start_vtime + cost;
+  double seconds = 0.0;
+  for (const MemoryNodeId hop : {from, to}) {
+    if (hop == kHostNode) continue;
+    const double leg = hop_seconds(bytes, hop);
+    transfer_legs_.push_back(TransferLeg{task.id, hop, bytes, begin + seconds,
+                                         begin + seconds + leg});
+    seconds += leg;
+  }
+  cost += seconds;
 }
 
 void Engine::drop_replica_locked(DataHandle* handle, MemoryNodeId node) {
   const auto n = static_cast<std::size_t>(node);
   if (!handle->valid_on(node)) return;
   handle->valid_ &= ~DataHandle::node_bit(node);
-  if (node != kHostNode && n < nodes_.size() && nodes_[n].capacity > 0) {
+  if (node != kHostNode && n < nodes_.size()) {
     NodeState& state = nodes_[n];
     state.used -= std::min(state.used, handle->bytes());
-    state.lru.remove(handle);
+    if (state.capacity > 0) state.lru.remove(handle);
   }
 }
 
 void Engine::add_replica_locked(DataHandle* handle, MemoryNodeId node,
-                                double& cost,
-                                const std::vector<BufferView>* pinned) {
+                                const detail::TaskNode& task, double& cost) {
   const auto n = static_cast<std::size_t>(node);
   NodeState* state =
-      node != kHostNode && n < nodes_.size() && nodes_[n].capacity > 0
-          ? &nodes_[n]
-          : nullptr;
+      node != kHostNode && n < nodes_.size() ? &nodes_[n] : nullptr;
+  const bool bounded = state != nullptr && state->capacity > 0;
   if (handle->valid_on(node)) {
     // Refresh recency on bounded nodes.
-    if (state != nullptr) {
+    if (bounded) {
       state->lru.remove(handle);
       state->lru.push_front(handle);
     }
     return;
   }
 
-  if (state != nullptr) {
+  if (bounded) {
     const auto is_pinned = [&](const DataHandle* candidate) {
-      if (pinned == nullptr) return false;
-      for (const auto& view : *pinned) {
+      for (const auto& view : task.buffers) {
         if (view.handle == candidate) return true;
       }
       return false;
@@ -1498,7 +1509,7 @@ void Engine::add_replica_locked(DataHandle* handle, MemoryNodeId node,
       // Sole-replica eviction must write the data back to the host first.
       const bool sole = (victim->valid_ & ~DataHandle::node_bit(node)) == 0;
       if (sole) {
-        cost += link_transfer_seconds(victim->bytes(), node, kHostNode);
+        charge_transfer_locked(task, victim->bytes(), node, kHostNode, cost);
         writeback_bytes_ += victim->bytes();
         victim->valid_ |= DataHandle::node_bit(kHostNode);
       }
@@ -1506,10 +1517,16 @@ void Engine::add_replica_locked(DataHandle* handle, MemoryNodeId node,
       ++evictions_;
       if (obs::metrics_enabled()) evictions_counter().inc();
     }
-    state->used += handle->bytes();
     state->lru.push_front(handle);
   }
   handle->valid_ |= DataHandle::node_bit(node);
+  if (state != nullptr) {
+    state->used += handle->bytes();
+    if (state->used > state->peak) {
+      state->peak = state->used;
+      state->peak_vtime = task.start_vtime + cost;
+    }
+  }
 }
 
 double Engine::acquire_buffers(detail::TaskNode& task, MemoryNodeId node) {
@@ -1525,14 +1542,14 @@ double Engine::acquire_buffers(detail::TaskNode& task, MemoryNodeId node) {
         // Prefer pulling from the host; otherwise any valid replica.
         const MemoryNodeId source = h->first_valid_node();
         if (source >= 0) {
-          total += link_transfer_seconds(h->bytes(), source, node);
+          charge_transfer_locked(task, h->bytes(), source, node, total);
           ++transfers_;
           transfer_bytes_ += h->bytes();
           if (obs::metrics_enabled()) transfers_counter().inc();
         }
       }
       // add_replica also refreshes LRU recency for already-valid replicas.
-      add_replica_locked(h, node, total, &task.buffers);
+      add_replica_locked(h, node, task, total);
     }
     if (writes(view.mode)) {
       // MSI: writing invalidates every other replica. Simulated
@@ -1544,7 +1561,7 @@ double Engine::acquire_buffers(detail::TaskNode& task, MemoryNodeId node) {
           drop_replica_locked(h, static_cast<MemoryNodeId>(n));
         }
       }
-      add_replica_locked(h, node, total, &task.buffers);
+      add_replica_locked(h, node, task, total);
     }
   }
   return total;
@@ -1619,10 +1636,10 @@ void Engine::run_task_hybrid(detail::TaskNode& task,
     ready_queue_gauge().set(static_cast<std::int64_t>(dispatch_->size()));
   }
   record_decision(task, device);
-  const double transfer = acquire_buffers(task, device.node);
   task.start_vtime =
       std::max(device.avail_vtime.load(), task.ready_vtime.load()) +
       config_.task_overhead_us * 1e-6;
+  const double transfer = acquire_buffers(task, device.node);
   task.transfer_seconds = transfer;
   if (flight_) {
     // This worker owns the device ring: single producer by construction.
@@ -1770,6 +1787,13 @@ EngineStats Engine::stats() const {
     s.transfer_bytes = transfer_bytes_;
     s.evictions = evictions_;
     s.writeback_bytes = writeback_bytes_;
+    s.transfer_legs = transfer_legs_;
+    for (const auto& device : devices_) {
+      if (device.node == kHostNode) continue;
+      const NodeState& node = nodes_[static_cast<std::size_t>(device.node)];
+      s.node_peaks.push_back(NodePeak{device.node, device.id, node.peak,
+                                      node.peak_vtime});
+    }
   }
   s.link_spec_misses = link_spec_misses_.load(std::memory_order_relaxed);
   {

@@ -266,18 +266,25 @@ class Engine {
   void record_decision(const detail::TaskNode& task,
                        const detail::DeviceState& chosen);
 
-  /// Modeled cost of moving `view`'s missing replicas to `node`; updates
-  /// the handle valid-sets and transfer counters (memory_mutex_ taken
+  /// Modeled cost of moving `task`'s missing replicas to `node`, charged
+  /// on the virtual clock from task.start_vtime on; updates the handle
+  /// valid-sets, transfer counters and leg log (memory_mutex_ taken
   /// internally; returns 0 immediately on single-node platforms).
   double acquire_buffers(detail::TaskNode& task, MemoryNodeId node);
 
   /// Replica bookkeeping with capacity accounting (memory_mutex_ held).
   /// add_replica may evict LRU replicas on bounded nodes; eviction of a
-  /// sole replica charges a write-back to the host into `cost`.
-  /// `pinned` handles (the executing task's buffers) are never evicted.
-  void add_replica_locked(DataHandle* handle, MemoryNodeId node, double& cost,
-                          const std::vector<BufferView>* pinned);
+  /// sole replica charges a write-back to the host into `cost`. The
+  /// executing task's own buffers are never evicted.
+  void add_replica_locked(DataHandle* handle, MemoryNodeId node,
+                          const detail::TaskNode& task, double& cost);
   void drop_replica_locked(DataHandle* handle, MemoryNodeId node);
+
+  /// Charge `task` for moving `bytes` from `from` to `to` into `cost`, one
+  /// TransferLeg per accelerator link crossed (memory_mutex_ held).
+  void charge_transfer_locked(const detail::TaskNode& task, std::size_t bytes,
+                              MemoryNodeId from, MemoryNodeId to,
+                              double& cost);
 
   /// Estimate for the HEFT policy: transfers (without mutating state) plus
   /// execution estimate. Takes memory_mutex_ only on multi-node platforms.
@@ -298,6 +305,8 @@ class Engine {
   /// Modeled bandwidth/latency between memory nodes (via host when needed).
   double link_transfer_seconds(std::size_t bytes, MemoryNodeId from,
                                MemoryNodeId to) const;
+  /// One hop over accelerator node `node`'s host link.
+  double hop_seconds(std::size_t bytes, MemoryNodeId node) const;
 
   EngineConfig config_;
   /// deque, not vector: DeviceState embeds atomics (immovable) and
@@ -373,12 +382,15 @@ class Engine {
   /// Memory accounting per node (index = MemoryNodeId; host unbounded).
   struct NodeState {
     std::size_t capacity = 0;  ///< 0 = unlimited
-    std::size_t used = 0;
-    std::list<DataHandle*> lru;  ///< front = most recently used
+    std::size_t used = 0;        ///< resident bytes (accelerator nodes)
+    std::size_t peak = 0;        ///< high-water mark of `used`
+    double peak_vtime = 0.0;     ///< when `peak` was first reached
+    std::list<DataHandle*> lru;  ///< bounded nodes; front = most recent
   };
   std::vector<NodeState> nodes_;  ///< memory_mutex_
 
   // Statistics.
+  std::vector<TransferLeg> transfer_legs_;  ///< memory_mutex_
   std::uint64_t transfers_ = 0;        ///< memory_mutex_
   std::uint64_t transfer_bytes_ = 0;   ///< memory_mutex_
   std::uint64_t evictions_ = 0;        ///< memory_mutex_

@@ -150,9 +150,13 @@ std::vector<TaskGraph::Edge> TaskGraph::edges(bool include_inferred) const {
   };
   std::vector<BufferState> state(buffers_.size());
 
-  const auto add_edge = [&result](int from, int to, Edge::Kind kind, int buffer) {
+  // Every edge into task t is appended while t is processed, so a
+  // duplicate can only be among t's own edges: scan from t's first one.
+  std::size_t first_of_task = 0;
+  const auto add_edge = [&](int from, int to, Edge::Kind kind, int buffer) {
     if (from == to) return;
-    for (const auto& e : result) {
+    for (std::size_t i = first_of_task; i < result.size(); ++i) {
+      const Edge& e = result[i];
       if (e.from == from && e.to == to && e.kind == kind && e.buffer == buffer) {
         return;
       }
@@ -162,6 +166,7 @@ std::vector<TaskGraph::Edge> TaskGraph::edges(bool include_inferred) const {
 
   for (int t = 0; t < static_cast<int>(tasks_.size()); ++t) {
     const GraphTask& task = tasks_[t];
+    first_of_task = result.size();
     // Backward declared deps become edges; forward/unknown ids are dropped,
     // matching Engine::submit (ids >= next_task_id_ are "satisfied").
     for (int dep : task.declared_deps) {

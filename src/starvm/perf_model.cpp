@@ -1,8 +1,6 @@
 #include "starvm/perf_model.hpp"
 
 #include <cstddef>
-#include <fstream>
-#include <sstream>
 
 namespace starvm {
 
@@ -119,8 +117,6 @@ std::optional<double> PerfModel::history_estimate(std::string_view codelet,
   return h.ema_seconds.load(std::memory_order_relaxed);
 }
 
-double PerfModel::default_estimate_seconds() { return kDefaultEstimateSeconds; }
-
 void PerfModel::observe(std::string_view codelet, int device, double seconds) {
   if (device < 0 || device >= kMaxDevices) return;
   observe_in(row(codelet), device, seconds);
@@ -132,52 +128,6 @@ std::uint64_t PerfModel::samples(std::string_view codelet, int device) const {
   if (row == nullptr) return 0;
   return (*row)[static_cast<std::size_t>(device)].count.load(
       std::memory_order_acquire);
-}
-
-bool PerfModel::save(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
-  out << "# starvm perf-model calibration v1\n";
-  out.precision(17);
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [codelet, row] : history_) {
-    for (int device = 0; device < kMaxDevices; ++device) {
-      const DeviceHistory& h = (*row)[static_cast<std::size_t>(device)];
-      const std::uint64_t count = h.count.load(std::memory_order_acquire);
-      if (count == 0) continue;
-      out << codelet << ' ' << device << ' '
-          << h.ema_seconds.load(std::memory_order_relaxed) << ' ' << count
-          << '\n';
-    }
-  }
-  return static_cast<bool>(out);
-}
-
-bool PerfModel::load(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::string line;
-  std::lock_guard<std::mutex> lock(mutex_);
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream fields(line);
-    std::string codelet;
-    int device = 0;
-    double ema = 0.0;
-    std::uint64_t count = 0;
-    if (!(fields >> codelet >> device >> ema >> count) || device < 0 ||
-        device >= kMaxDevices) {
-      return false;
-    }
-    auto it = history_.find(codelet);
-    if (it == history_.end()) {
-      it = history_.emplace(std::move(codelet), std::make_unique<Row>()).first;
-    }
-    DeviceHistory& h = (*it->second)[static_cast<std::size_t>(device)];
-    h.ema_seconds.store(ema, std::memory_order_relaxed);
-    h.count.store(count, std::memory_order_release);
-  }
-  return true;
 }
 
 std::vector<PerfModel::Sample> PerfModel::snapshot() const {

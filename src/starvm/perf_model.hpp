@@ -6,8 +6,8 @@
 // history exists (paper §II: PDL properties feed performance prediction).
 //
 // Thread-safe two ways:
-//  - The name-keyed API (estimate/observe/samples/save/load) takes an
-//    internal mutex and is safe from any thread.
+//  - The name-keyed API (estimate/observe/samples/snapshot/preload) takes
+//    an internal mutex and is safe from any thread.
 //  - The hot path avoids that mutex entirely: row() hands out a stable
 //    pointer to a codelet's calibration row once (at task wiring), and
 //    estimate_in / observe_in operate on the row's atomic cells lock-free.
@@ -86,14 +86,10 @@ class PerfModel {
                   double device_gflops) const;
 
   /// Calibrated estimate only: the EMA when the pair has history, nullopt
-  /// otherwise. Side-effect-free — never creates a row, so static analyses
-  /// (schedule simulation) can probe an engine's model without mutating it.
+  /// otherwise. Side-effect-free — never creates a row, so a caller can
+  /// probe an engine's model without mutating it.
   std::optional<double> history_estimate(std::string_view codelet,
                                          int device) const;
-
-  /// The fixed fallback estimate used when neither history nor a FLOPs
-  /// model exists; exposed so static analyses produce the same numbers.
-  static double default_estimate_seconds();
 
   /// Record an observed execution time (seconds).
   void observe(std::string_view codelet, int device, double seconds);
@@ -101,17 +97,9 @@ class PerfModel {
   /// Number of observations recorded for the pair.
   std::uint64_t samples(std::string_view codelet, int device) const;
 
-  /// Persist the calibration history (StarPU keeps per-codelet calibration
-  /// across runs; so do we). Plain text, one "codelet device ema count"
-  /// record per line; codelet names must not contain whitespace.
-  bool save(const std::string& path) const;
-
-  /// Merge a previously saved history (existing pairs are overwritten).
-  /// False when the file is missing or malformed.
-  bool load(const std::string& path);
-
   /// One calibrated (codelet, device) cell, as exported to / imported from
-  /// the persisted perf store (perf_store.hpp).
+  /// the persisted perf store (perf_store.hpp), the one on-disk form of
+  /// the calibration history.
   struct Sample {
     std::string codelet;
     int device = 0;

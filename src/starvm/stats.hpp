@@ -28,6 +28,26 @@ struct TaskTrace {
   double ready_vtime = 0.0;
 };
 
+/// One charged transfer leg: `bytes` crossing the host link of memory node
+/// `node` on behalf of `task`, over [begin_vtime, end_vtime]. A move
+/// between two accelerators is two legs, one per link it bounces over.
+struct TransferLeg {
+  TaskId task = 0;
+  MemoryNodeId node = kHostNode;
+  std::uint64_t bytes = 0;
+  double begin_vtime = 0.0;
+  double end_vtime = 0.0;
+};
+
+/// High-water mark of the bytes resident on one accelerator memory node,
+/// owned by device `device`.
+struct NodePeak {
+  MemoryNodeId node = kHostNode;
+  DeviceId device = -1;
+  std::uint64_t bytes = 0;
+  double vtime = 0.0;  ///< when `bytes` was first reached
+};
+
 struct DeviceStats {
   std::string name;
   DeviceKind kind = DeviceKind::kCpu;
@@ -166,6 +186,10 @@ struct EngineStats {
   SchedulerKind scheduler = SchedulerKind::kHeft;
   std::vector<DeviceStats> devices;
   std::vector<TaskTrace> trace;
+  /// Every leg acquire_buffers and eviction write-backs charged, in the
+  /// order they were charged. Empty on single-node platforms.
+  std::vector<TransferLeg> transfer_legs;
+  std::vector<NodePeak> node_peaks;  ///< one per accelerator node, node order
   std::vector<SchedulerDecision> decisions;  ///< empty unless recording enabled
 };
 

@@ -8,11 +8,10 @@
 //             [--trace-out <trace.json>] [--metrics-out <metrics.json>]
 //             [--fault-plan <spec>] [--analyze] [--profile]
 //
-// --profile runs the schedule preview and prints the model-vs-measured
-// report (docs/OBSERVABILITY.md "Flight recorder & profiling"): the
-// measured critical path with queue-wait/transfer/compute attribution, the
-// per-(task, device) rate drift against the declared GFLOPS, and the diff
-// against the A5xx modeled schedule of the extracted task graph.
+// --profile runs the schedule preview and prints its profile
+// (docs/OBSERVABILITY.md "Flight recorder & profiling"): the measured
+// critical path with queue-wait/transfer/compute attribution and the
+// per-(task, device) rate drift against the declared GFLOPS.
 //
 // --analyze runs the cross-layer static analyzer (src/analysis) instead of
 // writing outputs: platform lint, variant/execute-site matching and task-
@@ -46,7 +45,6 @@
 #include "analysis/capacity.hpp"
 #include "analysis/profile.hpp"
 #include "analysis/report.hpp"
-#include "analysis/schedule_sim.hpp"
 #include "cascabel/rt.hpp"
 #include "cascabel/translator.hpp"
 #include "obs/env.hpp"
@@ -327,8 +325,8 @@ int main(int argc, char** argv) {
     // A7xx accuracy bounds at the platform's declared arithmetic floor.
     analysis::analyze_accuracy(graph, analysis_options, findings,
                                analysis::accuracy_epsilon_floor(platform.value()));
-    // Schedule-aware capacity & interference rules (A5xx) over a modeled
-    // HEFT placement of the extracted graph on the target platform.
+    // Schedule-aware capacity & interference rules (A5xx) over the
+    // runtime's pure-sim run of the extracted graph on the target platform.
     analysis::analyze_schedule(graph, platform.value(), analysis_options,
                                findings);
     pdl::normalize(findings);
@@ -376,17 +374,8 @@ int main(int argc, char** argv) {
     const starvm::EngineStats preview =
         schedule_preview(result.value(), platform.value(), fault_plan);
     if (profile) {
-      // Measured side: the preview run. Modeled side: the A5xx HEFT
-      // simulation of the statically extracted graph — same platform, same
-      // task names, so the comparison aligns by name.
-      const analysis::RunProfile run_profile = analysis::profile_run(preview);
-      std::printf("%s", analysis::render_profile_text(run_profile).c_str());
-      const starvm::TaskGraph graph = analysis::graph_from_program(
-          result.value().program, result.value().repository);
-      const analysis::SchedulePlan plan =
-          analysis::simulate_schedule(graph, platform.value());
-      std::printf("%s", analysis::render_comparison_text(
-                            analysis::diff_against_plan(run_profile, plan, graph))
+      std::printf("%s", analysis::render_profile_text(
+                            analysis::profile_run(preview))
                             .c_str());
     }
     if (preview.task_failures > 0) {

@@ -16,11 +16,12 @@
 //   --graph <file>     analyze a task-graph fixture (graph_io.hpp text
 //                      format) instead of / in addition to --program
 //   --plan             schedule-aware capacity & interference analysis
-//                      (A5xx): simulate a HEFT schedule of the graph(s) on
-//                      each platform; text format also prints the plan
+//                      (A5xx): run the graph(s) on the runtime's pure-sim
+//                      engine for each platform; text format also prints
+//                      the plan
 //   --perf-store <file>
 //                      feed measured rates from a persisted perf store into
-//                      the --plan simulation; the store must carry the
+//                      the --plan run; the store must carry the
 //                      platform's descriptor hash, otherwise declared rates
 //                      are used (with a warning)
 //   --explore          model-check the graph(s) with the starmc explorer
@@ -40,7 +41,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -61,7 +61,6 @@
 #include "obs/env.hpp"
 #include "pdl/extension.hpp"
 #include "starvm/bridge.hpp"
-#include "starvm/perf_model.hpp"
 #include "starvm/perf_store.hpp"
 #include "pdl/parser.hpp"
 #include "pdl/validate.hpp"
@@ -222,14 +221,15 @@ int main(int argc, char** argv) {
     parsed_paths.push_back(path);
   }
 
-  // --perf-store: measured rates for the A5xx schedule simulation. The
-  // store is bound to one platform by its descriptor hash; platforms whose
-  // hash differs fall back to declared rates (with a warning) rather than
-  // simulating with another machine's measurements.
-  std::vector<std::unique_ptr<starvm::PerfModel>> platform_models(platforms.size());
+  // --perf-store: measured rates for the A5xx schedule run. The store is
+  // bound to one platform by its descriptor hash; platforms whose hash
+  // differs fall back to declared rates (with a warning) rather than
+  // running with another machine's measurements.
+  std::vector<const starvm::perf_store::Store*> platform_stores(
+      platforms.size(), nullptr);
+  starvm::perf_store::LoadResult loaded;
   if (!perf_store_path.empty()) {
-    const starvm::perf_store::LoadResult loaded =
-        starvm::perf_store::load(perf_store_path);
+    loaded = starvm::perf_store::load(perf_store_path);
     switch (loaded.status) {
       case starvm::perf_store::LoadStatus::kLoaded:
         for (std::size_t p = 0; p < platforms.size(); ++p) {
@@ -247,8 +247,7 @@ int main(int argc, char** argv) {
                              pdl::SourceLoc{perf_store_path, 1, 1});
             continue;
           }
-          platform_models[p] = std::make_unique<starvm::PerfModel>();
-          starvm::perf_store::preload(loaded.store, *platform_models[p]);
+          platform_stores[p] = &loaded.store;
         }
         break;
       case starvm::perf_store::LoadStatus::kMissing:
@@ -328,7 +327,7 @@ int main(int argc, char** argv) {
     if (!plan) continue;
     for (std::size_t p = 0; p < platforms.size(); ++p) {
       const analysis::SchedulePlan schedule = analysis::analyze_schedule(
-          graph, platforms[p], options, diags, platform_models[p].get());
+          graph, platforms[p], options, diags, platform_stores[p]);
       plan_text += "== " + label + " on " + parsed_paths[p] + " ==\n";
       plan_text += analysis::render_plan_text(schedule, graph);
     }

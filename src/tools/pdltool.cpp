@@ -6,10 +6,10 @@
 //                                            interference analysis (A5xx)
 //                                            of a task-graph fixture
 //   pdltool profile <platform.xml> <graph>   run the graph on a pure-sim
-//                                            engine built from the platform,
+//                                            engine built from the platform
+//                                            (the run `plan` reads) and
 //                                            print the measured critical
-//                                            path + rate drift, and diff it
-//                                            against the modeled schedule
+//                                            path + rate drift
 //   pdltool perf dump <store>                print a persisted perf store
 //   pdltool perf check <store> <platform.xml>
 //                                            verify the store belongs to the
@@ -32,7 +32,6 @@
 #include "analysis/accuracy.hpp"
 #include "analysis/capacity.hpp"
 #include "starvm/bridge.hpp"
-#include "starvm/perf_model.hpp"
 #include "starvm/perf_store.hpp"
 #include "analysis/graph_io.hpp"
 #include "analysis/profile.hpp"
@@ -154,9 +153,9 @@ bool load_store_for_platform(const std::string& store_path,
 }
 
 /// Schedule-aware analysis of a task-graph fixture against a platform:
-/// prints the modeled plan (makespan, loads, peaks) and the A5xx findings,
-/// with pdlcheck's exit-code contract. A matching perf store swaps the
-/// simulator's analytic estimates for learned rates.
+/// prints the plan (makespan, loads, peaks) and the A5xx findings, with
+/// pdlcheck's exit-code contract. A matching perf store prices compute at
+/// its learned rates instead of the declared ones.
 int cmd_plan(const char* platform_path, const char* graph_path,
              const std::string& store_path) {
   pdl::Platform platform;
@@ -167,29 +166,24 @@ int cmd_plan(const char* platform_path, const char* graph_path,
     return 1;
   }
   starvm::perf_store::Store store;
-  starvm::PerfModel model;
-  const starvm::PerfModel* model_ptr = nullptr;
-  if (load_store_for_platform(store_path, platform, store)) {
-    starvm::perf_store::preload(store, model);
-    model_ptr = &model;
-  }
+  const bool have_store = load_store_for_platform(store_path, platform, store);
   const analysis::AnalysisOptions options;
   pdl::Diagnostics diags;
   analysis::analyze_task_graph(graph.value(), options, diags);
   analysis::analyze_accuracy(graph.value(), options, diags,
                              analysis::accuracy_epsilon_floor(platform));
   const analysis::SchedulePlan plan = analysis::analyze_schedule(
-      graph.value(), platform, options, diags, model_ptr);
+      graph.value(), platform, options, diags, have_store ? &store : nullptr);
   pdl::normalize(diags);
   std::printf("%s", analysis::render_plan_text(plan, graph.value()).c_str());
   std::printf("%s", analysis::render_text(diags).c_str());
   return analysis::exit_code(diags, /*werror=*/false);
 }
 
-/// Model-vs-measured profiling of a task-graph fixture: execute the graph
-/// on a pure-sim engine built from the platform (flight recorder on), then
-/// print the measured critical path, the per-(task, device) rate drift and
-/// the diff against the A5xx modeled schedule.
+/// Profiling of a task-graph fixture: execute the graph on the pure-sim
+/// engine built from the platform (flight recorder on) — the run `pdltool
+/// plan` reads its schedule from — then print the critical path and the
+/// per-(task, device) rate drift.
 int cmd_profile(const char* platform_path, const char* graph_path,
                 const std::string& store_path) {
   pdl::Platform platform;
@@ -199,25 +193,19 @@ int cmd_profile(const char* platform_path, const char* graph_path,
     std::fprintf(stderr, "pdltool: %s\n", graph.error().str().c_str());
     return 1;
   }
-  auto stats = analysis::run_graph_on_platform(graph.value(), platform);
+  starvm::perf_store::Store store;
+  const bool have_store = load_store_for_platform(store_path, platform, store);
+  auto stats = analysis::run_graph_on_platform(graph.value(), platform,
+                                               have_store ? &store : nullptr);
   if (!stats.ok()) {
     std::fprintf(stderr, "pdltool: %s\n", stats.error().str().c_str());
     return 1;
   }
   analysis::RunProfile profile = analysis::profile_run(stats.value());
-  starvm::perf_store::Store store;
-  if (load_store_for_platform(store_path, platform, store)) {
-    // Third drift column: measured vs the store's learned rate, flagging
-    // decayed entries.
-    analysis::apply_store_rates(profile, store);
-  }
-  const analysis::SchedulePlan plan =
-      analysis::simulate_schedule(graph.value(), platform);
+  // Third drift column: measured vs the store's learned rate, flagging
+  // decayed entries.
+  if (have_store) analysis::apply_store_rates(profile, store);
   std::printf("%s", analysis::render_profile_text(profile).c_str());
-  std::printf("%s",
-              analysis::render_comparison_text(
-                  analysis::diff_against_plan(profile, plan, graph.value()))
-                  .c_str());
   for (const auto& error : stats.value().errors) {
     std::fprintf(stderr, "pdltool: %s\n", error.c_str());
   }

@@ -1,15 +1,19 @@
 // Tests for the schedule-aware capacity & interference analysis (A5xx):
-// the HEFT schedule simulator (schedule_sim), the capacity rules
-// (capacity), the SARIF 2.1.0 renderer (sarif), the task-graph fixture
-// format (graph_io), and the rule-id suggestion helper — including the
-// committed undersized-platform / oversubscribed-DAG fixture pair.
+// the schedule plan read off the engine's pure-sim run (schedule_sim), the
+// capacity rules (capacity), the SARIF 2.1.0 renderer (sarif), the
+// task-graph fixture format (graph_io), and the rule-id suggestion helper —
+// including the committed undersized-platform / oversubscribed-DAG pair.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "analysis/capacity.hpp"
 #include "analysis/graph_io.hpp"
+#include "analysis/profile.hpp"
 #include "analysis/report.hpp"
 #include "analysis/rules.hpp"
 #include "analysis/sarif.hpp"
@@ -236,6 +240,97 @@ TEST(ScheduleSim, DeterministicAcrossRuns) {
   const SchedulePlan b = simulate_schedule(graph, platform);
   EXPECT_EQ(render_plan_text(a, graph), render_plan_text(b, graph));
   EXPECT_EQ(a.makespan_seconds, b.makespan_seconds);
+}
+
+TEST(ScheduleSim, PlanIsTheEngineRunOnEveryFixturePair) {
+  // One schedule model: on every committed graph x platform pair the plan
+  // reports exactly the makespan and the placements of the runtime's own
+  // pure-sim run.
+  const std::string root = PDL_SOURCE_DIR;
+  std::vector<std::string> graphs;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(root + "/tests/fixtures")) {
+    if (entry.path().extension() == ".graph") {
+      graphs.push_back(entry.path().string());
+    }
+  }
+  std::sort(graphs.begin(), graphs.end());
+  ASSERT_GE(graphs.size(), 6u);
+  const std::vector<std::string> platforms = {
+      root + "/tests/fixtures/undersized.pdl.xml",
+      root + "/tests/fixtures/fp32-testbed.pdl.xml",
+      root + "/platforms/testbed-starpu-2gpu.pdl.xml",
+      root + "/platforms/cell-be.pdl.xml",
+      root + "/platforms/hierarchical.pdl.xml"};
+  for (const std::string& platform_path : platforms) {
+    pdl::Diagnostics parse_diags;
+    auto platform = pdl::parse_platform_file(platform_path, parse_diags);
+    ASSERT_TRUE(platform.ok()) << platform_path;
+    for (const std::string& graph_path : graphs) {
+      SCOPED_TRACE(graph_path + " on " + platform_path);
+      auto graph = load_graph_file(graph_path);
+      ASSERT_TRUE(graph.ok()) << graph.error().str();
+      const SchedulePlan plan =
+          simulate_schedule(graph.value(), platform.value());
+      auto run = run_graph_on_platform(graph.value(), platform.value());
+      ASSERT_TRUE(run.ok()) << run.error().str();
+      EXPECT_EQ(plan.makespan_seconds, run.value().makespan_seconds);
+      ASSERT_EQ(run.value().trace.size(), graph.value().tasks().size());
+      for (const starvm::TaskTrace& t : run.value().trace) {
+        EXPECT_EQ(plan.placements[static_cast<std::size_t>(t.id - 1)].device,
+                  t.device)
+            << t.label;
+      }
+    }
+  }
+}
+
+/// `n` GPU instances behind one declared link.
+std::string gpu_farm_platform(int n) {
+  return R"(<?xml version="1.0"?>
+<Platform name="gpu-farm" version="1.0">
+  <Master id="m" quantity="1">
+    <PUDescriptor>
+      <Property fixed="true"><name>ARCHITECTURE</name><value>x86</value></Property>
+    </PUDescriptor>
+    <Worker id="gpu" quantity=")" +
+         std::to_string(n) + R"(">
+      <PUDescriptor>
+        <Property fixed="true"><name>ARCHITECTURE</name><value>gpu</value></Property>
+      </PUDescriptor>
+    </Worker>
+    <Interconnect type="PCIe" from="m" to="gpu" scheme="rDMA"/>
+  </Master>
+</Platform>)";
+}
+
+TEST(ScheduleSim, PlatformTheRuntimeRefusesYieldsADiagnostic) {
+  // One memory node per accelerator plus the host's must fit the engine's
+  // 64-bit replica mask: 64 GPU instances are one too many.
+  const pdl::Platform platform = parse(gpu_farm_platform(64));
+  starvm::TaskGraph graph;
+  const int b = graph.add_buffer("b", 1024);
+  graph.add_task("t", {{b, starvm::Access::kReadWrite}});
+  pdl::Diagnostics diags;
+  const SchedulePlan plan = analyze_schedule(graph, platform, {}, diags);
+  EXPECT_NE(plan.failure.find("63 accelerator memory nodes"),
+            std::string::npos)
+      << plan.failure;
+  EXPECT_TRUE(plan.devices.empty());
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_EQ(diags[0].severity, pdl::Severity::kError);
+  EXPECT_NE(diags[0].message.find("63 accelerator memory nodes"),
+            std::string::npos)
+      << diags[0].message;
+  EXPECT_NE(render_plan_text(plan, graph).find("63 accelerator"),
+            std::string::npos);
+
+  // One fewer fits.
+  pdl::Diagnostics fits;
+  const SchedulePlan ok = analyze_schedule(graph, parse(gpu_farm_platform(63)),
+                                           {}, fits);
+  EXPECT_TRUE(ok.failure.empty()) << ok.failure;
+  EXPECT_EQ(ok.devices.size(), 63u);
 }
 
 // --- A5xx rules ---------------------------------------------------------------

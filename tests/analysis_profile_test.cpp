@@ -1,8 +1,8 @@
 // Critical-path profiler tests: span attribution from a hand-built trace,
 // the backward critical-path walk (dependency vs device edges), rate-drift
-// aggregation across "name[i]" instances, the model-vs-measured diff, and
-// the end-to-end fixture run (dgemm_pipeline.graph on undersized.pdl.xml)
-// through run_graph_on_platform.
+// aggregation across "name[i]" instances, and the end-to-end fixture run
+// (dgemm_pipeline.graph on undersized.pdl.xml) through
+// run_graph_on_platform, whose makespan the schedule plan reports too.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -134,45 +134,6 @@ TEST(Profile, StoreRatesAnnotateMatchingDriftRows) {
   EXPECT_NE(text.find("store 5.00 GFLOPS"), std::string::npos);
 }
 
-TEST(Profile, DiffAlignsModeledAndMeasuredByBaseName) {
-  starvm::TaskGraph graph;
-  const int a = graph.add_buffer("A", 1024, {});
-  const int id0 = graph.add_task("gemm[0]", {{a, starvm::Access::kRead}}, {}, {});
-  graph.set_task_flops(id0, 1e6);
-  const int id1 = graph.add_task("gemm[1]", {{a, starvm::Access::kRead}}, {}, {});
-  graph.set_task_flops(id1, 1e6);
-
-  SchedulePlan plan;
-  plan.makespan_seconds = 4e-3;
-  plan.critical_path_seconds = 2e-3;
-  plan.placements.resize(2);
-  plan.placements[0].start_seconds = 0.0;
-  plan.placements[0].finish_seconds = 1e-3;
-  plan.placements[1].start_seconds = 0.0;
-  plan.placements[1].finish_seconds = 1e-3;
-
-  const RunProfile profile = profile_run(sample_stats());
-  const ModelComparison cmp = diff_against_plan(profile, plan, graph);
-  EXPECT_DOUBLE_EQ(cmp.modeled_makespan_seconds, 4e-3);
-  EXPECT_DOUBLE_EQ(cmp.measured_makespan_seconds, 3e-3);
-
-  // "gemm" pools both modeled placements and both measured instances;
-  // "reduce" exists only on the measured side.
-  ASSERT_EQ(cmp.tasks.size(), 2u);
-  EXPECT_EQ(cmp.tasks[0].name, "gemm");
-  EXPECT_EQ(cmp.tasks[0].modeled_tasks, 2u);
-  EXPECT_EQ(cmp.tasks[0].measured_tasks, 2u);
-  EXPECT_NEAR(cmp.tasks[0].modeled_seconds, 2e-3, 1e-12);
-  EXPECT_GT(cmp.tasks[0].ratio, 0.0);
-  EXPECT_EQ(cmp.tasks[1].name, "reduce");
-  EXPECT_EQ(cmp.tasks[1].modeled_tasks, 0u);
-  EXPECT_EQ(cmp.tasks[1].ratio, 0.0);
-
-  const std::string text = render_comparison_text(cmp);
-  EXPECT_NE(text.find("model vs measured"), std::string::npos);
-  EXPECT_NE(text.find("gemm"), std::string::npos);
-}
-
 TEST(Profile, RunsFixtureGraphOnFixturePlatform) {
   const std::string root = PDL_SOURCE_DIR;
   auto graph = load_graph_file(root + "/tests/fixtures/dgemm_pipeline.graph");
@@ -197,17 +158,9 @@ TEST(Profile, RunsFixtureGraphOnFixturePlatform) {
       profile.tasks[static_cast<std::size_t>(profile.critical_path.back().task)];
   EXPECT_EQ(last.label, "reduce");
 
+  // One schedule model: the A5xx plan is read off this very run.
   const SchedulePlan plan = simulate_schedule(graph.value(), platform.value());
-  const ModelComparison cmp = diff_against_plan(profile, plan, graph.value());
-  bool saw_dgemm = false;
-  for (const ModelComparison::NameDelta& d : cmp.tasks) {
-    if (d.name == "dgemm") {
-      saw_dgemm = true;
-      EXPECT_EQ(d.modeled_tasks, 4u);
-      EXPECT_EQ(d.measured_tasks, 4u);
-    }
-  }
-  EXPECT_TRUE(saw_dgemm);
+  EXPECT_EQ(plan.makespan_seconds, profile.makespan_seconds);
 }
 
 }  // namespace

@@ -2,8 +2,6 @@
 
 #include "starvm/perf_model.hpp"
 
-#include "util/string_util.hpp"
-
 namespace starvm {
 namespace {
 
@@ -43,44 +41,6 @@ TEST(PerfModel, HistoriesAreKeyedPerCodeletAndDevice) {
   EXPECT_DOUBLE_EQ(model.estimate("a", 1, 0, 0), 0.2);
   EXPECT_DOUBLE_EQ(model.estimate("b", 0, 0, 0), 0.3);
   EXPECT_EQ(model.samples("b", 1), 0u);
-}
-
-TEST(PerfModel, SaveLoadRoundTrip) {
-  PerfModel model;
-  model.observe("dgemm", 0, 0.125);
-  model.observe("dgemm", 0, 0.25);
-  model.observe("potrf", 3, 1.5e-3);
-
-  const std::string path = testing::TempDir() + "/perf_model_test.calib";
-  ASSERT_TRUE(model.save(path));
-
-  PerfModel restored;
-  ASSERT_TRUE(restored.load(path));
-  EXPECT_DOUBLE_EQ(restored.estimate("dgemm", 0, 0, 0),
-                   model.estimate("dgemm", 0, 0, 0));
-  EXPECT_EQ(restored.samples("dgemm", 0), 2u);
-  EXPECT_DOUBLE_EQ(restored.estimate("potrf", 3, 0, 0), 1.5e-3);
-}
-
-TEST(PerfModel, LoadMergesIntoExistingHistory) {
-  PerfModel a;
-  a.observe("x", 0, 1.0);
-  const std::string path = testing::TempDir() + "/perf_model_merge.calib";
-  ASSERT_TRUE(a.save(path));
-
-  PerfModel b;
-  b.observe("y", 1, 2.0);
-  ASSERT_TRUE(b.load(path));
-  EXPECT_DOUBLE_EQ(b.estimate("x", 0, 0, 0), 1.0);  // loaded
-  EXPECT_DOUBLE_EQ(b.estimate("y", 1, 0, 0), 2.0);  // kept
-}
-
-TEST(PerfModel, LoadRejectsMissingOrMalformedFiles) {
-  PerfModel model;
-  EXPECT_FALSE(model.load("/no/such/calibration.file"));
-  const std::string path = testing::TempDir() + "/perf_model_bad.calib";
-  ASSERT_TRUE(pdl::util::write_file(path, "dgemm zero not-a-number\n"));
-  EXPECT_FALSE(model.load(path));
 }
 
 TEST(TransferSeconds, LatencyPlusBandwidth) {

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,13 @@ std::string temp_path(const char* name) {
 void write_file(const std::string& path, const std::string& text) {
   std::ofstream out(path, std::ios::trunc);
   out << text;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
 }
 
 perf_store::Store sample_store(std::uint64_t hash) {
@@ -234,6 +242,37 @@ TEST(PerfStoreEngine, SavesCalibratedCellsOnShutdown) {
   }
   EXPECT_TRUE(found);
   std::remove(path.c_str());
+}
+
+TEST(PerfStoreEngine, SimulationModesLeaveTheStoreUntouched) {
+  // A pure-sim or deterministic run observes only the model's own
+  // estimates; writing those back would overwrite rates a real run learned.
+  for (const ExecutionMode mode :
+       {ExecutionMode::kPureSim, ExecutionMode::kDeterministic}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    const std::string path = temp_path("engine_sim_readonly.perfstore");
+    EngineConfig config = EngineConfig::cpus(2);
+    perf_store::Store store;
+    store.descriptor_hash = perf_store::descriptor_hash(config.devices);
+    store.entries = {{"learned", 0, 0.125, 9, 8.0}};
+    ASSERT_TRUE(perf_store::save(store, path));
+    const std::string before = read_file(path);
+    {
+      config.mode = mode;
+      config.perf_store_path = path;
+      Engine engine(std::move(config));
+      Codelet learned = flops_codelet("learned", 1e6);
+      Codelet fresh = flops_codelet("fresh", 1e6);
+      std::vector<double> data(16, 1.0);
+      DataHandle* h = engine.register_vector(data.data(), data.size(), "v");
+      engine.submit(TaskDesc{&learned, {{h, Access::kReadWrite}}, "t0"});
+      engine.submit(TaskDesc{&fresh, {{h, Access::kReadWrite}}, "t1"});
+      ASSERT_TRUE(engine.wait_all().ok());
+      EXPECT_EQ(engine.stats().perf_store_entries, 1u);
+    }
+    EXPECT_EQ(read_file(path), before);
+    std::remove(path.c_str());
+  }
 }
 
 TEST(PerfStoreEngine, DeclaredRatesSeedEveryWiredCodelet) {

@@ -584,6 +584,81 @@ TEST_F(ToolsTest, CascabelcFailsCleanlyOnBadInputs) {
   EXPECT_EQ(run(kCascabelc + " --pdl " + pdl_path_ + " --input " + bad_input), 1);
 }
 
+TEST_F(ToolsTest, SimulatedRunsLeaveThePersistedPerfStoreUntouched) {
+  // The pure-sim preview and `pdltool profile` run with PDL_PERF_STORE
+  // set: they read the store but must not rewrite its learned rates.
+  const std::string root = PDL_SOURCE_DIR;
+  const auto fixture =
+      pdl::util::read_file(root + "/tests/fixtures/testbed-starpu-2gpu.perfstore");
+  ASSERT_TRUE(fixture.has_value());
+  const std::string store = temp_path("readonly.perfstore");
+  ASSERT_TRUE(pdl::util::write_file(store, *fixture));
+  const std::string platform = root + "/platforms/testbed-starpu-2gpu.pdl.xml";
+  std::string output;
+  EXPECT_EQ(run("PDL_PERF_STORE=" + store + " " + kCascabelc + " --pdl " +
+                    platform + " --input " + root +
+                    "/tests/fixtures/dgemm_pipeline.cascabel.cpp --output " +
+                    temp_path("readonly_gen.cpp") + " --profile",
+                &output),
+            0)
+      << output;
+  EXPECT_EQ(pdl::util::read_file(store), fixture);
+  EXPECT_EQ(run("PDL_PERF_STORE=" + store + " " + kPdltool + " profile " +
+                    platform + " " + root + "/tests/fixtures/dgemm_pipeline.graph",
+                &output),
+            0)
+      << output;
+  EXPECT_EQ(pdl::util::read_file(store), fixture);
+}
+
+TEST_F(ToolsTest, PdlcheckPlanReportsAPlatformTheRuntimeRefuses) {
+  // 64 GPU instances need 65 memory nodes; the engine tracks 64. The A5xx
+  // pass reports why instead of letting the engine's exception escape.
+  const std::string xml = R"(<?xml version="1.0"?>
+<Platform name="gpu-farm" version="1.0">
+  <Master id="m" quantity="1">
+    <PUDescriptor>
+      <Property fixed="true"><name>ARCHITECTURE</name><value>x86</value></Property>
+    </PUDescriptor>
+    <Worker id="gpu" quantity="64">
+      <PUDescriptor>
+        <Property fixed="true"><name>ARCHITECTURE</name><value>gpu</value></Property>
+      </PUDescriptor>
+    </Worker>
+    <Interconnect type="PCIe" from="m" to="gpu" scheme="rDMA"/>
+  </Master>
+</Platform>)";
+  const std::string platform = temp_path("gpu_farm.pdl.xml");
+  ASSERT_TRUE(pdl::util::write_file(platform, xml));
+  const std::string graph =
+      std::string(PDL_SOURCE_DIR) + "/tests/fixtures/diamond.graph";
+  std::string output;
+  EXPECT_EQ(run(kPdlcheck + " --plan --graph " + graph + " " + platform, &output),
+            1);
+  EXPECT_NE(output.find("schedule analysis skipped"), std::string::npos)
+      << output;
+  EXPECT_NE(output.find("63 accelerator memory nodes"), std::string::npos);
+  EXPECT_EQ(run(kPdltool + " plan " + platform + " " + graph, &output), 1);
+  EXPECT_NE(output.find("63 accelerator memory nodes"), std::string::npos)
+      << output;
+}
+
+TEST_F(ToolsTest, PdlcheckPlanIgnoresTheFaultInjectionEnvironment) {
+  // The plan is a fault-free run of the graph: a runtime test hook in the
+  // environment must not turn the analysis into a report on failed tasks.
+  const std::string root = PDL_SOURCE_DIR;
+  const std::string args = " --plan --graph " + root +
+                           "/tests/fixtures/diamond.graph " + root +
+                           "/tests/fixtures/undersized.pdl.xml";
+  std::string clean;
+  std::string faulted;
+  const int rc = run(kPdlcheck + args, &clean);
+  EXPECT_EQ(run("PDL_FAULT_PLAN='fail:task=1,attempts=9' " + kPdlcheck + args,
+                &faulted),
+            rc);
+  EXPECT_EQ(faulted, clean);
+}
+
 TEST_F(ToolsTest, PdltoolProfileReportsCriticalPathAndDrift) {
   const std::string platform =
       std::string(PDL_SOURCE_DIR) + "/tests/fixtures/undersized.pdl.xml";
@@ -597,8 +672,17 @@ TEST_F(ToolsTest, PdltoolProfileReportsCriticalPathAndDrift) {
   EXPECT_NE(output.find("rate drift"), std::string::npos);
   // The instance labels collapse to one dgemm codelet per device row.
   EXPECT_NE(output.find("dgemm @ "), std::string::npos);
-  EXPECT_NE(output.find("model vs measured"), std::string::npos);
   EXPECT_NE(output.find("reduce"), std::string::npos);
+  // One schedule model: `pdltool plan` reads its schedule off the run the
+  // profile reports, so both print the same makespan.
+  const std::size_t at = output.find("makespan ");
+  ASSERT_NE(at, std::string::npos) << output;
+  const std::string makespan =
+      output.substr(at + 9, output.find(" ms", at) - (at + 9));
+  std::string plan;
+  run(kPdltool + " plan " + platform + " " + graph, &plan);
+  EXPECT_NE(plan.find("makespan: " + makespan + " ms"), std::string::npos)
+      << makespan << "\n" << plan;
 
   EXPECT_EQ(run(kPdltool + " profile " + platform + " /no/such.graph"), 1);
 }
@@ -617,8 +701,20 @@ TEST_F(ToolsTest, CascabelcProfileAndFlightDump) {
       << output;
   EXPECT_NE(output.find("measured critical path"), std::string::npos);
   EXPECT_NE(output.find("rate drift"), std::string::npos);
-  EXPECT_NE(output.find("model vs measured"), std::string::npos);
   EXPECT_NE(output.find("flight recorder:"), std::string::npos);
+  // No plan of the translated program exists to diff against: the report
+  // is the preview run's alone, and its makespan is its critical path's
+  // last finish.
+  EXPECT_EQ(output.find("model vs measured"), std::string::npos);
+  const std::size_t at = output.find("makespan ");
+  ASSERT_NE(at, std::string::npos) << output;
+  const std::string makespan =
+      output.substr(at + 9, output.find(" ms", at) - (at + 9));
+  const std::size_t attribution = output.find("critical-path attribution");
+  ASSERT_NE(attribution, std::string::npos);
+  EXPECT_NE(output.rfind("finish " + makespan + " ms", attribution),
+            std::string::npos)
+      << output;
 
   // A fault plan that outlives the retry budget forces the preview's
   // wait_all to fail; PDL_FLIGHT_DUMP must leave the post-mortem behind.

@@ -2,7 +2,8 @@
 """Gate fresh google-benchmark snapshots against committed baselines.
 
     python3 tools/bench_gate.py --baseline-dir DIR [--current-dir DIR] \
-        --kernels BENCH_dgemm_kernels.json --pdl BENCH_pdl_toolchain.json
+        --kernels BENCH_dgemm_kernels.json --pdl BENCH_pdl_toolchain.json \
+        --analysis BENCH_analysis.json
 
 Regression gates compare each fresh BENCH_*.json in --current-dir with the
 committed file of the same name in --baseline-dir: absolute real_time may
@@ -23,7 +24,10 @@ fresh results, so they hold on any machine:
     is the 8-row band's (one translated Fig-5 task) on every path;
   * bm_pdl_toolchain (--pdl): reading a 4096-PU description costs at most
     MAX_PDL_SCALE_RATIO times as much per byte as a 128-PU one, and writing
-    it at most MAX_PDL_SCALE_RATIO times as much per PU.
+    it at most MAX_PDL_SCALE_RATIO times as much per PU;
+  * bm_analysis (--analysis): the A5xx schedule analysis of a 10,000-task
+    graph costs at most MAX_ANALYSIS_SCALE_RATIO times as much as of a
+    1,000-task one (linear scaling is x10; a quadratic pass is x100).
 
 Every check runs and prints one line; the exit status is 1 if any failed.
 """
@@ -38,6 +42,7 @@ MAX_SCALE_RATIO = 3.0  # 1000-device vs 4-device per-task submit/drain cost
 MAX_RECORDER_RATIO = 2.0  # 1000-device engine lifecycle, recorder on vs off
 MIN_TILED_SPEEDUP = 2.0  # dgemm_tiled vs dgemm_blocked GFLOPS at n = 256
 MAX_PDL_SCALE_RATIO = 2.0  # PDL parse per byte / serialize per PU, 4096 vs 128 PUs
+MAX_ANALYSIS_SCALE_RATIO = 30.0  # A5xx analysis, 10,000 vs 1,000 tasks
 
 # Snapshot file -> benchmarks gated against its committed baseline.
 REGRESSION = {
@@ -87,6 +92,8 @@ def main():
                         help="bm_dgemm_kernels JSON output of this run")
     parser.add_argument("--pdl", required=True,
                         help="bm_pdl_toolchain JSON output of this run")
+    parser.add_argument("--analysis", required=True,
+                        help="bm_analysis JSON output of this run")
     args = parser.parse_args()
 
     failed = False
@@ -183,6 +190,17 @@ def main():
     check(per_pu <= MAX_PDL_SCALE_RATIO,
           f"BM_Serialize per-PU cost, 4096 vs 128 PUs: x{per_pu:.2f} "
           f"(limit x{MAX_PDL_SCALE_RATIO:.1f})")
+
+    # The analyzer runs on every lint; its cost must grow with the graph,
+    # not with the graph squared.
+    analysis = load(args.analysis)
+    scale = (real_time(analysis, args.analysis,
+                       "BM_AnalyzeScheduleWithRules/10000") /
+             real_time(analysis, args.analysis,
+                       "BM_AnalyzeScheduleWithRules/1000"))
+    check(scale <= MAX_ANALYSIS_SCALE_RATIO,
+          f"BM_AnalyzeScheduleWithRules, 10000 vs 1000 tasks: x{scale:.1f} "
+          f"(limit x{MAX_ANALYSIS_SCALE_RATIO:.0f})")
 
     return 1 if failed else 0
 
