@@ -6,6 +6,7 @@
 #include "cascabel/builtin_variants.hpp"
 #include "obs/trace.hpp"
 #include "pdl/parser.hpp"
+#include "pdl/query.hpp"
 #include "util/logging.hpp"
 
 namespace cascabel::rt {
@@ -66,16 +67,16 @@ pdl::util::Status check_argument_pairs(const std::string& iface,
 
 Context::Context(const pdl::Platform& target, TaskRepository repository,
                  Options options)
-    : platform_(target.clone()),
-      repository_(std::move(repository)),
-      options_(options) {
+    : repository_(std::move(repository)),
+      options_(options),
+      groups_(pdl::logic_groups(target)) {
   // Engine config first: the perf store is keyed by the hash of the device
   // descriptors the bridge derives, so pre-selection can only trust the
   // store after that hash has been checked.
   starvm::BridgeOptions bridge = options_.bridge;
   bridge.scheduler = options_.scheduler;
   bridge.mode = options_.mode;
-  auto config = starvm::engine_config_from_platform(platform_, bridge);
+  auto config = starvm::engine_config_from_platform(target, bridge);
   starvm::EngineConfig engine_config;
   if (!config) {
     // An engine is still required for the object to be usable; fall back to
@@ -117,7 +118,7 @@ Context::Context(const pdl::Platform& target, TaskRepository repository,
                     "perf store '" + store_path + "' ignored: " + loaded.detail);
     }
   }
-  selection_ = preselect(repository_, platform_, diags_, sel_options);
+  selection_ = preselect(repository_, target, diags_, sel_options);
   engine_ = std::make_unique<starvm::Engine>(std::move(engine_config));
 }
 
@@ -177,12 +178,9 @@ pdl::util::Status Context::execute(std::string_view interface_name,
     return status;
   }
 
-  // Which device classes may run this call: the execution group restricts
-  // the candidate PUs (paper §IV-B, LogicGroupAttribute).
-  const auto group_pus = resolve_execution_group(platform_, std::string(group), diags_);
-  const auto pu_in_group = [&](const pdl::ProcessingUnit* pu) {
-    return std::find(group_pus.begin(), group_pus.end(), pu) != group_pus.end();
-  };
+  // Which candidates may run this call: the execution group restricts them
+  // to the variants mapped onto its PUs (paper §IV-B, LogicGroupAttribute).
+  const std::string_view exec_group = execution_group(group, groups_, diags_);
 
   // Pick one bound implementation per device kind: among usable (group-
   // compatible, executable) candidates, a measured rate from the perf
@@ -206,11 +204,7 @@ pdl::util::Status Context::execute(std::string_view interface_name,
     int declared_rank[2] = {-1, -1};
     double best_measured[2] = {0.0, 0.0};
     for (const auto& candidate : *candidates) {
-      bool usable = candidate.mapped_pus.empty();
-      for (const auto* pu : candidate.mapped_pus) {
-        usable = usable || pu_in_group(pu);
-      }
-      if (!usable) continue;
+      if (!in_execution_group(candidate, exec_group)) continue;
       const BoundImpl* impl = repository_.bound(candidate.variant->pragma.variant_name);
       if (impl == nullptr || !impl->fn) continue;  // source-only variant
       const auto slot = static_cast<std::size_t>(impl->device_kind);

@@ -81,10 +81,19 @@ struct Options {
   AccuracyGuard accuracy;
 };
 
-/// An executable translation context: target platform + repository + engine.
+/// An executable translation context: repository + engine, built from a
+/// target platform.
+///
+/// The constructor is the only place that reads `target`: it builds the
+/// engine through the bridge, runs pre-selection and keeps the
+/// description's group names (pdl::logic_groups) for the execution-group
+/// rule. No copy of the description is kept, so `target` may be a
+/// temporary; the PU pointers in selection()'s `mapped_pus` point into it
+/// and must not be followed once it is gone (`mapped_groups` carry what
+/// execute() needs).
 class Context {
  public:
-  /// Takes ownership of a clone of `target`; the repository is copied.
+  /// Reads `target` here only; the repository is taken by value.
   /// Pre-selection runs immediately; check diagnostics() for pruning info.
   Context(const pdl::Platform& target, TaskRepository repository,
           Options options = {});
@@ -114,7 +123,6 @@ class Context {
   const starvm::perf_store::Store* perf_store() const {
     return perf_store_loaded_ ? &perf_store_ : nullptr;
   }
-  const pdl::Platform& platform() const { return platform_; }
   const pdl::Diagnostics& diagnostics() const { return diags_; }
   const Options& options() const { return options_; }
 
@@ -128,9 +136,10 @@ class Context {
   Registered& find_or_register(const Arg& a);
   void repartition(Registered& reg, const Arg& a, int nblocks);
 
-  pdl::Platform platform_;
   TaskRepository repository_;
   Options options_;
+  /// The target's LogicGroupAttribute names (execution_group's input).
+  std::vector<std::string> groups_;
   pdl::Diagnostics diags_;
   SelectionResult selection_;
   std::unique_ptr<starvm::Engine> engine_;

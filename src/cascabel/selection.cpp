@@ -114,14 +114,18 @@ SelectionResult preselect(const TaskRepository& repository,
           }
         }
         for (const auto* concrete : pdl::all_pus(target)) {
-          if (sel.is_fallback && concrete->kind() == pdl::PuKind::kMaster) {
-            sel.mapped_pus.push_back(concrete);
-            continue;
-          }
-          for (const auto* leaf : pattern_leaves) {
-            if (pdl::pu_satisfies(*leaf, *concrete)) {
-              sel.mapped_pus.push_back(concrete);
-              break;
+          const bool mapped =
+              (sel.is_fallback && concrete->kind() == pdl::PuKind::kMaster) ||
+              std::any_of(pattern_leaves.begin(), pattern_leaves.end(),
+                          [&](const pdl::ProcessingUnit* leaf) {
+                            return pdl::pu_satisfies(*leaf, *concrete);
+                          });
+          if (!mapped) continue;
+          sel.mapped_pus.push_back(concrete);
+          for (const auto& g : concrete->logic_groups()) {
+            if (std::find(sel.mapped_groups.begin(), sel.mapped_groups.end(), g) ==
+                sel.mapped_groups.end()) {
+              sel.mapped_groups.push_back(g);
             }
           }
         }
@@ -194,15 +198,23 @@ SelectionResult preselect(const TaskRepository& repository,
   return result;
 }
 
-std::vector<const pdl::ProcessingUnit*> resolve_execution_group(
-    const pdl::Platform& target, const std::string& group, pdl::Diagnostics& diags) {
-  if (!group.empty()) {
-    auto members = pdl::group_members(target, group);
-    if (!members.empty()) return members;
-    add_warning(diags, "execution group '" + group +
-                           "' names no PU in the target platform; using all PUs");
+std::string_view execution_group(std::string_view group,
+                                 const std::vector<std::string>& target_groups,
+                                 pdl::Diagnostics& diags) {
+  if (group.empty() ||
+      std::find(target_groups.begin(), target_groups.end(), group) !=
+          target_groups.end()) {
+    return group;
   }
-  return pdl::all_pus(target);
+  add_warning(diags, "execution group '" + std::string(group) +
+                         "' names no PU in the target platform; using all PUs");
+  return {};
+}
+
+bool in_execution_group(const SelectedVariant& candidate, std::string_view group) {
+  return group.empty() || candidate.mapped_pus.empty() ||
+         std::find(candidate.mapped_groups.begin(), candidate.mapped_groups.end(),
+                   group) != candidate.mapped_groups.end();
 }
 
 }  // namespace cascabel

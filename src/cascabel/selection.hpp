@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cascabel/repository.hpp"
@@ -26,7 +27,12 @@ struct SelectedVariant {
   const TaskVariant* variant = nullptr;
   std::string matched_platform;  ///< which targetplatformlist entry matched
   /// Worker/Master PUs the pattern bound to (candidate execution sites).
+  /// They point into the target passed to preselect.
   std::vector<const pdl::ProcessingUnit*> mapped_pus;
+  /// The LogicGroupAttributes of those PUs, each once: what the
+  /// execution-group rule (in_execution_group) reads, so a selection keeps
+  /// its groups after the target is gone.
+  std::vector<std::string> mapped_groups;
   /// Device class this variant executes on when run by starvm.
   starvm::DeviceKind device_kind = starvm::DeviceKind::kCpu;
   bool is_fallback = false;  ///< sequential Master-only variant
@@ -115,10 +121,20 @@ SelectionResult preselect(const TaskRepository& repository,
 /// on (simulated) accelerators, everything else on CPUs.
 starvm::DeviceKind device_kind_for_target(std::string_view platform_name);
 
-/// Resolve an execute annotation's executiongroup against the target PDL:
-/// the PUs carrying that LogicGroupAttribute, or every PU when the group
-/// is empty/unknown (with a warning for unknown names).
-std::vector<const pdl::ProcessingUnit*> resolve_execution_group(
-    const pdl::Platform& target, const std::string& group, pdl::Diagnostics& diags);
+/// The execution-group rule of an execute annotation (paper §IV-B,
+/// LogicGroupAttribute), in two steps. First the annotation's group is
+/// read against `target_groups`, the group names of the target
+/// (pdl::logic_groups): a group some PU carries restricts the call to it;
+/// an empty group restricts nothing, and neither does an unknown one, which
+/// also adds a warning. The result is the group to restrict to, "" for
+/// none.
+std::string_view execution_group(std::string_view group,
+                                 const std::vector<std::string>& target_groups,
+                                 pdl::Diagnostics& diags);
+
+/// Then a candidate may run a call restricted to `group` ("" = no
+/// restriction) when it is mapped to no PU or to at least one PU of the
+/// group.
+bool in_execution_group(const SelectedVariant& candidate, std::string_view group);
 
 }  // namespace cascabel

@@ -105,33 +105,6 @@ void TaskGraph::set_task_flops(int task, double flops) {
   tasks_[task].flops = flops;
 }
 
-int TaskGraph::root_of(int buffer) const {
-  if (buffer < 0 || buffer >= static_cast<int>(buffers_.size())) return -1;
-  int node = buffer;
-  while (buffers_[node].parent >= 0) node = buffers_[node].parent;
-  return node;
-}
-
-std::vector<TaskGraph::LiveInterval> TaskGraph::root_live_intervals() const {
-  std::vector<LiveInterval> intervals(buffers_.size());
-  for (int t = 0; t < static_cast<int>(tasks_.size()); ++t) {
-    for (const GraphAccess& access : tasks_[t].accesses) {
-      const int root = root_of(access.buffer);
-      if (root < 0) continue;
-      LiveInterval& li = intervals[root];
-      if (li.first_task < 0) li.first_task = t;
-      li.last_task = t;
-    }
-  }
-  // Non-root handles carry their root's interval so callers can index by
-  // whichever buffer id they hold.
-  for (int b = 0; b < static_cast<int>(buffers_.size()); ++b) {
-    const int root = root_of(b);
-    if (root >= 0 && root != b) intervals[b] = intervals[root];
-  }
-  return intervals;
-}
-
 std::uint64_t TaskGraph::total_root_bytes() const {
   std::uint64_t total = 0;
   for (const GraphBuffer& buffer : buffers_) {

@@ -168,22 +168,6 @@ class TaskGraph {
   /// registrations over one range — rules word their findings differently.
   bool same_lineage(int a, int b) const;
 
-  /// Root ancestor of a buffer in the partition tree (itself for roots);
-  /// -1 for out-of-range indices. Capacity analysis accounts whole
-  /// allocations: a transfer of any partition block moves its root.
-  int root_of(int buffer) const;
-
-  /// Liveness of a root allocation in submission order: the first and last
-  /// task touching the root or any of its partition blocks.
-  struct LiveInterval {
-    int first_task = -1;  ///< -1 when no task ever touches the root.
-    int last_task = -1;
-  };
-
-  /// One LiveInterval per buffer; non-root buffers carry the interval of
-  /// their root so footprint queries can index by any handle.
-  std::vector<LiveInterval> root_live_intervals() const;
-
   /// Sum of all root-buffer bytes — the total working set assuming every
   /// allocation is live at once (the capacity analyzer's upper bound).
   std::uint64_t total_root_bytes() const;

@@ -4,9 +4,10 @@
 #include <chrono>
 #include <iterator>
 #include <limits>
-#include <set>
 #include <thread>
 #include <utility>
+
+#include "starvm/device_heap.hpp"
 
 namespace starvm::detail {
 
@@ -106,51 +107,40 @@ class TaskFifo {
   std::size_t head_ = 0;  ///< index of the front task in buf_
 };
 
-/// (avail_vtime, device) ordered index with cached keys, so one device can
-/// be re-keyed in O(log n) when its clock advances. Backs pop_earliest():
-/// iterating from begin() visits devices in the same (avail, id) order the
-/// old per-iteration sort produced, without touching the other n-1 devices.
-class AvailIndex {
- public:
-  explicit AvailIndex(std::size_t devices) : key_(devices, kAbsent) {}
-
-  void insert(DeviceId device, double key) {
-    const auto d = static_cast<std::size_t>(device);
-    if (key_[d] != kAbsent) order_.erase({key_[d], device});
-    key_[d] = key;
-    order_.insert({key, device});
-  }
-
-  void erase(DeviceId device) {
-    const auto d = static_cast<std::size_t>(device);
-    if (key_[d] == kAbsent) return;
-    order_.erase({key_[d], device});
-    key_[d] = kAbsent;
-  }
-
-  bool contains(DeviceId device) const {
-    return key_[static_cast<std::size_t>(device)] != kAbsent;
-  }
-
-  /// Re-key if present; no-op for devices not in the index.
-  void rekey(DeviceId device, double key) {
-    if (contains(device)) insert(device, key);
-  }
-
-  auto begin() const { return order_.begin(); }
-  auto end() const { return order_.end(); }
-
- private:
-  // Virtual clocks are non-negative, so -1 can never collide with a real
-  // key; it marks "not in order_".
-  static constexpr double kAbsent = -1.0;
-  std::set<std::pair<double, DeviceId>> order_;
-  std::vector<double> key_;
-};
-
 double device_avail(const std::deque<DeviceState>& devices, DeviceId device) {
   return devices[static_cast<std::size_t>(device)].avail_vtime.load(
       std::memory_order_relaxed);
+}
+
+bool blacklisted(const std::deque<DeviceState>& devices, DeviceId device) {
+  return devices[static_cast<std::size_t>(device)].blacklisted.load(
+      std::memory_order_relaxed);
+}
+
+/// Every device of `devices`, keyed by its virtual clock.
+DeviceHeap avail_heap(const std::deque<DeviceState>& devices) {
+  DeviceHeap heap(devices.size());
+  for (std::size_t i = 0; i < devices.size(); ++i) {
+    heap.set(static_cast<DeviceId>(i), device_avail(devices, static_cast<DeviceId>(i)));
+  }
+  return heap;
+}
+
+/// The first live device in (avail_vtime, id) order that `pop` finds work
+/// for: what popping over every live device in that order would return.
+template <typename Pop>
+TaskNode* pop_in_avail_order(const DeviceHeap& avail,
+                             const std::deque<DeviceState>& devices, Pop&& pop,
+                             DeviceId* device) {
+  TaskNode* task = nullptr;
+  avail.walk([&](const DeviceHeap::Entry& e) {
+    const DeviceId d = e.device;  // pop(d) may move entries of `avail`
+    if (blacklisted(devices, d)) return true;
+    task = pop(d);
+    if (task != nullptr) *device = d;
+    return task == nullptr;
+  });
+  return task;
 }
 
 /// Single shared FIFO; the first idle device with a matching implementation
@@ -158,12 +148,7 @@ double device_avail(const std::deque<DeviceState>& devices, DeviceId device) {
 class EagerScheduler final : public Scheduler {
  public:
   explicit EagerScheduler(const std::deque<DeviceState>* devices)
-      : devices_(devices), avail_(devices->size()) {
-    for (std::size_t i = 0; i < devices->size(); ++i) {
-      avail_.insert(static_cast<DeviceId>(i),
-                    device_avail(*devices, static_cast<DeviceId>(i)));
-    }
-  }
+      : devices_(devices), avail_(avail_heap(*devices)) {}
 
   void push(TaskNode* task) override { priority_insert(queue_, task); }
 
@@ -193,17 +178,8 @@ class EagerScheduler final : public Scheduler {
     // device may come up empty-handed while a later one can run something;
     // keep scanning (bounded by the number of distinct device kinds in
     // practice — a capable device usually sits at the front).
-    for (const auto& [key, d] : avail_) {
-      if ((*devices_)[static_cast<std::size_t>(d)].blacklisted.load(
-              std::memory_order_relaxed)) {
-        continue;
-      }
-      if (TaskNode* task = pop(d)) {
-        *device = d;
-        return task;
-      }
-    }
-    return nullptr;
+    return pop_in_avail_order(
+        avail_, *devices_, [this](DeviceId d) { return pop(d); }, device);
   }
 
   void on_device_time_advanced(DeviceId device) override {
@@ -233,19 +209,14 @@ class EagerScheduler final : public Scheduler {
  private:
   const std::deque<DeviceState>* devices_;
   std::deque<TaskNode*> queue_;
-  AvailIndex avail_;  ///< every live device, keyed by its virtual clock
+  DeviceHeap avail_;  ///< every live device, keyed by its virtual clock
 };
 
 /// Per-device FIFOs with round-robin placement and back-stealing.
 class WorkStealingScheduler final : public Scheduler {
  public:
   explicit WorkStealingScheduler(const std::deque<DeviceState>* devices)
-      : devices_(devices), queues_(devices->size()), avail_(devices->size()) {
-    for (std::size_t i = 0; i < devices->size(); ++i) {
-      avail_.insert(static_cast<DeviceId>(i),
-                    device_avail(*devices, static_cast<DeviceId>(i)));
-    }
-  }
+      : devices_(devices), queues_(devices->size()), avail_(avail_heap(*devices)) {}
 
   void push(TaskNode* task) override {
     ++total_;
@@ -327,19 +298,10 @@ class WorkStealingScheduler final : public Scheduler {
 
   TaskNode* pop_earliest(DeviceId* device) override {
     if (total_ == 0) return nullptr;
-    for (const auto& [key, d] : avail_) {
-      if ((*devices_)[static_cast<std::size_t>(d)].blacklisted.load(
-              std::memory_order_relaxed)) {
-        continue;
-      }
-      // pop() steals when the device's own queue is empty, so the earliest
-      // device finds work as long as any capable task is queued anywhere.
-      if (TaskNode* task = pop(d)) {
-        *device = d;
-        return task;
-      }
-    }
-    return nullptr;
+    // pop() steals when the device's own queue is empty, so the earliest
+    // device finds work as long as any capable task is queued anywhere.
+    return pop_in_avail_order(
+        avail_, *devices_, [this](DeviceId d) { return pop(d); }, device);
   }
 
   void on_device_time_advanced(DeviceId device) override {
@@ -364,7 +326,7 @@ class WorkStealingScheduler final : public Scheduler {
   std::vector<TaskFifo> queues_;
   std::size_t next_ = 0;
   std::size_t total_ = 0;
-  AvailIndex avail_;  ///< every live device, keyed by its virtual clock
+  DeviceHeap avail_;  ///< every live device, keyed by its virtual clock
 };
 
 /// Model-based earliest-finish-time placement (StarPU dmda-like): each task
@@ -383,16 +345,11 @@ class HeftScheduler final : public Scheduler {
         classes_(classes),
         cost_fn_(std::move(cost_fn)),
         queues_(devices->size()),
-        est_avail_(devices->size(), 0.0),
-        class_of_(devices->size(), 0),
-        members_(classes->size()),
+        members_(devices->size(), member_counts(*classes)),
         ready_(devices->size()),
         oracle_(oracle) {
     for (std::size_t c = 0; c < classes->size(); ++c) {
-      for (const DeviceId m : (*classes)[c].members) {
-        class_of_[static_cast<std::size_t>(m)] = c;
-        members_[c].insert({0.0, m});
-      }
+      for (const DeviceId m : (*classes)[c].members) members_.set(m, 0.0, c);
     }
   }
 
@@ -406,12 +363,11 @@ class HeftScheduler final : public Scheduler {
     for (std::size_t c = 0; c < classes_->size(); ++c) {
       const PlacementClass& pc = (*classes_)[c];
       if (!task->codelet->supports(pc.kind)) continue;
-      const auto& members = members_[c];
-      if (members.empty()) continue;  // every member blacklisted
+      if (members_.empty(c)) continue;  // every member blacklisted
       // The cheapest member is the class's candidate: all members share one
       // cost estimate, so the smallest backlog finishes first, ties to the
       // lowest device id (the exhaustive scan's tie-break).
-      const auto& [est, dev] = *members.begin();
+      const auto& [est, dev] = members_.top(c);
       const double finish = std::max(est, ready) + costs_[c];
       if (finish < best_finish) {
         best_finish = finish;
@@ -422,26 +378,28 @@ class HeftScheduler final : public Scheduler {
     if (best_device < 0) {
       // Unreachable in practice (the engine validates codelets against the
       // platform), but keeps the invariant "pushed tasks are never dropped":
-      // park on queue 0 without touching the class candidate sets.
+      // park on queue 0 without touching the class candidate heaps.
       queues_[0].push_back(task);
       ++total_;
-      if (queues_[0].size() == 1) ready_.insert(0, device_avail(*devices_, 0));
+      if (queues_[0].size() == 1) ready_.set(0, device_avail(*devices_, 0));
       return;
     }
     if (oracle_ != nullptr) {
       // Placement-class member resolution is a genuine choice point: every
       // member whose estimated backlog ties the minimum finishes the task at
       // the same modeled time. The canonical pick (alternative 0) is the
-      // lowest device id — exactly what *members.begin() yields — so replay
+      // lowest device id — exactly what members_.top() yields — so replay
       // with a CanonicalOracle is byte-identical to running with none.
-      const auto& members = members_[best_class];
-      const double min_est = members.begin()->first;
+      const double min_est = members_.top(best_class).key;
       ChoicePoint cp;
       cp.kind = ChoiceKind::kMember;
-      for (const auto& [est, dev] : members) {
-        if (est != min_est) break;  // (est, id) order: ties are a prefix
-        cp.alts.push_back({task->id, dev});
-      }
+      members_.walk(
+          [&](const DeviceHeap::Entry& e) {
+            if (e.key != min_est) return false;  // (est, id) order: ties first
+            cp.alts.push_back({task->id, e.device});
+            return true;
+          },
+          best_class);
       if (cp.alts.size() > 1) {
         const int pick = oracle_->choose(cp);
         best_device = cp.alts[static_cast<std::size_t>(pick)].device;
@@ -449,15 +407,12 @@ class HeftScheduler final : public Scheduler {
         oracle_->note(ChoiceKind::kMember, task->id, best_device);
       }
     }
-    auto& members = members_[best_class];
-    members.erase({est_avail_[static_cast<std::size_t>(best_device)], best_device});
-    est_avail_[static_cast<std::size_t>(best_device)] = best_finish;
-    members.insert({best_finish, best_device});
+    members_.set(best_device, best_finish, best_class);
     auto& queue = queues_[static_cast<std::size_t>(best_device)];
     queue.push_back(task);
     ++total_;
     if (queue.size() == 1) {
-      ready_.insert(best_device, device_avail(*devices_, best_device));
+      ready_.set(best_device, device_avail(*devices_, best_device));
     }
   }
 
@@ -472,27 +427,17 @@ class HeftScheduler final : public Scheduler {
   }
 
   TaskNode* peek(DeviceId device) const override {
-    if ((*devices_)[static_cast<std::size_t>(device)].blacklisted.load(
-            std::memory_order_relaxed)) {
-      return nullptr;
-    }
+    if (blacklisted(*devices_, device)) return nullptr;
     const auto& own = queues_[static_cast<std::size_t>(device)];
     return own.empty() ? nullptr : own.front();
   }
 
   TaskNode* pop_earliest(DeviceId* device) override {
     // ready_ holds exactly the devices with queued work, keyed by their
-    // virtual clock, so the front entry is the device the old sorted scan
-    // would have reached first. Blacklisted devices were drained out.
-    for (const auto& [key, d] : ready_) {
-      if ((*devices_)[static_cast<std::size_t>(d)].blacklisted.load(
-              std::memory_order_relaxed)) {
-        continue;
-      }
-      *device = d;
-      return pop(d);
-    }
-    return nullptr;
+    // virtual clock, so its first live entry is the device the old sorted
+    // scan would have reached first. Blacklisted devices were drained out.
+    return pop_in_avail_order(
+        ready_, *devices_, [this](DeviceId d) { return pop(d); }, device);
   }
 
   void on_device_time_advanced(DeviceId device) override {
@@ -504,31 +449,34 @@ class HeftScheduler final : public Scheduler {
   std::size_t size() const override { return total_; }
 
   std::vector<TaskNode*> drain_device(DeviceId device) override {
-    const auto d = static_cast<std::size_t>(device);
-    auto& q = queues_[d];
+    auto& q = queues_[static_cast<std::size_t>(device)];
     std::vector<TaskNode*> drained(q.begin(), q.end());
     q.clear();
     total_ -= drained.size();
     ready_.erase(device);
-    // The dead device stops being a class candidate, and its backlog
-    // estimate is meaningless now; re-pushed tasks will rebuild est_avail_
-    // on the survivors.
-    members_[class_of_[d]].erase({est_avail_[d], device});
-    est_avail_[d] = 0.0;
+    // The dead device stops being a class candidate; re-pushed tasks are
+    // placed on the survivors.
+    members_.erase(device);
     return drained;
   }
 
  private:
+  static std::vector<std::size_t> member_counts(const PlacementClassSet& classes) {
+    std::vector<std::size_t> counts;
+    counts.reserve(classes.size());
+    for (const PlacementClass& pc : classes) counts.push_back(pc.members.size());
+    return counts;
+  }
+
   const std::deque<DeviceState>* devices_;
   const PlacementClassSet* classes_;
   CostClassFn cost_fn_;
   std::vector<TaskFifo> queues_;
-  std::vector<double> est_avail_;
-  std::vector<std::size_t> class_of_;
-  /// Per-class live members ordered by (estimated backlog, id); begin() is
-  /// the class candidate HEFT compares against the other classes.
-  std::vector<std::set<std::pair<double, DeviceId>>> members_;
-  AvailIndex ready_;  ///< devices with queued work, keyed by virtual clock
+  /// One heap per placement class over its live members, keyed by estimated
+  /// backlog; top(c) is the class candidate HEFT compares against the
+  /// other classes.
+  DeviceHeap members_;
+  DeviceHeap ready_;  ///< devices with queued work, keyed by virtual clock
   std::size_t total_ = 0;
   std::vector<double> costs_;  ///< scratch row (engine mutex held)
   DecisionOracle* oracle_ = nullptr;  ///< member-tie resolution; nullable

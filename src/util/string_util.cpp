@@ -1,7 +1,6 @@
 #include "util/string_util.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
 #include <charconv>
 #include <cmath>
@@ -59,17 +58,30 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep) {
   return out;
 }
 
+namespace {
+
+// ASCII only, whatever the process locale: std::tolower follows it, and in
+// a Turkish locale 'I' does not fold to 'i', so "RISCV" would not equal
+// "riscv".
+char ascii_lower(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
+char ascii_upper(char c) {
+  return c >= 'a' && c <= 'z' ? static_cast<char>(c - 'a' + 'A') : c;
+}
+
+}  // namespace
+
 std::string to_lower(std::string_view s) {
   std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
+  std::transform(out.begin(), out.end(), out.begin(), ascii_lower);
   return out;
 }
 
 std::string to_upper(std::string_view s) {
   std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::toupper(c)); });
+  std::transform(out.begin(), out.end(), out.begin(), ascii_upper);
   return out;
 }
 
@@ -84,8 +96,7 @@ bool ends_with(std::string_view s, std::string_view suffix) {
 bool iequals(std::string_view a, std::string_view b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
+    if (ascii_lower(a[i]) != ascii_lower(b[i])) {
       return false;
     }
   }

@@ -3,6 +3,7 @@
 #include "cascabel/builtin_variants.hpp"
 #include "cascabel/selection.hpp"
 #include "discovery/presets.hpp"
+#include "pdl/query.hpp"
 
 namespace cascabel {
 namespace {
@@ -151,26 +152,60 @@ TEST(Preselect, CellVariantsSelectOnCellPlatform) {
   EXPECT_EQ(selected_names(result, "I").size(), 2u);
 }
 
+/// The candidate of `interface_name` named `variant`, or null.
+const SelectedVariant* candidate_named(const SelectionResult& result,
+                                       const std::string& interface_name,
+                                       const std::string& variant) {
+  const auto* candidates = result.candidates(interface_name);
+  if (candidates == nullptr) return nullptr;
+  for (const auto& c : *candidates) {
+    if (c.variant->pragma.variant_name == variant) return &c;
+  }
+  return nullptr;
+}
+
 TEST(ResolveExecutionGroup, FindsDeclaredGroups) {
   pdl::Platform target = paper_platform_starpu_2gpu();
+  const auto groups = pdl::logic_groups(target);
   pdl::Diagnostics diags;
-  EXPECT_EQ(resolve_execution_group(target, "gpu", diags).size(), 2u);
-  EXPECT_EQ(resolve_execution_group(target, "cpu", diags).size(), 1u);
+  EXPECT_EQ(execution_group("gpu", groups, diags), "gpu");
+  EXPECT_EQ(execution_group("cpu", groups, diags), "cpu");
   EXPECT_TRUE(diags.empty());
+
+  // "gpu" admits the variant mapped onto the two GPU Workers and not the
+  // one mapped onto the CPU cores; "cpu" the other way round.
+  TaskRepository repo = builtin_repo();
+  const SelectionResult result = preselect(repo, target, diags);
+  const SelectedVariant* cublas = candidate_named(result, "Idgemm", "dgemm_cublas");
+  const SelectedVariant* smp = candidate_named(result, "Idgemm", "dgemm_smp");
+  ASSERT_NE(cublas, nullptr);
+  ASSERT_NE(smp, nullptr);
+  EXPECT_TRUE(in_execution_group(*cublas, "gpu"));
+  EXPECT_FALSE(in_execution_group(*cublas, "cpu"));
+  EXPECT_TRUE(in_execution_group(*smp, "cpu"));
+  EXPECT_FALSE(in_execution_group(*smp, "gpu"));
 }
 
 TEST(ResolveExecutionGroup, UnknownGroupFallsBackToAllPusWithWarning) {
   pdl::Platform target = paper_platform_starpu_cpu();
   pdl::Diagnostics diags;
-  const auto pus = resolve_execution_group(target, "nonexistent", diags);
-  EXPECT_EQ(pus.size(), 2u);  // master + cpu_cores worker node
+  EXPECT_EQ(execution_group("nonexistent", pdl::logic_groups(target), diags), "");
   EXPECT_EQ(pdl::count_severity(diags, pdl::Severity::kWarning), 1u);
+  // No restriction: every candidate may run the call.
+  TaskRepository repo = builtin_repo();
+  pdl::Diagnostics selection_diags;
+  const SelectionResult result = preselect(repo, target, selection_diags);
+  const auto* candidates = result.candidates("Idgemm");
+  ASSERT_NE(candidates, nullptr);
+  for (const auto& c : *candidates) {
+    EXPECT_TRUE(in_execution_group(c, "")) << c.variant->pragma.variant_name;
+  }
 }
 
 TEST(ResolveExecutionGroup, EmptyGroupMeansEverything) {
   pdl::Platform target = paper_platform_starpu_cpu();
   pdl::Diagnostics diags;
-  EXPECT_EQ(resolve_execution_group(target, "", diags).size(), 2u);
+  EXPECT_EQ(execution_group("", pdl::logic_groups(target), diags), "");
   EXPECT_TRUE(diags.empty());
 }
 

@@ -2,22 +2,25 @@
 // 1000-PU platform.
 //
 // The lock-split engine amortizes node and handle storage through
-// chunked arenas (detail::Arena) and caches perf-model rows per codelet,
-// so steady-state submission must average only a few heap allocations
-// per task (the TaskDesc buffer vector and occasional arena/queue
-// growth). AllocBudget.SubmissionAveragesFewAllocationsPerTask counts
-// global operator new calls around a pure-sim submit loop and fails if
-// the average regresses — e.g. a reintroduced per-task map lookup,
-// string build, or candidate-vector copy.
+// chunked arenas (detail::Arena), caches perf-model rows per codelet and
+// keeps the simulation schedulers' device orders in flat indexed heaps
+// (starvm/device_heap.hpp), so steady-state submission must average
+// barely more than one heap allocation per task (the TaskDesc buffer
+// vector, plus occasional arena/queue growth).
+// AllocBudget.SubmissionAveragesFewAllocationsPerTask counts global
+// operator new calls around a pure-sim submit loop and fails if the
+// average regresses — e.g. a reintroduced per-task map lookup, string
+// build, candidate-vector copy or tree node.
 //
-// Set-up must cost what its work costs, not a fixed toll per PU. Three
+// Set-up must cost what its work costs, not a fixed toll per PU. Four
 // budgets count the calls that a translated program makes once per
 // target: building and destroying a deterministic engine over 1000
-// devices (no per-device ready queues until a device is given work),
-// pre-selecting the builtin repository against a 1000-worker description
-// (no mismatch reason formatted for a PU whose reason nobody reads) and
-// validating that description (no locator built for a PU without a
-// finding).
+// devices (no per-device ready queue or tree node), pre-selecting the
+// builtin repository against a 1000-worker description (no mismatch
+// reason formatted for a PU whose reason nobody reads), validating that
+// description (no locator built for a PU without a finding) and
+// constructing the cascabel::rt::Context that runs it (no copy of the
+// description kept).
 //
 // Built as its own binary (test_starvm_alloc) so the interposed
 // operator new cannot perturb the rest of the suite, and skipped under
@@ -27,10 +30,12 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "cascabel/builtin_variants.hpp"
+#include "cascabel/rt.hpp"
 #include "cascabel/selection.hpp"
 #include "discovery/presets.hpp"
 #include "pdl/query.hpp"
@@ -67,7 +72,9 @@ void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
 }
 
 void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// Out of line: inlined into a caller, GCC 12 pairs this free() with the
+// operator new above and reports a false -Wmismatched-new-delete.
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 #endif  // !PDL_UNDER_SANITIZER
 
@@ -116,10 +123,11 @@ TEST(AllocBudget, SubmissionAveragesFewAllocationsPerTask) {
   const double per_task =
       static_cast<double>(after - before) / static_cast<double>(kTasks - 64);
   RecordProperty("allocs_per_task", static_cast<int>(per_task * 100));
-  // Budget: TaskDesc's buffer vector (1) + handle-name string path +
-  // amortized arena/trace growth. Seed behaviour was ~3; fail well before
-  // a per-task map/string/vector regression (each adds >= 1).
-  EXPECT_LT(per_task, 5.0) << "allocations per submitted task regressed";
+  // Budget: TaskDesc's buffer vector (1) + amortized arena/trace growth.
+  // The scheduler's device orders are flat heaps, so placing a task
+  // allocates nothing; a per-task map, string, vector or tree node (each
+  // adds >= 1) fails here.
+  EXPECT_LT(per_task, 2.0) << "allocations per submitted task regressed";
 }
 
 /// operator new calls made while `f` runs.
@@ -169,11 +177,43 @@ TEST(AllocBudget, EngineSetUpAllocatesFewPerDevice) {
   const std::uint64_t allocations = allocations_during(
       [&] { Engine engine(std::move(engine_config)); });
   RecordProperty("allocations", static_cast<int>(allocations));
-  // Per device: its share of the device deque and HEFT's class-member set
-  // node. A ready queue built up front (a std::deque allocates a map and a
-  // node when constructed) adds two per device for each such queue.
-  EXPECT_LT(allocations, 3u * kDevices)
+  // Per device: only its share of the device deque. The scheduler's device
+  // orders are flat arrays, not a tree node per device, and a ready queue
+  // built up front (a std::deque allocates a map and a node when
+  // constructed) would add two per device.
+  EXPECT_LT(allocations, 1u * kDevices)
       << "engine set-up allocates per device again";
+}
+
+TEST(AllocBudget, ContextSetUpAllocatesFewPerPu) {
+  if (PDL_UNDER_SANITIZER) {
+    GTEST_SKIP() << "sanitizer owns the allocator";
+  }
+  cascabel::rt::Options options;
+  options.mode = ExecutionMode::kDeterministic;
+  {
+    // The first context registers the selection counters.
+    cascabel::TaskRepository repo = cascabel::TaskRepository::with_defaults();
+    cascabel::register_builtin_variants(repo);
+    cascabel::rt::Context warm_up(pdl::discovery::paper_platform_starpu_cpu(),
+                                  std::move(repo), options);
+  }
+  const pdl::Platform target = wide_platform();
+  const std::size_t pus = pdl::all_pus(target).size();
+  cascabel::TaskRepository repo = cascabel::TaskRepository::with_defaults();
+  cascabel::register_builtin_variants(repo);
+
+  std::optional<cascabel::rt::Context> ctx;
+  const std::uint64_t allocations =
+      allocations_during([&] { ctx.emplace(target, std::move(repo), options); });
+  RecordProperty("allocations", static_cast<int>(allocations));
+  ASSERT_EQ(ctx->engine().device_count(), 1000u);
+  EXPECT_FALSE(pdl::has_errors(ctx->diagnostics()));
+  // Per PU: the two allocations of its device's flight ring, its share of
+  // the engine's device deque and of pre-selection. The context reads the
+  // description and keeps no copy of it, which would add about five per PU
+  // (the PU, its descriptor and group vectors, long property strings).
+  EXPECT_LT(allocations, 4 * pus) << "context set-up allocates per PU again";
 }
 
 TEST(AllocBudget, PreselectAllocatesLessThanOncePerPu) {

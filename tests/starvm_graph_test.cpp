@@ -174,41 +174,6 @@ TEST(TaskGraph, OverlappingExplicitRangesAreModeled) {
   EXPECT_FALSE(g.same_lineage(a, b));
 }
 
-TEST(TaskGraph, RootOfWalksPartitionLineage) {
-  TaskGraph g;
-  const int root = g.add_buffer("m", 1000);
-  const auto rows = g.partition(root, 2);
-  const auto tiles = g.partition(rows[0], 2);
-  EXPECT_EQ(g.root_of(root), root);
-  EXPECT_EQ(g.root_of(rows[1]), root);
-  EXPECT_EQ(g.root_of(tiles[0]), root);
-  EXPECT_EQ(g.root_of(-1), -1);
-  EXPECT_EQ(g.root_of(999), -1);
-}
-
-TEST(TaskGraph, RootLiveIntervalsSpanFirstToLastTouch) {
-  TaskGraph g;
-  const int a = g.add_buffer("a", 100);
-  const int b = g.add_buffer("b", 100);
-  const int idle = g.add_buffer("idle", 100);
-  const auto blocks = g.partition(b, 2);
-  g.add_task("t0", {{a, Access::kWrite}});
-  g.add_task("t1", {{blocks[0], Access::kWrite}});
-  g.add_task("t2", {{a, Access::kRead}, {blocks[1], Access::kRead}});
-  const auto live = g.root_live_intervals();
-  EXPECT_EQ(live[static_cast<std::size_t>(a)].first_task, 0);
-  EXPECT_EQ(live[static_cast<std::size_t>(a)].last_task, 2);
-  // A block touch counts against the root, and blocks carry the root's
-  // interval so footprint queries can index by any handle.
-  EXPECT_EQ(live[static_cast<std::size_t>(b)].first_task, 1);
-  EXPECT_EQ(live[static_cast<std::size_t>(b)].last_task, 2);
-  EXPECT_EQ(live[static_cast<std::size_t>(blocks[0])].first_task, 1);
-  EXPECT_EQ(live[static_cast<std::size_t>(blocks[0])].last_task, 2);
-  // Never-touched roots report an empty interval.
-  EXPECT_EQ(live[static_cast<std::size_t>(idle)].first_task, -1);
-  EXPECT_EQ(live[static_cast<std::size_t>(idle)].last_task, -1);
-}
-
 TEST(TaskGraph, TotalRootBytesCountsRootsOnly) {
   TaskGraph g;
   g.add_buffer("a", 300);

@@ -57,6 +57,26 @@ TEST(StringUtil, IequalsIsCaseInsensitive) {
   EXPECT_FALSE(iequals("abc", "abd"));
 }
 
+TEST(StringUtil, CaseFoldingIsAsciiOnly) {
+  // Every byte pair against a reference that folds A-Z and nothing else:
+  // the result may not depend on the process locale (in a Turkish one,
+  // std::tolower('I') is not 'i').
+  const auto fold = [](int c) { return c >= 'A' && c <= 'Z' ? c - 'A' + 'a' : c; };
+  for (int a = 0; a < 256; ++a) {
+    const char ca = static_cast<char>(a);
+    const std::string_view sa(&ca, 1);
+    ASSERT_EQ(static_cast<unsigned char>(to_lower(sa)[0]), fold(a)) << a;
+    const int upper = a >= 'a' && a <= 'z' ? a - 'a' + 'A' : a;
+    ASSERT_EQ(static_cast<unsigned char>(to_upper(sa)[0]), upper) << a;
+    for (int b = 0; b < 256; ++b) {
+      const char cb = static_cast<char>(b);
+      ASSERT_EQ(iequals(sa, std::string_view(&cb, 1)), fold(a) == fold(b))
+          << a << " vs " << b;
+    }
+  }
+  EXPECT_TRUE(iequals("RISCV", "riscv"));
+}
+
 TEST(StringUtil, StartsEndsWith) {
   EXPECT_TRUE(starts_with("cascabel task", "cascabel"));
   EXPECT_FALSE(starts_with("cas", "cascabel"));

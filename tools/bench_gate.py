@@ -16,7 +16,8 @@ fresh results, so they hold on any machine:
     teardown) with the flight recorder costs at most MAX_RECORDER_RATIO
     times as much as its RecorderOff twin. Its cost over the 4-device
     engine, which drains the same 1000 tasks, is the price of set-up for
-    1000 devices; it is printed, not gated (too noisy in short runs);
+    1000 devices; it is printed, not gated (too noisy in short runs), with
+    and without the recorder;
   * BM_VariantSelection: the warm-store round beats the cold one;
   * bm_dgemm_kernels (--kernels): dgemm_tiled at n = 256 reaches at least
     MIN_TILED_SPEEDUP times the GFLOPS of dgemm_blocked. Its share of the
@@ -137,6 +138,9 @@ def main():
     four = real_time(dag, path, "BM_EngineLifecycle/4/real_time")
     print(f"info  engine lifecycle, 1000 vs 4 devices (same 1000 tasks): "
           f"x{on / four:.2f}")
+    off_four = real_time(dag, path, "BM_EngineLifecycleRecorderOff/4/real_time")
+    print(f"info  engine lifecycle without the flight recorder, 1000 vs 4 "
+          f"devices (same 1000 tasks): x{off / off_four:.2f}")
 
     path, autotune = fresh["BENCH_pr9_autotune.json"]
     cold = real_time(autotune, path, "BM_VariantSelectionColdStore")
