@@ -110,9 +110,7 @@ void analyze_accuracy(const starvm::TaskGraph& graph,
 
     std::vector<int> pure_reads;
     for (const starvm::GraphAccess& a : task.accesses) {
-      if (a.buffer >= 0 && a.mode == starvm::Access::kRead) {
-        pure_reads.push_back(a.buffer);
-      }
+      if (a.mode == starvm::Access::kRead) pure_reads.push_back(a.buffer);
     }
 
     // Magnitude product over the pure-read inputs (1 for generator tasks).
@@ -169,7 +167,7 @@ void analyze_accuracy(const starvm::TaskGraph& graph,
     }
 
     for (const starvm::GraphAccess& a : task.accesses) {
-      if (a.buffer < 0 || a.mode == starvm::Access::kRead) continue;
+      if (a.mode == starvm::Access::kRead) continue;
       const auto b = static_cast<std::size_t>(a.buffer);
       BufferState& out = state[b];
 

@@ -525,7 +525,7 @@ void analyze_task_graph(const starvm::TaskGraph& graph, const AnalysisOptions& o
           if (x.buffer == y.buffer) {
             // Same handle: the engine orders these itself, so they are
             // hazards only when the relaxed model is requested.
-            if (!options.relaxed || x.buffer < 0) continue;
+            if (!options.relaxed) continue;
             const std::string& buf = buffers[x.buffer].name;
             if (starvm::writes(x.mode) && starvm::writes(y.mode)) {
               emit_pair(a, b, x.buffer, y.buffer, kUnorderedWriteWrite,
@@ -542,22 +542,13 @@ void analyze_task_graph(const starvm::TaskGraph& graph, const AnalysisOptions& o
           } else if (graph.ranges_overlap(x.buffer, y.buffer)) {
             // Distinct handles over one memory range: invisible to the
             // engine's per-handle inference in every mode.
-            const std::string& buf_x = buffers[x.buffer].name;
-            const std::string& buf_y = buffers[y.buffer].name;
-            std::string message;
-            if (graph.same_lineage(x.buffer, y.buffer)) {
-              message = "task '" + tasks[a].name + "' accesses buffer '" + buf_x +
-                        "' while task '" + tasks[b].name + "' accesses '" + buf_y +
-                        "' — a parent handle and its partition block used "
-                        "concurrently";
-            } else {
-              message = "tasks '" + tasks[a].name + "' and '" + tasks[b].name +
-                        "' access distinct buffers '" + buf_x + "' and '" + buf_y +
-                        "' that overlap the same memory with no ordering between "
-                        "them";
-            }
             emit_pair(a, b, std::min(x.buffer, y.buffer), std::max(x.buffer, y.buffer),
-                      kPartitionAliasing, std::move(message));
+                      kPartitionAliasing,
+                      "tasks '" + tasks[a].name + "' and '" + tasks[b].name +
+                          "' access distinct buffers '" + buffers[x.buffer].name +
+                          "' and '" + buffers[y.buffer].name +
+                          "' that overlap the same memory with no ordering "
+                          "between them");
           }
         }
       }

@@ -101,12 +101,12 @@ pdl::util::Result<starvm::TaskGraph> parse_graph_text(
           return at(filename, lineno, "bad base '" + base_token + "'");
         }
         id = graph.add_buffer_at(name, base, bytes, loc);
-        if (id < 0) {
-          return at(filename, lineno,
-                    "buffer '" + name + "' wraps past 2^64 (base + bytes)");
-        }
       } else {
         id = graph.add_buffer(name, bytes, loc);
+      }
+      if (id < 0) {
+        return at(filename, lineno,
+                  "buffer '" + name + "' wraps past 2^64 (base + bytes)");
       }
       buffer_ids[name] = id;
       continue;

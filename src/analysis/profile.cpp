@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <deque>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -219,15 +218,13 @@ pdl::util::Result<starvm::EngineStats> run_graph_on_platform(
   options.dedicate_driver_cores = false;
   auto config = starvm::engine_config_from_platform(platform, options, origins);
   if (!config.ok()) return config.error();
-  // A fault-free run: the analysis must not depend on $PDL_FAULT_PLAN.
-  config.value().fault_plan = std::make_shared<const starvm::FaultPlan>();
 
   // Pure-sim runs no kernel, so no buffer byte is ever read or written:
   // every handle aliases one shared word and only its registered extent
   // reaches the transfer model. Declared before the engine so the engine
   // dies first.
   double shared = 0.0;
-  std::deque<starvm::Codelet> codelets;  // deque: stable addresses
+  std::vector<starvm::Codelet> codelets(graph.tasks().size());
   std::unique_ptr<starvm::Engine> engine;
   try {
     engine = std::make_unique<starvm::Engine>(std::move(config).value());
@@ -244,11 +241,9 @@ pdl::util::Result<starvm::EngineStats> run_graph_on_platform(
         std::max<std::size_t>(1, static_cast<std::size_t>(buffer.bytes / 8));
     handles.push_back(engine->register_vector(&shared, doubles, buffer.name));
   }
-
-  const std::vector<starvm::GraphTask>& tasks = graph.tasks();
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    const starvm::GraphTask& task = tasks[i];
-    starvm::Codelet& codelet = codelets.emplace_back();
+  for (std::size_t i = 0; i < codelets.size(); ++i) {
+    const starvm::GraphTask& task = graph.tasks()[i];
+    starvm::Codelet& codelet = codelets[i];
     codelet.name = task.name;
     codelet.impls = {{starvm::DeviceKind::kCpu, {}},
                      {starvm::DeviceKind::kAccelerator, {}}};
@@ -256,27 +251,8 @@ pdl::util::Result<starvm::EngineStats> run_graph_on_platform(
     codelet.flops = [flops](const std::vector<starvm::BufferView>&) {
       return flops;
     };
-
-    starvm::TaskDesc desc;
-    desc.codelet = &codelet;
-    desc.label = task.name;
-    for (const starvm::GraphAccess& access : task.accesses) {
-      if (access.buffer < 0 ||
-          static_cast<std::size_t>(access.buffer) >= handles.size()) {
-        continue;
-      }
-      desc.buffers.push_back(
-          {handles[static_cast<std::size_t>(access.buffer)], access.mode});
-    }
-    // Task ids are dense from 1 in submission order, so graph index d maps
-    // to id d + 1; forward references are dropped like the engine drops them.
-    for (const int dep : task.declared_deps) {
-      if (dep >= 0 && static_cast<std::size_t>(dep) < i) {
-        desc.depends_on.push_back(static_cast<starvm::TaskId>(dep + 1));
-      }
-    }
-    engine->submit(std::move(desc));
   }
+  starvm::submit_graph(*engine, graph, handles, codelets);
   // A failed drain still yields a profile-worthy trace; the stats carry the
   // errors for the caller to surface.
   (void)engine->wait_all();

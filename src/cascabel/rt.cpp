@@ -86,17 +86,21 @@ Context::Context(const pdl::Platform& target, TaskRepository repository,
   } else {
     engine_config = std::move(config).value();
   }
+  // The front end of generated programs resolves the environment once;
+  // the engine itself reads none.
   engine_config.fault_tolerance = options_.fault_tolerance;
-  engine_config.fault_plan = options_.fault_plan;
-  engine_config.perf_store_path = options_.perf_store_path;
+  engine_config.fault_plan = options_.fault_plan
+                                 ? options_.fault_plan
+                                 : starvm::FaultPlan::from_env();
+  engine_config.perf_store_path = options_.perf_store_path.empty()
+                                      ? starvm::perf_store::env_store_path()
+                                      : options_.perf_store_path;
 
   // Load the same store the engine will preload, so static pre-selection
   // ranks variants by measured rate (paper §IV-C step 2, but from learned
   // history instead of declared properties). Any rejection degrades to
   // declared-rate selection — the engine counts it in EngineStats too.
-  const std::string store_path = options_.perf_store_path.empty()
-                                     ? starvm::perf_store::env_store_path()
-                                     : options_.perf_store_path;
+  const std::string& store_path = engine_config.perf_store_path;
   SelectionOptions sel_options;
   sel_options.min_samples = options_.perf_min_samples;
   sel_options.accuracy = options_.accuracy;

@@ -63,12 +63,14 @@ struct Options {
   starvm::BridgeOptions bridge;
   /// Engine recovery policy (retries, backoff, blacklist, watchdog).
   starvm::FaultToleranceConfig fault_tolerance;
-  /// Deterministic fault injection; nullptr = engine consults PDL_FAULT_PLAN.
+  /// Deterministic fault injection; nullptr = the PDL_FAULT_PLAN
+  /// environment variable, resolved once here (the engine reads none).
   std::shared_ptr<const starvm::FaultPlan> fault_plan;
   /// Persisted perf store (docs/RUNTIME.md "Persisted performance models"):
   /// forwarded to EngineConfig::perf_store_path, and the same file is read
   /// up front so static pre-selection ranks variants by measured rate.
-  /// Empty = consult PDL_PERF_STORE ("0"/unset disables persistence).
+  /// Empty = the PDL_PERF_STORE environment variable, resolved once here
+  /// ("0"/unset disables persistence; the engine reads none).
   std::string perf_store_path;
   /// Sample-count threshold before a store entry may override declared
   /// rates in pre-selection (SelectionOptions::min_samples).

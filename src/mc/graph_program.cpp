@@ -111,12 +111,11 @@ pdl::util::Result<Program> make_graph_program(const starvm::TaskGraph& graph,
         std::move(parsed).value());
   }
 
-  // Storage: one arena covering the furthest declared byte; root buffers
-  // map to element spans at their base offsets (8-byte elements).
+  // Storage: one arena covering the furthest declared byte; buffers map to
+  // element spans at their base offsets (8-byte elements).
   const auto& buffers = state->graph.buffers();
   std::uint64_t extent = 0;
   for (const starvm::GraphBuffer& b : buffers) {
-    if (b.parent >= 0) continue;
     extent = std::max(extent, b.base + b.bytes);
   }
   state->storage.assign(static_cast<std::size_t>((extent + 7) / 8), 0.0);
@@ -182,28 +181,15 @@ pdl::util::Result<Program> make_graph_program(const starvm::TaskGraph& graph,
   program.body = [state](starvm::Engine& engine) {
     state->reset_storage();
     const auto& bufs = state->graph.buffers();
-    std::vector<starvm::DataHandle*> handles(bufs.size(), nullptr);
+    std::vector<starvm::DataHandle*> handles;
+    handles.reserve(bufs.size());
     for (std::size_t b = 0; b < bufs.size(); ++b) {
-      if (bufs[b].parent >= 0) continue;  // blocks come from partition()
       auto [offset, count] = state->spans[b];
-      handles[b] = engine.register_vector(state->storage.data() + offset,
-                                          std::max<std::size_t>(count, 1),
-                                          bufs[b].name);
+      handles.push_back(engine.register_vector(state->storage.data() + offset,
+                                               std::max<std::size_t>(count, 1),
+                                               bufs[b].name));
     }
-    const auto& graph_tasks = state->graph.tasks();
-    for (std::size_t t = 0; t < graph_tasks.size(); ++t) {
-      starvm::TaskDesc desc;
-      desc.codelet = &state->codelets[t];
-      desc.label = state->codelets[t].name;
-      for (const starvm::GraphAccess& access : graph_tasks[t].accesses) {
-        desc.buffers.push_back(
-            {handles[static_cast<std::size_t>(access.buffer)], access.mode});
-      }
-      for (int dep : graph_tasks[t].declared_deps) {
-        desc.depends_on.push_back(static_cast<starvm::TaskId>(dep + 1));
-      }
-      engine.submit(std::move(desc));
-    }
+    starvm::submit_graph(engine, state->graph, handles, state->codelets);
   };
   program.output_hash = [state]() { return state->output_hash(); };
   program.conflicts = [state](starvm::TaskId a, starvm::TaskId b) {

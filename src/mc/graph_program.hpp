@@ -1,12 +1,13 @@
 // Turn a recorded TaskGraph (graph_io fixture text or a programmatically
 // built graph) into a model-checkable mc::Program.
 //
-// The generated program owns real storage for every root buffer — honoring
-// declared base addresses, so aliased registrations share bytes — and runs
-// a deterministic integer-valued mixing kernel per task: reads are summed,
-// writes accumulate a value derived from the task and its inputs. All
-// arithmetic stays exact in doubles (integers well below 2^53), so the
-// output hash is bit-stable and additive writes commute exactly: two
+// The generated program owns real storage for every buffer — honoring
+// declared base addresses, so aliased registrations share bytes — submits
+// the graph through starvm::submit_graph (the lowering the A5xx plan uses
+// too) and runs a deterministic integer-valued mixing kernel per task:
+// reads are summed, writes accumulate a value derived from the task and its
+// inputs. All arithmetic stays exact in doubles (integers well below 2^53),
+// so the output hash is bit-stable and additive writes commute exactly: two
 // unordered writers over an aliased range produce the same bytes in either
 // order, which is what lets the explorer demand numeric equivalence across
 // interleavings (A602) even on aliased-WAW graphs.

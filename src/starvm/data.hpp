@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "starvm/dependency.hpp"
 #include "starvm/types.hpp"
 
 namespace starvm {
@@ -77,9 +78,9 @@ class DataHandle {
   /// construction). A plain word instead of vector<bool> keeps handle
   /// registration allocation-free. Guarded by the engine's memory mutex.
   std::uint64_t valid_ = 0;
-  /// Dependency-inference tails, guarded by the engine's submit mutex.
-  detail::TaskNode* last_writer_ = nullptr;
-  std::vector<detail::TaskNode*> readers_since_write_;
+  /// Dependency-inference tail (dependency.hpp), guarded by the engine's
+  /// submit mutex.
+  AccessTail<detail::TaskNode*> tail_;
 };
 
 }  // namespace starvm

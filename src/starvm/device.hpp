@@ -95,15 +95,15 @@ struct EngineConfig {
   /// model's own estimates). The store is keyed by a hash of the device
   /// descriptors; a mismatched, corrupt, or wrong-version store is rejected
   /// (counted in EngineStats::perf_store_rejected) and the run proceeds
-  /// from declared rates. Empty = consult the PDL_PERF_STORE environment variable at
-  /// engine construction ("0" or unset disables persistence).
+  /// from declared rates. Empty = no store. The engine reads no
+  /// environment for it; rt::Context forwards PDL_PERF_STORE here.
   std::string perf_store_path;
 
   /// Retry/backoff/blacklist/watchdog policy (docs/RUNTIME.md).
   FaultToleranceConfig fault_tolerance;
 
-  /// Deterministic fault-injection plan; when unset the engine consults
-  /// the PDL_FAULT_PLAN environment variable at construction.
+  /// Deterministic fault-injection plan; null = no faults. The engine
+  /// reads no environment for it; rt::Context forwards PDL_FAULT_PLAN here.
   std::shared_ptr<const FaultPlan> fault_plan;
 
   /// Decision oracle for the simulation modes (docs/MODEL_CHECKING.md):

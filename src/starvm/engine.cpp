@@ -235,7 +235,6 @@ Engine::Engine(EngineConfig config) : config_(std::move(config)) {
   }
   decision_counter_ = &obs::counter("starvm.decisions." +
                                     std::string(to_string(config_.scheduler)));
-  fault_plan_ = config_.fault_plan ? config_.fault_plan : FaultPlan::from_env();
 
   // Flight recorder: one ring per device plus one for the fault path
   // (whose producers fault_mutex_ serializes). Built before the workers so
@@ -258,12 +257,9 @@ Engine::Engine(EngineConfig config) : config_(std::move(config)) {
   // cold start; a wrong-version, corrupt or descriptor-mismatched store is
   // rejected (counted in perf_store_rejected) and the run proceeds from
   // declared rates. Done before the workers spawn: preload races nothing.
-  perf_store_path_ = config_.perf_store_path.empty()
-                         ? perf_store::env_store_path()
-                         : config_.perf_store_path;
-  if (!perf_store_path_.empty()) {
+  if (!config_.perf_store_path.empty()) {
     descriptor_hash_ = perf_store::descriptor_hash(config_.devices);
-    perf_store::LoadResult loaded = perf_store::load(perf_store_path_);
+    perf_store::LoadResult loaded = perf_store::load(config_.perf_store_path);
     if (loaded.status == perf_store::LoadStatus::kLoaded) {
       if (loaded.store.descriptor_hash == descriptor_hash_) {
         perf_store::preload(loaded.store, perf_model_);
@@ -346,10 +342,10 @@ Engine::~Engine() {
   // a hybrid run measures anything; in the simulation modes every
   // "observation" is the model's own estimate, and writing those back
   // would overwrite the rates real runs learned.
-  if (hybrid() && !perf_store_path_.empty()) {
+  if (hybrid() && !config_.perf_store_path.empty()) {
     (void)perf_store::save(
         perf_store::from_model(perf_model_, descriptor_hash_),
-        perf_store_path_);
+        config_.perf_store_path);
   }
 }
 
@@ -595,11 +591,11 @@ detail::TaskNode& Engine::wire_task_locked(TaskDesc&& desc, double flops) {
   // pending_), so the increment must already be visible.
   pending_.fetch_add(1);
 
-  // Sequential consistency per handle: R depends on the last writer; W/RW
-  // depend on the last writer and on every reader since that write.
+  // Sequential consistency per handle (dependency.hpp), then the explicit
+  // predecessors.
   bool poisoned = false;  // a dependency already failed or was cancelled
   const auto add_dep = [&](detail::TaskNode* dep) {
-    if (dep == nullptr || dep == &task) return;
+    if (dep == &task) return;
     std::lock_guard<std::mutex> edge(dep->edge_mutex);
     const detail::TaskState s = dep->state.load();
     if (s == detail::TaskState::kFailed) {
@@ -617,16 +613,8 @@ detail::TaskNode& Engine::wire_task_locked(TaskDesc&& desc, double flops) {
   };
 
   for (const auto& view : task.buffers) {
-    DataHandle* h = view.handle;
-    if (reads(view.mode)) add_dep(h->last_writer_);
-    if (writes(view.mode)) {
-      add_dep(h->last_writer_);
-      for (detail::TaskNode* reader : h->readers_since_write_) add_dep(reader);
-      h->last_writer_ = &task;
-      h->readers_since_write_.clear();
-    } else {
-      h->readers_since_write_.push_back(&task);
-    }
+    order_access(view.handle->tail_, &task, view.mode,
+                 [&](detail::TaskNode* dep, DepKind) { add_dep(dep); });
   }
 
   // Explicit predecessors (tag dependencies). Ids are dense from 1.
@@ -905,9 +893,9 @@ void Engine::run_simulation_locked() {
     }
 
     FaultPlan::Injection injected;
-    if (fault_plan_) {
-      injected = fault_plan_->decide(task->id, task->attempts, device->id,
-                                     device->tasks_run);
+    if (config_.fault_plan) {
+      injected = config_.fault_plan->decide(task->id, task->attempts,
+                                            device->id, device->tasks_run);
     }
     const double exec = exec_estimate(*task, *device) + injected.delay_seconds;
     if (injected.fail) {
@@ -1652,9 +1640,9 @@ void Engine::run_task_hybrid(detail::TaskNode& task,
                 task.start_vtime, 0.0, 0.0);
   }
   FaultPlan::Injection injected;
-  if (fault_plan_) {
-    injected = fault_plan_->decide(task.id, task.attempts, device.id,
-                                   device.tasks_run);
+  if (config_.fault_plan) {
+    injected = config_.fault_plan->decide(task.id, task.attempts, device.id,
+                                          device.tasks_run);
   }
 
   // --- execute, no engine lock held ---

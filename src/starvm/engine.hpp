@@ -317,8 +317,6 @@ class Engine {
   /// Hybrid-mode lock-split dispatch (null in the simulation modes).
   std::unique_ptr<detail::HybridDispatch> dispatch_;
   PerfModel perf_model_;
-  /// Config plan, or $PDL_FAULT_PLAN at construction; nullptr = no faults.
-  std::shared_ptr<const FaultPlan> fault_plan_;
   /// True when every device lives on the host memory node: replica
   /// bookkeeping is then a no-op and acquire_buffers skips memory_mutex_.
   bool single_node_ = false;
@@ -434,11 +432,10 @@ class Engine {
   std::string flight_dump_prefix_;
   std::uint64_t tasks_submitted_ = 0;  ///< submit_mutex_
 
-  /// Persisted perf store (docs/RUNTIME.md "Persisted performance models"):
-  /// resolved path (config or $PDL_PERF_STORE; empty = persistence off)
-  /// and the descriptor hash the store is keyed by. Loaded at construction,
-  /// written back (tmp + rename) at destruction after the workers joined.
-  std::string perf_store_path_;
+  /// Persisted perf store (docs/RUNTIME.md "Persisted performance models"
+  /// at config_.perf_store_path): the descriptor hash the store is keyed
+  /// by. Loaded at construction, written back (tmp + rename) at destruction
+  /// after the workers joined.
   std::uint64_t descriptor_hash_ = 0;
   std::uint64_t perf_store_entries_ = 0;   ///< construction only
   std::uint64_t perf_store_rejected_ = 0;  ///< construction only

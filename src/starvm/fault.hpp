@@ -47,7 +47,7 @@ struct FaultToleranceConfig {
 
 /// A deterministic fault-injection plan, parsed from a spec string
 /// (engine config `fault_plan`, `cascabelc --fault-plan`, or the
-/// PDL_FAULT_PLAN environment variable).
+/// PDL_FAULT_PLAN environment variable, which only rt::Context reads).
 ///
 /// Grammar: semicolon-separated directives, comma-separated key=value
 /// fields after a `kind:` prefix.
@@ -73,6 +73,8 @@ class FaultPlan {
   static pdl::util::Result<FaultPlan> parse(std::string_view spec);
 
   /// Plan from $PDL_FAULT_PLAN; nullptr when unset or malformed (logged).
+  /// rt::Context is its one caller: engines, the A5xx plan and starmc
+  /// never consult the environment.
   static std::shared_ptr<const FaultPlan> from_env();
 
   /// Decide what happens to attempt `attempt` (1-based) of task `task` on

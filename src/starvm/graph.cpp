@@ -4,6 +4,10 @@
 #include <functional>
 #include <queue>
 
+#include "starvm/codelet.hpp"
+#include "starvm/dependency.hpp"
+#include "starvm/engine.hpp"
+
 namespace starvm {
 
 namespace {
@@ -16,9 +20,8 @@ constexpr std::uint64_t kGuardGap = 64;
 
 int TaskGraph::add_buffer(std::string name, std::uint64_t bytes,
                           pdl::SourceLoc loc) {
-  const std::uint64_t base = next_base_;
-  next_base_ += bytes + kGuardGap;
-  return add_buffer_at(std::move(name), base, bytes, std::move(loc));
+  // add_buffer_at moves next_base_ past the new range and its guard gap.
+  return add_buffer_at(std::move(name), next_base_, bytes, std::move(loc));
 }
 
 int TaskGraph::add_buffer_at(std::string name, std::uint64_t base,
@@ -36,37 +39,13 @@ int TaskGraph::add_buffer_at(std::string name, std::uint64_t base,
   return static_cast<int>(buffers_.size() - 1);
 }
 
-std::vector<int> TaskGraph::partition(int buffer, int nblocks) {
-  std::vector<int> blocks;
-  if (buffer < 0 || buffer >= static_cast<int>(buffers_.size()) || nblocks < 1) {
-    return blocks;
-  }
-  const std::uint64_t base = buffers_[buffer].base;
-  const std::uint64_t bytes = buffers_[buffer].bytes;
-  const std::uint64_t chunk = bytes / nblocks;
-  const std::uint64_t remainder = bytes % nblocks;
-  std::uint64_t offset = 0;
-  for (int i = 0; i < nblocks; ++i) {
-    // Same split as Engine::partition_vector: early blocks absorb the
-    // remainder one byte at a time.
-    const std::uint64_t len = chunk + (static_cast<std::uint64_t>(i) < remainder ? 1 : 0);
-    GraphBuffer block;
-    block.name = buffers_[buffer].name + "[" + std::to_string(i) + "]";
-    block.base = base + offset;
-    block.bytes = len;
-    block.parent = buffer;
-    block.loc = buffers_[buffer].loc;
-    offset += len;
-    buffers_.push_back(std::move(block));
-    const int id = static_cast<int>(buffers_.size() - 1);
-    buffers_[buffer].children.push_back(id);
-    blocks.push_back(id);
-  }
-  return blocks;
-}
-
 int TaskGraph::add_task(std::string name, std::vector<GraphAccess> accesses,
                         std::vector<int> declared_deps, pdl::SourceLoc loc) {
+  for (const GraphAccess& access : accesses) {
+    if (access.buffer < 0 || access.buffer >= static_cast<int>(buffers_.size())) {
+      return -1;
+    }
+  }
   GraphTask task;
   task.name = std::move(name);
   task.accesses = std::move(accesses);
@@ -107,21 +86,14 @@ void TaskGraph::set_task_flops(int task, double flops) {
 
 std::uint64_t TaskGraph::total_root_bytes() const {
   std::uint64_t total = 0;
-  for (const GraphBuffer& buffer : buffers_) {
-    if (buffer.parent < 0) total += buffer.bytes;
-  }
+  for (const GraphBuffer& buffer : buffers_) total += buffer.bytes;
   return total;
 }
 
 std::vector<TaskGraph::Edge> TaskGraph::edges(bool include_inferred) const {
   std::vector<Edge> result;
-  // Per-buffer sequential-consistency state, replayed in submission order
-  // exactly like Engine::submit.
-  struct BufferState {
-    int last_writer = -1;
-    std::vector<int> readers_since_write;
-  };
-  std::vector<BufferState> state(buffers_.size());
+  // The engine's per-buffer tails, over engine task ids (graph index + 1).
+  std::vector<AccessTail<TaskId>> tails(buffers_.size());
 
   // Every edge into task t is appended while t is processed, so a
   // duplicate can only be among t's own edges: scan from t's first one.
@@ -149,27 +121,15 @@ std::vector<TaskGraph::Edge> TaskGraph::edges(bool include_inferred) const {
     }
     if (!include_inferred) continue;
     for (const GraphAccess& access : task.accesses) {
-      if (access.buffer < 0 ||
-          access.buffer >= static_cast<int>(buffers_.size())) {
-        continue;
-      }
-      BufferState& bs = state[access.buffer];
-      if (reads(access.mode) && bs.last_writer >= 0) {
-        add_edge(bs.last_writer, t, Edge::kRaw, access.buffer);
-      }
-      if (writes(access.mode)) {
-        if (bs.last_writer >= 0) {
-          add_edge(bs.last_writer, t, Edge::kWaw, access.buffer);
-        }
-        for (int reader : bs.readers_since_write) {
-          add_edge(reader, t, Edge::kWar, access.buffer);
-        }
-        bs.last_writer = t;
-        bs.readers_since_write.clear();
-      }
-      if (reads(access.mode) && !writes(access.mode)) {
-        bs.readers_since_write.push_back(t);
-      }
+      order_access(tails[static_cast<std::size_t>(access.buffer)],
+                   static_cast<TaskId>(t + 1), access.mode,
+                   [&](TaskId dep, DepKind kind) {
+                     add_edge(static_cast<int>(dep - 1), t,
+                              kind == DepKind::kRaw   ? Edge::kRaw
+                              : kind == DepKind::kWar ? Edge::kWar
+                                                      : Edge::kWaw,
+                              access.buffer);
+                   });
     }
   }
   return result;
@@ -214,17 +174,6 @@ bool TaskGraph::ranges_overlap(int a, int b) const {
   return x.base < y.base + y.bytes && y.base < x.base + x.bytes;
 }
 
-bool TaskGraph::same_lineage(int a, int b) const {
-  if (a < 0 || b < 0) return false;
-  for (int node = a; node >= 0; node = buffers_[node].parent) {
-    if (node == b) return true;
-  }
-  for (int node = b; node >= 0; node = buffers_[node].parent) {
-    if (node == a) return true;
-  }
-  return false;
-}
-
 std::vector<int> TaskGraph::find_declared_cycle() const {
   const int n = static_cast<int>(tasks_.size());
   // DFS over declared deps (dep -> task direction) with a gray/black mark;
@@ -255,6 +204,25 @@ std::vector<int> TaskGraph::find_declared_cycle() const {
     if (mark[t] == Mark::kWhite && visit(t)) break;
   }
   return cycle;
+}
+
+void submit_graph(Engine& engine, const TaskGraph& graph,
+                  const std::vector<DataHandle*>& handles,
+                  const std::vector<Codelet>& codelets) {
+  const std::vector<GraphTask>& tasks = graph.tasks();
+  for (std::size_t t = 0; t < tasks.size(); ++t) {
+    TaskDesc desc;
+    desc.codelet = &codelets[t];
+    for (const GraphAccess& access : tasks[t].accesses) {
+      desc.buffers.push_back(
+          {handles[static_cast<std::size_t>(access.buffer)], access.mode});
+    }
+    // A negative d maps to 0 or wraps past every id: unknown, satisfied.
+    for (const int dep : tasks[t].declared_deps) {
+      desc.depends_on.push_back(static_cast<TaskId>(dep + 1));
+    }
+    engine.submit(std::move(desc));
+  }
 }
 
 }  // namespace starvm

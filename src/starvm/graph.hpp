@@ -3,19 +3,19 @@
 // it. Analysis tools (pdlcheck) build a TaskGraph from annotated programs
 // (or by hand in tests) and query it for the facts static rules need:
 //
-//   * the dependency edges Engine::submit would infer (sequential
-//     consistency per buffer: RAW, WAR, WAW) plus explicit deps,
+//   * the dependency edges Engine::submit infers, from the same per-buffer
+//     rule (dependency.hpp: RAW, WAR, WAW) plus explicit deps,
 //   * happens-before reachability over those edges,
-//   * byte-range overlap between distinct buffers (partition aliasing,
-//     double registration over the same allocation),
+//   * byte-range overlap between distinct buffers (double registration
+//     over one allocation),
 //   * declared-dependency cycles — which the engine silently *breaks*
 //     (forward task ids are treated as already satisfied), making them a
 //     static bug worth surfacing rather than a runtime deadlock.
 //
 // Buffers use abstract base addresses: add_buffer() allocates disjoint
 // ranges, add_buffer_at() places a buffer at a caller-chosen base so
-// aliasing can be modeled, and partition() splits a range into contiguous
-// child blocks exactly like Engine::partition_*.
+// aliasing can be modeled. submit_graph() runs the recorded program on an
+// engine; it is the one lowering starmc and the A5xx plan share.
 #pragma once
 
 #include <cstdint>
@@ -27,13 +27,15 @@
 
 namespace starvm {
 
-/// One buffer the recorded program registers (or a partition block of one).
+class DataHandle;
+class Engine;
+struct Codelet;
+
+/// One buffer the recorded program registers.
 struct GraphBuffer {
   std::string name;
   std::uint64_t base = 0;   ///< Abstract start address of the byte range.
-  std::uint64_t bytes = 0;  ///< Range length; may be 0 (empty tail block).
-  int parent = -1;          ///< Index of the parent buffer; -1 for roots.
-  std::vector<int> children;
+  std::uint64_t bytes = 0;  ///< Range length; may be 0.
   pdl::SourceLoc loc;  ///< Source location of the registration, if known.
 
   // Accuracy contract (A7xx, docs/ANALYSIS.md): a declared tolerance is the
@@ -74,28 +76,25 @@ class TaskGraph {
  public:
   // --- Recording ------------------------------------------------------------
 
-  /// Register a root buffer on a fresh, disjoint abstract range.
+  /// Register a buffer on a fresh, disjoint abstract range (-1 when the
+  /// address space is exhausted, see add_buffer_at).
   int add_buffer(std::string name, std::uint64_t bytes,
                  pdl::SourceLoc loc = {});
 
-  /// Register a root buffer at an explicit base address. Overlapping an
+  /// Register a buffer at an explicit base address. Overlapping an
   /// existing range is allowed — that is precisely how double registration
   /// over one allocation is modeled. Zero-byte buffers are legal and never
-  /// overlap anything (empty tail blocks). A range whose `base + bytes`
-  /// would wrap past 2^64 is rejected (returns -1): wrapped ranges would
-  /// make every overlap and footprint query downstream (A403/A501)
-  /// garbage-in.
+  /// overlap anything. A range whose `base + bytes` would wrap past 2^64 is
+  /// rejected (returns -1): wrapped ranges would make every overlap and
+  /// footprint query downstream (A403/A501) garbage-in.
   int add_buffer_at(std::string name, std::uint64_t base, std::uint64_t bytes,
                     pdl::SourceLoc loc = {});
-
-  /// Split a buffer's range into `nblocks` contiguous child blocks (exactly
-  /// `nblocks` entries; tail blocks may be empty), mirroring
-  /// Engine::partition_vector.
-  std::vector<int> partition(int buffer, int nblocks);
 
   /// Record a task touching `accesses`, optionally with explicitly declared
   /// dependencies (indices of other tasks, forward references permitted —
   /// the engine would silently satisfy those, see declared-cycle notes).
+  /// An access to a buffer the graph does not hold is refused: returns -1
+  /// and records nothing.
   int add_task(std::string name, std::vector<GraphAccess> accesses,
                std::vector<int> declared_deps = {}, pdl::SourceLoc loc = {});
 
@@ -133,10 +132,9 @@ class TaskGraph {
     int buffer = -1;  ///< Buffer inducing the edge; -1 for explicit deps.
   };
 
-  /// The effective dependency edges of the recorded program, replaying
-  /// Engine::submit's inference in submission order: reads depend on the
-  /// buffer's last writer (RAW); writes depend on the last writer (WAW) and
-  /// on every reader since (WAR), then become the last writer. Explicit
+  /// The effective dependency edges of the recorded program: each task's
+  /// explicit deps, then the engine's own per-buffer rule (order_access,
+  /// dependency.hpp) over its accesses, in submission order. Explicit
   /// declared deps are included only when they point backwards to an
   /// existing task — forward/unknown ids are dropped exactly like the
   /// engine drops them. Set `include_inferred` to false to get only the
@@ -163,13 +161,10 @@ class TaskGraph {
   /// True when the byte ranges of two distinct buffers intersect.
   bool ranges_overlap(int a, int b) const;
 
-  /// True when one buffer is an ancestor of the other in the partition
-  /// tree (parent/block overlap) as opposed to two independent
-  /// registrations over one range — rules word their findings differently.
-  bool same_lineage(int a, int b) const;
-
-  /// Sum of all root-buffer bytes — the total working set assuming every
-  /// allocation is live at once (the capacity analyzer's upper bound).
+  /// Sum of every registered buffer's bytes — the total working set
+  /// assuming every registration is live at once (the capacity analyzer's
+  /// upper bound; an aliasing registration counts again, as the engine
+  /// holds it as a separate handle).
   std::uint64_t total_root_bytes() const;
 
   /// A declared-dependency cycle (task indices in cycle order), or empty.
@@ -183,5 +178,15 @@ class TaskGraph {
   std::vector<GraphTask> tasks_;
   std::uint64_t next_base_ = 0;
 };
+
+/// Submit the recorded program to `engine`: one Engine::submit per task,
+/// in graph order, task t running `codelets[t]` on `handles[b]` for each
+/// access to buffer b. A declared dependency d becomes task id d + 1
+/// (ids are dense from 1, so `engine` must have no earlier task); the
+/// engine treats forward and negative indices as satisfied, as edges()
+/// does. `handles` holds one handle per graph buffer.
+void submit_graph(Engine& engine, const TaskGraph& graph,
+                  const std::vector<DataHandle*>& handles,
+                  const std::vector<Codelet>& codelets);
 
 }  // namespace starvm

@@ -80,7 +80,9 @@ Store from_model(const PerfModel& model, std::uint64_t hash);
 void preload(const Store& store, PerfModel& model);
 
 /// The PDL_PERF_STORE environment variable, or "" when unset / "0"
-/// (disabled). EngineConfig::perf_store_path, when set, wins over this.
+/// (disabled). The engine never reads it: rt::Context (when its
+/// Options::perf_store_path is empty) and pdltool's plan/profile default
+/// resolve it and pass the path on explicitly.
 std::string env_store_path();
 
 }  // namespace starvm::perf_store

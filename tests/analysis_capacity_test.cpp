@@ -626,5 +626,17 @@ TEST(GraphIo, RejectsWrappingExplicitBase) {
   EXPECT_NE(wrapped.error().message.find("wraps"), std::string::npos);
 }
 
+TEST(GraphIo, RejectsFreshBufferPastTheAddressSpace) {
+  // The first buffer fills the abstract address space; the next fresh one
+  // has no range left. Refused like a wrapping base, never recorded as
+  // buffer -1 for later tasks to name.
+  const auto full = parse_graph_text(
+      "buffer all 18446744073709551615\nbuffer more 8\ntask t read=more\n",
+      "f.graph");
+  ASSERT_FALSE(full.ok());
+  EXPECT_EQ(full.error().where, "f.graph:2");
+  EXPECT_NE(full.error().message.find("wraps"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace analysis

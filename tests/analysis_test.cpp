@@ -551,12 +551,13 @@ TEST(AnalyzeTaskGraph, A402_SameBufferReadWriteOnlyUnderRelaxed) {
   EXPECT_NE(d->message.find("'w' writes"), std::string::npos);
 }
 
-TEST(AnalyzeTaskGraph, A403_ParentAndPartitionBlockUsedConcurrently) {
+TEST(AnalyzeTaskGraph, A403_OnlyOverlappingRegistrationsAreReported) {
+  // A second registration over the first half of V's allocation.
   starvm::TaskGraph g;
-  const int parent = g.add_buffer("V", 1024);
-  const std::vector<int> blocks = g.partition(parent, 2);
-  g.add_task("whole", {{parent, starvm::Access::kWrite}});
-  g.add_task("block", {{blocks[0], starvm::Access::kWrite}});
+  const int whole = g.add_buffer("V", 1024);
+  const int half = g.add_buffer_at("V[0]", g.buffers()[whole].base, 512);
+  g.add_task("whole", {{whole, starvm::Access::kWrite}});
+  g.add_task("half", {{half, starvm::Access::kWrite}});
 
   // Reported even under the default model: the engine's per-handle
   // inference cannot see the overlap.
@@ -565,14 +566,13 @@ TEST(AnalyzeTaskGraph, A403_ParentAndPartitionBlockUsedConcurrently) {
   const pdl::Diagnostic* d = find_finding(diags, kPartitionAliasing);
   ASSERT_NE(d, nullptr);
   EXPECT_EQ(d->severity, pdl::Severity::kError);
-  EXPECT_NE(d->message.find("partition block"), std::string::npos);
 
-  // Disjoint sibling blocks are fine.
+  // Registrations over disjoint halves of one allocation are fine.
   starvm::TaskGraph ok;
-  const int p2 = ok.add_buffer("V", 1024);
-  const std::vector<int> b2 = ok.partition(p2, 2);
-  ok.add_task("left", {{b2[0], starvm::Access::kWrite}});
-  ok.add_task("right", {{b2[1], starvm::Access::kWrite}});
+  const int left = ok.add_buffer("V[0]", 512);
+  const int right = ok.add_buffer_at("V[1]", ok.buffers()[left].base + 512, 512);
+  ok.add_task("left", {{left, starvm::Access::kWrite}});
+  ok.add_task("right", {{right, starvm::Access::kWrite}});
   pdl::Diagnostics clean;
   analyze_task_graph(ok, {}, clean);
   EXPECT_TRUE(clean.empty());
@@ -594,10 +594,10 @@ TEST(AnalyzeTaskGraph, A403_DoubleRegistrationOverOneAllocation) {
 
 TEST(AnalyzeTaskGraph, A403_OrderedOverlapIsNotReported) {
   starvm::TaskGraph g;
-  const int parent = g.add_buffer("V", 1024);
-  const std::vector<int> blocks = g.partition(parent, 2);
-  const int whole = g.add_task("whole", {{parent, starvm::Access::kWrite}});
-  g.add_task("block", {{blocks[0], starvm::Access::kWrite}}, {whole});
+  const int v = g.add_buffer("V", 1024);
+  const int half = g.add_buffer_at("V[0]", g.buffers()[v].base, 512);
+  const int whole = g.add_task("whole", {{v, starvm::Access::kWrite}});
+  g.add_task("half", {{half, starvm::Access::kWrite}}, {whole});
   pdl::Diagnostics diags;
   analyze_task_graph(g, {}, diags);
   EXPECT_TRUE(diags.empty());
@@ -725,11 +725,12 @@ void f_spe_impl(double *A, int n) { (void)A; (void)n; }
 
 TEST(Report, TaskGraphLocReachesRenderedA4xxFindings) {
   starvm::TaskGraph g;
-  const int parent = g.add_buffer("m", 100, pdl::SourceLoc{"prog.cpp", 7, 3});
-  const std::vector<int> blocks = g.partition(parent, 2);
-  g.add_task("whole", {{parent, starvm::Access::kWrite}},
+  const int m = g.add_buffer("m", 100, pdl::SourceLoc{"prog.cpp", 7, 3});
+  const int half = g.add_buffer_at("m[0]", g.buffers()[m].base, 50,
+                                   pdl::SourceLoc{"prog.cpp", 8, 3});
+  g.add_task("whole", {{m, starvm::Access::kWrite}},
              {}, pdl::SourceLoc{"prog.cpp", 20, 1});
-  g.add_task("block", {{blocks[0], starvm::Access::kWrite}},
+  g.add_task("half", {{half, starvm::Access::kWrite}},
              {}, pdl::SourceLoc{"prog.cpp", 21, 1});
   pdl::Diagnostics diags;
   analyze_task_graph(g, {}, diags);

@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -226,6 +228,52 @@ TEST(Context, WarmPerfStoreFlipsVariantSelection) {
   EXPECT_FALSE(run_once(warm));
   EXPECT_GT(slow_runs.load(), 0);
   EXPECT_EQ(fast_runs.load(), 0);
+  std::remove(path.c_str());
+}
+
+TEST(Context, ResolvesTheEnvironmentOnceForItsEngine) {
+  // The engine reads no environment; the front end of translated programs
+  // resolves PDL_FAULT_PLAN and PDL_PERF_STORE and hands both over.
+  const pdl::Platform platform = paper_platform_starpu_cpu();
+  auto engine_config = starvm::engine_config_from_platform(platform);
+  ASSERT_TRUE(engine_config.ok());
+  starvm::perf_store::Store store;
+  store.descriptor_hash =
+      starvm::perf_store::descriptor_hash(engine_config.value().devices);
+  store.entries = {{"Ivecadd", 0, 1e-4, 5, 5.0}};
+  const std::string path =
+      std::string(::testing::TempDir()) + "rt_env.perfstore";
+  ASSERT_TRUE(starvm::perf_store::save(store, path));
+  // No ASSERT until the variables are unset again: they must not leak
+  // into the tests that follow in this process.
+  ::setenv("PDL_FAULT_PLAN", "fail:task=1", 1);
+  ::setenv("PDL_PERF_STORE", path.c_str(), 1);
+  {
+    Context ctx(platform, builtin_repo());
+    const auto& plan = ctx.engine().config().fault_plan;
+    EXPECT_TRUE(plan != nullptr && plan->rule_count() == 1u);
+    EXPECT_EQ(ctx.engine().config().perf_store_path, path);
+    EXPECT_NE(ctx.perf_store(), nullptr);  // pre-selection read the same file
+    std::vector<double> a(64, 1.0), b(64, 2.0);
+    EXPECT_TRUE(ctx.execute("Ivecadd", "cpu",
+                            {arg(a.data(), 64, AccessMode::kReadWrite,
+                                 DistributionKind::kNone),
+                             arg(b.data(), 64, AccessMode::kRead,
+                                 DistributionKind::kNone)})
+                    .ok());
+    EXPECT_TRUE(ctx.wait().ok());  // the injected failure is retried
+    EXPECT_EQ(ctx.stats().task_failures, 1u);
+    EXPECT_EQ(ctx.stats().perf_store_entries, 1u);
+  }
+  {
+    // An explicit plan wins over the environment.
+    Options options;
+    options.fault_plan = std::make_shared<const starvm::FaultPlan>();
+    Context ctx(platform, builtin_repo(), options);
+    EXPECT_EQ(ctx.engine().config().fault_plan, options.fault_plan);
+  }
+  ::unsetenv("PDL_FAULT_PLAN");
+  ::unsetenv("PDL_PERF_STORE");
   std::remove(path.c_str());
 }
 

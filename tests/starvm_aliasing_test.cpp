@@ -35,7 +35,6 @@ TEST(EngineAliasedHandles, StaticGraphFlagsOverlapTheEngineCannotSee) {
   EXPECT_FALSE(g.reachability(g.edges()).ordered(w1, w2));
   // ...yet their byte ranges overlap: exactly the A403 finding.
   EXPECT_TRUE(g.ranges_overlap(h1, h2));
-  EXPECT_FALSE(g.same_lineage(h1, h2));
 }
 
 TEST(EngineAliasedHandles, SeededWriteWriteRaceRunsUnordered) {

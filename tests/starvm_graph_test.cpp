@@ -2,6 +2,8 @@
 
 #include <numeric>
 
+#include "starvm/codelet.hpp"
+#include "starvm/engine.hpp"
 #include "starvm/graph.hpp"
 
 namespace starvm {
@@ -22,7 +24,6 @@ TEST(TaskGraph, BuffersGetDisjointRanges) {
   const int a = g.add_buffer("a", 256);
   const int b = g.add_buffer("b", 256);
   EXPECT_FALSE(g.ranges_overlap(a, b));
-  EXPECT_FALSE(g.same_lineage(a, b));
 }
 
 TEST(TaskGraph, AddBufferAtModelsAliasedRegistration) {
@@ -32,31 +33,6 @@ TEST(TaskGraph, AddBufferAtModelsAliasedRegistration) {
   // register_vector(data.data(), n) twice would produce at runtime.
   const int b = g.add_buffer_at("alias", g.buffers()[a].base, 1024);
   EXPECT_TRUE(g.ranges_overlap(a, b));
-  EXPECT_FALSE(g.same_lineage(a, b));  // two registrations, not parent/block
-}
-
-TEST(TaskGraph, PartitionSplitsRangeLikeEngine) {
-  TaskGraph g;
-  const int parent = g.add_buffer("v", 100);
-  const std::vector<int> blocks = g.partition(parent, 3);
-  ASSERT_EQ(blocks.size(), 3u);
-
-  // Blocks tile the parent range exactly (chunk + remainder spread).
-  std::uint64_t total = 0;
-  std::uint64_t cursor = g.buffers()[parent].base;
-  for (const int block : blocks) {
-    const GraphBuffer& b = g.buffers()[block];
-    EXPECT_EQ(b.base, cursor);
-    EXPECT_EQ(b.parent, parent);
-    cursor += b.bytes;
-    total += b.bytes;
-  }
-  EXPECT_EQ(total, 100u);
-
-  // Parent/block overlap is lineage; sibling blocks are disjoint.
-  EXPECT_TRUE(g.ranges_overlap(parent, blocks[0]));
-  EXPECT_TRUE(g.same_lineage(parent, blocks[0]));
-  EXPECT_FALSE(g.ranges_overlap(blocks[0], blocks[1]));
 }
 
 TEST(TaskGraph, InfersRawWarWawEdges) {
@@ -171,15 +147,81 @@ TEST(TaskGraph, OverlappingExplicitRangesAreModeled) {
   // Partial overlap (tail of `a` / head of `b`) counts, not just identity.
   const int b = g.add_buffer_at("b", g.buffers()[a].base + 128, 256);
   EXPECT_TRUE(g.ranges_overlap(a, b));
-  EXPECT_FALSE(g.same_lineage(a, b));
 }
 
 TEST(TaskGraph, TotalRootBytesCountsRootsOnly) {
   TaskGraph g;
   g.add_buffer("a", 300);
   const int b = g.add_buffer("b", 700);
-  g.partition(b, 2);  // blocks must not double-count their root's bytes
   EXPECT_EQ(g.total_root_bytes(), 1000u);
+  // Every registration is a root the engine holds as its own handle: one
+  // aliasing the tail of `b` counts again, a zero-byte one adds nothing.
+  g.add_buffer_at("b tail", g.buffers()[b].base + 500, 200);
+  g.add_buffer_at("empty", g.buffers()[b].base, 0);
+  EXPECT_EQ(g.total_root_bytes(), 1200u);
+}
+
+TEST(TaskGraph, AddTaskRejectsUnknownBuffer) {
+  TaskGraph g;
+  const int buf = g.add_buffer("v", 64);
+  // Indices past the end and negative ones are refused whole: nothing of
+  // the task is recorded, as add_buffer_at records nothing of a wrap.
+  EXPECT_EQ(g.add_task("past", {{buf, Access::kRead}, {buf + 1, Access::kWrite}}),
+            -1);
+  EXPECT_EQ(g.add_task("negative", {{-1, Access::kRead}}), -1);
+  EXPECT_TRUE(g.tasks().empty());
+  EXPECT_EQ(g.add_task("ok", {{buf, Access::kReadWrite}}), 0);
+  ASSERT_EQ(g.tasks().size(), 1u);
+  EXPECT_EQ(g.tasks()[0].name, "ok");
+}
+
+TEST(TaskGraph, SubmitGraphRunsTheEngineInEdgeOrder) {
+  // One rule, one lowering: the engine run of a submitted graph starts no
+  // task before every edge() predecessor has finished, and keeps declared
+  // forward/unknown deps as harmless as edges() assumes.
+  TaskGraph g;
+  const int a = g.add_buffer("a", 64);
+  const int b = g.add_buffer("b", 64);
+  g.add_task("w", {{a, Access::kWrite}});
+  g.add_task("r0", {{a, Access::kRead}, {b, Access::kWrite}}, {3, -1});
+  g.add_task("r1", {{a, Access::kRead}});
+  g.add_task("rw", {{a, Access::kReadWrite}, {b, Access::kRead}}, {0});
+
+  // Pure-sim touches no byte: every handle may alias one word.
+  double shared = 0.0;
+  EngineConfig config = EngineConfig::cpus(3);
+  config.mode = ExecutionMode::kPureSim;
+  Engine engine(std::move(config));
+  std::vector<DataHandle*> handles;
+  for (const GraphBuffer& buffer : g.buffers()) {
+    handles.push_back(engine.register_vector(&shared, buffer.bytes / 8, buffer.name));
+  }
+  std::vector<Codelet> codelets(g.tasks().size());
+  for (std::size_t t = 0; t < codelets.size(); ++t) {
+    codelets[t].name = g.tasks()[t].name;
+    codelets[t].impls = {{DeviceKind::kCpu, {}}};
+    codelets[t].flops = [](const std::vector<BufferView>&) { return 1e6; };
+  }
+  submit_graph(engine, g, handles, codelets);
+  ASSERT_TRUE(engine.wait_all().ok());
+
+  const EngineStats stats = engine.stats();
+  ASSERT_EQ(stats.trace.size(), g.tasks().size());
+  std::vector<double> start(g.tasks().size());
+  std::vector<double> finish(g.tasks().size());
+  for (const TaskTrace& row : stats.trace) {
+    const std::size_t t = static_cast<std::size_t>(row.id - 1);
+    EXPECT_EQ(row.label, g.tasks()[t].name);
+    start[t] = row.start_vtime;
+    finish[t] = row.finish_vtime;
+  }
+  const auto edges = g.edges();
+  EXPECT_TRUE(has_edge(edges, 1, 3, Edge::kWar));
+  for (const Edge& e : edges) {
+    EXPECT_LE(finish[static_cast<std::size_t>(e.from)],
+              start[static_cast<std::size_t>(e.to)])
+        << e.from << " -> " << e.to;
+  }
 }
 
 TEST(TaskGraph, SetTaskFlopsIsBoundsChecked) {
@@ -191,17 +233,6 @@ TEST(TaskGraph, SetTaskFlopsIsBoundsChecked) {
   g.set_task_flops(-1, 1.0);   // out of range: ignored, no crash
   g.set_task_flops(42, 1.0);
   EXPECT_EQ(g.tasks()[static_cast<std::size_t>(t)].flops, 2.5e9);
-}
-
-TEST(TaskGraph, PartitionOfPartitionKeepsLineage) {
-  TaskGraph g;
-  const int root = g.add_buffer("m", 1000);
-  const auto rows = g.partition(root, 2);
-  const auto tiles = g.partition(rows[0], 2);
-  EXPECT_TRUE(g.same_lineage(root, tiles[0]));
-  EXPECT_TRUE(g.same_lineage(rows[0], tiles[1]));
-  EXPECT_FALSE(g.same_lineage(rows[1], tiles[0]));
-  EXPECT_FALSE(g.ranges_overlap(rows[1], tiles[0]));
 }
 
 }  // namespace

@@ -8,6 +8,9 @@
 #include <string>
 
 #include "json_checker.hpp"
+#include "pdl/parser.hpp"
+#include "starvm/bridge.hpp"
+#include "starvm/perf_store.hpp"
 #include "util/string_util.hpp"
 
 namespace {
@@ -15,6 +18,7 @@ namespace {
 const std::string kCascabelc = std::string(PDL_BINARY_DIR) + "/src/tools/cascabelc";
 const std::string kPdltool = std::string(PDL_BINARY_DIR) + "/src/tools/pdltool";
 const std::string kPdlcheck = std::string(PDL_BINARY_DIR) + "/src/tools/pdlcheck";
+const std::string kStarmc = std::string(PDL_BINARY_DIR) + "/src/tools/starmc";
 
 std::string temp_path(const std::string& name) {
   // PID-qualified: ctest runs each test in its own process, often in
@@ -657,6 +661,56 @@ TEST_F(ToolsTest, PdlcheckPlanIgnoresTheFaultInjectionEnvironment) {
                 &faulted),
             rc);
   EXPECT_EQ(faulted, clean);
+}
+
+TEST_F(ToolsTest, PdlcheckPlanIgnoresThePerfStoreEnvironment) {
+  // A store that matches the plan's every-PU device list and charges the
+  // task 0.5 s instead of the declared ~0.1 s: the plan prices from the
+  // caller's --perf-store only, so the environment must not move it.
+  const std::string root = PDL_SOURCE_DIR;
+  const std::string platform = root + "/platforms/testbed-single.pdl.xml";
+  auto parsed = pdl::parse_platform_file(platform);
+  ASSERT_TRUE(parsed.ok());
+  starvm::BridgeOptions bridge;
+  bridge.mode = starvm::ExecutionMode::kPureSim;
+  bridge.dedicate_driver_cores = false;
+  auto config = starvm::engine_config_from_platform(parsed.value(), bridge);
+  ASSERT_TRUE(config.ok());
+  starvm::perf_store::Store store;
+  store.descriptor_hash =
+      starvm::perf_store::descriptor_hash(config.value().devices);
+  for (std::size_t d = 0; d < config.value().devices.size(); ++d) {
+    store.entries.push_back({"t", static_cast<int>(d), 0.5, 100, 2.0});
+  }
+  const std::string store_path = temp_path("matching.perfstore");
+  ASSERT_TRUE(starvm::perf_store::save(store, store_path));
+  const std::string graph = temp_path("one_task.graph");
+  ASSERT_TRUE(pdl::util::write_file(graph, "buffer x 1MB\ntask t write=x flops=1e9\n"));
+
+  const std::string args = " --plan --graph " + graph + " " + platform;
+  std::string clean;
+  std::string stored;
+  const int rc = run(kPdlcheck + args, &clean);
+  EXPECT_EQ(run("PDL_PERF_STORE=" + store_path + " " + kPdlcheck + args, &stored),
+            rc);
+  EXPECT_EQ(stored, clean);
+  EXPECT_NE(clean.find("schedule plan: 1 task(s)"), std::string::npos) << clean;
+}
+
+TEST_F(ToolsTest, StarmcIgnoresTheFaultInjectionEnvironment) {
+  // An exploration checks the program it is given: a runtime test hook in
+  // the environment must not cut it down to the runs of a failing task.
+  const std::string args = " --graph " + std::string(PDL_SOURCE_DIR) +
+                           "/tests/fixtures/diamond.graph --devices 2";
+  std::string clean;
+  std::string faulted;
+  const int rc = run(kStarmc + args, &clean);
+  EXPECT_EQ(run("PDL_FAULT_PLAN='fail:task=1,attempts=9' " + kStarmc + args,
+                &faulted),
+            rc);
+  EXPECT_EQ(faulted, clean);
+  EXPECT_NE(clean.find("37 engine runs, 12 terminal states"), std::string::npos)
+      << clean;
 }
 
 TEST_F(ToolsTest, PdltoolProfileReportsCriticalPathAndDrift) {
