@@ -51,9 +51,10 @@ const std::vector<RuleInfo>& rule_catalog() {
        "one task reads what another writes with no ordering path between "
        "them (a race under relaxed consistency)"},
       {kPartitionAliasing, Severity::kError,
-       "two distinct buffers over overlapping byte ranges (parent handle "
-       "and its blocks, or double registration) are accessed concurrently — "
-       "the engine's per-handle dependency inference cannot order them"},
+       "two distinct buffer registrations over overlapping byte ranges (one "
+       "allocation registered twice, or one over part of another's range) "
+       "are accessed concurrently — the engine's per-handle dependency "
+       "inference cannot order them"},
       {kDependencyCycle, Severity::kError,
        "declared task dependencies form a cycle; the engine silently drops "
        "forward dependencies, so the stated ordering is unenforceable"},

@@ -76,25 +76,14 @@ obs::Counter& device_blacklists_counter() {
   return c;
 }
 
-/// Flight-record kind for a fault-tolerance event (1:1; the recorder keeps
-/// its own stable numbering so old dumps survive FaultEvent refactors).
-obs::FlightKind flight_kind_of(FaultEvent::Kind kind) {
-  switch (kind) {
-    case FaultEvent::Kind::kFailure: return obs::FlightKind::kFailure;
-    case FaultEvent::Kind::kTimeout: return obs::FlightKind::kTimeout;
-    case FaultEvent::Kind::kRetry: return obs::FlightKind::kRetry;
-    case FaultEvent::Kind::kBlacklist: return obs::FlightKind::kBlacklist;
-    case FaultEvent::Kind::kReroute: return obs::FlightKind::kReroute;
-    case FaultEvent::Kind::kTaskFailed: return obs::FlightKind::kTaskFailed;
-    case FaultEvent::Kind::kCancelled: return obs::FlightKind::kCancelled;
-  }
-  return obs::FlightKind::kFailure;
-}
-
-/// Run one implementation attempt, turning ExecContext::fail() and thrown
-/// exceptions into a failure reason. True on success.
-bool run_attempt(const Implementation& impl, const ExecContext& ctx,
-                 std::string& reason) {
+/// Run `impl` on `task`'s buffers for `device`, turning ExecContext::fail()
+/// and thrown exceptions into a failure reason. True on success.
+bool run_attempt(const Implementation& impl, const detail::TaskNode& task,
+                 const detail::DeviceState& device, std::string& reason) {
+  ExecContext ctx;
+  ctx.device = device.id;
+  ctx.device_kind = device.spec.kind;
+  ctx.buffers = &task.buffers;
   try {
     impl.fn(ctx);
     if (ctx.failed()) {
@@ -147,19 +136,6 @@ std::string_view to_string(SchedulerKind kind) {
     case SchedulerKind::kEager: return "eager";
     case SchedulerKind::kWorkStealing: return "ws";
     case SchedulerKind::kHeft: return "heft";
-  }
-  return "?";
-}
-
-const char* to_string(FaultEvent::Kind kind) {
-  switch (kind) {
-    case FaultEvent::Kind::kFailure: return "failure";
-    case FaultEvent::Kind::kTimeout: return "timeout";
-    case FaultEvent::Kind::kRetry: return "retry";
-    case FaultEvent::Kind::kBlacklist: return "blacklist";
-    case FaultEvent::Kind::kReroute: return "reroute";
-    case FaultEvent::Kind::kTaskFailed: return "task_failed";
-    case FaultEvent::Kind::kCancelled: return "cancelled";
   }
   return "?";
 }
@@ -393,6 +369,26 @@ int filled_blocks(std::size_t extent, int nblocks) {
   return per == 0 ? 0 : static_cast<int>((extent + per - 1) / per);
 }
 
+DataHandle* Engine::add_block_locked(DataHandle* parent, std::size_t offset,
+                                     std::size_t rows, std::size_t cols,
+                                     std::size_t ld, std::string name) {
+  // Empty blocks point at one-past-the-end of the parent (valid to form,
+  // never dereferenced — bytes() is 0).
+  DataHandle& block = handles_.emplace_back();
+  block.ptr_ = static_cast<double*>(parent->ptr_) + offset;
+  block.rows_ = rows;
+  block.cols_ = cols;
+  block.ld_ = ld;
+  block.bytes_ = rows * cols * sizeof(double);
+  block.name_ = std::move(name);
+  block.parent_ = parent;
+  // Blocks inherit only the host replica: device-side accounting is per
+  // handle, and partitioning is a host-side operation by contract.
+  block.valid_ = parent->valid_ & DataHandle::node_bit(kHostNode);
+  parent->children_.push_back(&block);
+  return &block;
+}
+
 std::vector<DataHandle*> Engine::partition_rows(DataHandle* handle, int nblocks) {
   assert(handle != nullptr && nblocks >= 1);
   assert(!handle->partitioned() && "handle is already partitioned");
@@ -402,22 +398,11 @@ std::vector<DataHandle*> Engine::partition_rows(DataHandle* handle, int nblocks)
   for (int b = 0; b < nblocks; ++b) {
     // Always produce exactly nblocks handles: when nblocks > rows the tail
     // blocks are empty (rows() == 0, bytes() == 0) so callers indexing
-    // blocks[i] stay in bounds. Empty blocks point at one-past-the-end of
-    // the parent (valid to form, never dereferenced — bytes() is 0).
+    // blocks[i] stay in bounds.
     const BlockSpan rows = block_span(handle->rows(), nblocks, b);
-    DataHandle& block = handles_.emplace_back();
-    block.ptr_ = static_cast<double*>(handle->ptr_) + rows.begin * handle->ld_;
-    block.rows_ = rows.count;
-    block.cols_ = handle->cols_;
-    block.ld_ = handle->ld_;
-    block.bytes_ = rows.count * handle->cols_ * sizeof(double);
-    block.name_ = handle->name_ + "[" + std::to_string(b) + "]";
-    block.parent_ = handle;
-    // Blocks inherit only the host replica: device-side accounting is per
-    // handle, and partitioning is a host-side operation by contract.
-    block.valid_ = handle->valid_ & DataHandle::node_bit(kHostNode);
-    handle->children_.push_back(&block);
-    blocks.push_back(&block);
+    blocks.push_back(add_block_locked(handle, rows.begin * handle->ld_,
+                                      rows.count, handle->cols_, handle->ld_,
+                                      handle->name_ + "[" + std::to_string(b) + "]"));
   }
   return blocks;
 }
@@ -429,23 +414,13 @@ std::vector<DataHandle*> Engine::partition_vector(DataHandle* handle, int nblock
   std::lock_guard<std::mutex> lock(submit_mutex_);
   std::lock_guard<std::mutex> mem(memory_mutex_);
   for (int b = 0; b < nblocks; ++b) {
-    // Exactly nblocks handles; tail blocks are empty when nblocks > n.
-    const BlockSpan span = block_span(handle->cols(), nblocks, b);
-    DataHandle& block = handles_.emplace_back();
-    block.ptr_ = static_cast<double*>(handle->ptr_) + span.begin;
-    // A surplus block is fully empty (0 x 0), not a degenerate 1 x 0 row:
+    // Exactly nblocks handles; tail blocks are empty when nblocks > n. A
+    // surplus block is fully empty (0 x 0), not a degenerate 1 x 0 row:
     // callers test rows() == 0 to detect padding.
-    block.rows_ = span.count > 0 ? 1 : 0;
-    block.cols_ = span.count;
-    block.ld_ = span.count;
-    block.bytes_ = span.count * sizeof(double);
-    block.name_ = handle->name_ + "[" + std::to_string(b) + "]";
-    block.parent_ = handle;
-    // Blocks inherit only the host replica: device-side accounting is per
-    // handle, and partitioning is a host-side operation by contract.
-    block.valid_ = handle->valid_ & DataHandle::node_bit(kHostNode);
-    handle->children_.push_back(&block);
-    blocks.push_back(&block);
+    const BlockSpan span = block_span(handle->cols(), nblocks, b);
+    blocks.push_back(add_block_locked(handle, span.begin, span.count > 0 ? 1 : 0,
+                                      span.count, span.count,
+                                      handle->name_ + "[" + std::to_string(b) + "]"));
   }
   return blocks;
 }
@@ -464,19 +439,11 @@ std::vector<DataHandle*> Engine::partition_tiles(DataHandle* handle, int row_blo
     const BlockSpan rows = block_span(handle->rows(), row_blocks, r);
     for (int c = 0; c < col_blocks; ++c) {
       const BlockSpan cols = block_span(handle->cols(), col_blocks, c);
-      DataHandle& tile = handles_.emplace_back();
-      tile.ptr_ = static_cast<double*>(handle->ptr_) + rows.begin * handle->ld_ +
-                  cols.begin;
-      tile.rows_ = rows.count;
-      tile.cols_ = cols.count;
-      tile.ld_ = handle->ld_;  // tiles are strided views into the parent
-      tile.bytes_ = rows.count * cols.count * sizeof(double);
-      tile.name_ = handle->name_ + "(" + std::to_string(r) + "," +
-                   std::to_string(c) + ")";
-      tile.parent_ = handle;
-      tile.valid_ = handle->valid_ & DataHandle::node_bit(kHostNode);
-      handle->children_.push_back(&tile);
-      tiles.push_back(&tile);
+      // Tiles are strided views into the parent: they keep its row stride.
+      tiles.push_back(add_block_locked(
+          handle, rows.begin * handle->ld_ + cols.begin, rows.count, cols.count,
+          handle->ld_,
+          handle->name_ + "(" + std::to_string(r) + "," + std::to_string(c) + ")"));
     }
   }
   return tiles;
@@ -865,84 +832,87 @@ void Engine::run_simulation_locked() {
       // cycle or a foreign bug; bail out rather than spin.
       break;
     }
-    detail::DeviceState* device = &devices_[static_cast<std::size_t>(chosen)];
-
-    task->state.store(detail::TaskState::kRunning);
-    task->ran_on = device->id;
-    ++task->attempts;
-    if (obs::metrics_enabled()) {
-      ready_queue_gauge().set(static_cast<std::int64_t>(scheduler_->size()));
-    }
-    // Before acquire_buffers: candidate costs must see decision-time
-    // replica placement.
-    record_decision(*task, *device);
-    task->start_vtime =
-        std::max(device->avail_vtime.load(), task->ready_vtime.load()) +
-        config_.task_overhead_us * 1e-6;
-    const double transfer = acquire_buffers(*task, device->node);
-    task->transfer_seconds = transfer;
-    if (flight_) {
-      // mutex_ is held: the sim loop is the sole producer for every ring.
-      obs::FlightRing& ring = flight_->ring(static_cast<std::size_t>(device->id));
-      ring.record(obs::FlightKind::kQueueDepth, 0, 0, device->id,
-                  task->start_vtime, 0.0,
-                  static_cast<double>(scheduler_->size()));
-      ring.record(obs::FlightKind::kTaskStart,
-                  static_cast<std::uint32_t>(task->attempts), task->id,
-                  device->id, task->start_vtime, 0.0, 0.0);
-    }
-
-    FaultPlan::Injection injected;
-    if (config_.fault_plan) {
-      injected = config_.fault_plan->decide(task->id, task->attempts,
-                                            device->id, device->tasks_run);
-    }
-    const double exec = exec_estimate(*task, *device) + injected.delay_seconds;
-    if (injected.fail) {
-      // Forced transition: the plan is a pure function of (task, attempt,
-      // device, history), so the firing carries no choice of its own — the
-      // explorer varies it indirectly by varying the schedule around it.
-      if (oracle_ != nullptr) {
-        oracle_->note(ChoiceKind::kFault, task->id, device->id);
-      }
-      // Injection suppresses execution entirely (kernels run in place on
-      // host memory; a doomed attempt would corrupt its own retry's input).
-      handle_task_failure(*task, *device, transfer, exec, injected.reason,
-                          /*is_timeout=*/false);
-      scheduler_->on_device_time_advanced(device->id);
-      continue;
-    }
-    if (config_.mode == ExecutionMode::kDeterministic) {
+    detail::DeviceState& device = devices_[static_cast<std::size_t>(chosen)];
+    const FaultPlan::Injection injected = begin_attempt(*task, device);
+    // The clock charges the model in both simulation modes.
+    const double exec = exec_estimate(*task, device) + injected.delay_seconds;
+    bool failed = injected.fail;
+    std::string reason = injected.reason;
+    if (!failed && config_.mode == ExecutionMode::kDeterministic) {
       // Kernels run for real, single-threaded under the engine mutex, in
-      // virtual-clock order; the clock still charges the model, so the run
-      // replays identically while the numerics are genuine.
-      const Implementation* impl = task->codelet->find_impl(device->spec.kind);
+      // virtual-clock order, so the run replays identically while the
+      // numerics are genuine.
+      const Implementation* impl = task->codelet->find_impl(device.spec.kind);
       if (impl != nullptr && impl->fn) {
-        ExecContext ctx;
-        ctx.device = device->id;
-        ctx.device_kind = device->spec.kind;
-        ctx.buffers = &task->buffers;
-        std::string fail_reason;
-        if (!run_attempt(*impl, ctx, fail_reason)) {
-          handle_task_failure(*task, *device, transfer, exec, fail_reason,
-                              /*is_timeout=*/false);
-          scheduler_->on_device_time_advanced(device->id);
-          continue;
-        }
+        failed = !run_attempt(*impl, *task, device, reason);
       }
     }
-    const double limit = watchdog_limit(*task, *device);
-    if (limit > 0.0 && exec > limit) {
-      handle_task_failure(*task, *device, transfer, exec,
-                          "watchdog: modeled execution exceeded limit",
-                          /*is_timeout=*/true);
-      scheduler_->on_device_time_advanced(device->id);
-      continue;
-    }
-    finalize_task(*task, *device, transfer, exec);
+    end_attempt(*task, device, exec, failed, reason,
+                "watchdog: modeled execution exceeded limit");
     // Only the executing device's clock moved this turn; re-key just it.
-    scheduler_->on_device_time_advanced(device->id);
+    scheduler_->on_device_time_advanced(device.id);
   }
+}
+
+FaultPlan::Injection Engine::begin_attempt(detail::TaskNode& task,
+                                           detail::DeviceState& device) {
+  task.state.store(detail::TaskState::kRunning);
+  task.ran_on = device.id;
+  ++task.attempts;
+  // The ready-queue depth at pop, read once and only when the gauge or the
+  // flight ring records it: in hybrid mode it is a counter that every push
+  // and pop on any device writes.
+  const bool gauge = obs::metrics_enabled();
+  const std::size_t queued =
+      gauge || flight_ ? (hybrid() ? dispatch_->size() : scheduler_->size())
+                       : 0;
+  if (gauge) ready_queue_gauge().set(static_cast<std::int64_t>(queued));
+  // Before acquire_buffers: candidate costs must see decision-time replica
+  // placement.
+  record_decision(task, device);
+  task.start_vtime =
+      std::max(device.avail_vtime.load(), task.ready_vtime.load()) +
+      config_.task_overhead_us * 1e-6;
+  task.transfer_seconds = acquire_buffers(task, device.node);
+  if (flight_) {
+    obs::FlightRing& ring = flight_->ring(static_cast<std::size_t>(device.id));
+    ring.record(obs::FlightKind::kQueueDepth, 0, 0, device.id, task.start_vtime,
+                0.0, static_cast<double>(queued));
+    ring.record(obs::FlightKind::kTaskStart,
+                static_cast<std::uint32_t>(task.attempts), task.id, device.id,
+                task.start_vtime, 0.0, 0.0);
+  }
+  FaultPlan::Injection injected;
+  if (config_.fault_plan) {
+    injected = config_.fault_plan->decide(task.id, task.attempts, device.id,
+                                          device.tasks_run);
+  }
+  if (injected.fail && oracle_ != nullptr) {
+    // Forced transition: the plan is a pure function of (task, attempt,
+    // device, history), so the firing carries no choice of its own — the
+    // explorer varies it indirectly by varying the schedule around it.
+    oracle_->note(ChoiceKind::kFault, task.id, device.id);
+  }
+  // An injected failure suppresses execution entirely: kernels run in
+  // place on host memory, so a doomed attempt would corrupt the inputs of
+  // its own retry. Both callers skip the kernel when injected.fail.
+  return injected;
+}
+
+void Engine::end_attempt(detail::TaskNode& task, detail::DeviceState& device,
+                         double exec, bool failed, const std::string& reason,
+                         const char* watchdog_reason) {
+  if (failed) {
+    handle_task_failure(task, device, exec, reason, /*is_timeout=*/false);
+    return;
+  }
+  const double limit = watchdog_limit(task, device);
+  if (limit > 0.0 && exec > limit) {
+    handle_task_failure(task, device, exec, watchdog_reason,
+                        /*is_timeout=*/true);
+    return;
+  }
+  finalize_task(task, device, exec);
 }
 
 detail::TaskNode* Engine::pop_via_oracle(DeviceId* chosen) {
@@ -978,7 +948,8 @@ detail::TaskNode* Engine::pop_via_oracle(DeviceId* chosen) {
 }
 
 void Engine::finalize_task(detail::TaskNode& task, detail::DeviceState& device,
-                           double transfer, double exec) {
+                           double exec) {
+  const double transfer = task.transfer_seconds;
   task.exec_seconds = exec;
   task.finish_vtime = task.start_vtime + transfer + exec;
   detail::vtime_raise(device.avail_vtime, task.finish_vtime);
@@ -1004,11 +975,6 @@ void Engine::finalize_task(detail::TaskNode& task, detail::DeviceState& device,
                           TaskAttempt::Outcome::kCompleted, task.finish_vtime,
                           {});
   }
-
-  device.trace.push_back(TaskTrace{task.id, task.label, device.id,
-                                   task.start_vtime, task.finish_vtime,
-                                   transfer, exec, task.flops,
-                                   task.ready_vtime.load()});
   if (flight_) {
     // Owning worker (hybrid) or the sim loop under mutex_: single producer.
     obs::FlightRing& ring = flight_->ring(static_cast<std::size_t>(device.id));
@@ -1128,7 +1094,7 @@ void Engine::record_fault_event_locked(FaultEvent::Kind kind, double vtime,
     // The dedicated fault ring: every caller holds fault_mutex_, so the
     // SPSC contract holds via mutex hand-off.
     flight_->ring(devices_.size())
-        .record(flight_kind_of(kind),
+        .record(kind,
                 static_cast<std::uint32_t>(attempt < 0 ? 0 : attempt),
                 static_cast<std::uint64_t>(task), device, vtime, 0.0, 0.0);
   }
@@ -1269,14 +1235,14 @@ void Engine::blacklist_device_locked(detail::DeviceState& device) {
 }
 
 void Engine::handle_task_failure(detail::TaskNode& task,
-                                 detail::DeviceState& device, double transfer,
-                                 double exec, const std::string& reason,
-                                 bool is_timeout) {
+                                 detail::DeviceState& device, double exec,
+                                 const std::string& reason, bool is_timeout) {
   // The attempt occupied the device on the virtual clock even though it
   // produced nothing; charging it keeps device timelines monotonic. It is
   // deliberately NOT added to busy_seconds or the trace — those describe
   // useful work — and not fed to the perf model (failures would poison the
   // estimates the watchdog itself relies on).
+  const double transfer = task.transfer_seconds;
   const double attempt_finish = task.start_vtime + transfer + exec;
   detail::vtime_raise(device.avail_vtime, attempt_finish);
   device.transfer_seconds += transfer;
@@ -1617,50 +1583,17 @@ void Engine::worker_loop(DeviceId device_id) {
 
 void Engine::run_task_hybrid(detail::TaskNode& task,
                              detail::DeviceState& device) {
-  task.state.store(detail::TaskState::kRunning);
-  task.ran_on = device.id;
-  ++task.attempts;
-  if (obs::metrics_enabled()) {
-    ready_queue_gauge().set(static_cast<std::int64_t>(dispatch_->size()));
-  }
-  record_decision(task, device);
-  task.start_vtime =
-      std::max(device.avail_vtime.load(), task.ready_vtime.load()) +
-      config_.task_overhead_us * 1e-6;
-  const double transfer = acquire_buffers(task, device.node);
-  task.transfer_seconds = transfer;
-  if (flight_) {
-    // This worker owns the device ring: single producer by construction.
-    obs::FlightRing& ring = flight_->ring(static_cast<std::size_t>(device.id));
-    ring.record(obs::FlightKind::kQueueDepth, 0, 0, device.id,
-                task.start_vtime, 0.0,
-                static_cast<double>(dispatch_->size()));
-    ring.record(obs::FlightKind::kTaskStart,
-                static_cast<std::uint32_t>(task.attempts), task.id, device.id,
-                task.start_vtime, 0.0, 0.0);
-  }
-  FaultPlan::Injection injected;
-  if (config_.fault_plan) {
-    injected = config_.fault_plan->decide(task.id, task.attempts, device.id,
-                                          device.tasks_run);
-  }
+  const FaultPlan::Injection injected = begin_attempt(task, device);
 
   // --- execute, no engine lock held ---
-  // An injected fault suppresses execution entirely: kernels run in place
-  // on host memory, so letting a doomed attempt run would corrupt the
-  // inputs of its own retry.
   bool failed = injected.fail;
-  std::string fail_reason = injected.reason;
+  std::string reason = injected.reason;
   const Implementation* impl = task.codelet->find_impl(device.spec.kind);
   assert(impl != nullptr);
   double measured = 0.0;  // a body-less codelet costs no measurable time
   if (impl->fn && !failed) {
-    ExecContext ctx;
-    ctx.device = device.id;
-    ctx.device_kind = device.spec.kind;
-    ctx.buffers = &task.buffers;
     pdl::util::Stopwatch sw;
-    failed = !run_attempt(*impl, ctx, fail_reason);
+    failed = !run_attempt(*impl, task, device, reason);
     measured = sw.elapsed_seconds();
   }
   double exec = 0.0;
@@ -1674,20 +1607,8 @@ void Engine::run_task_hybrid(detail::TaskNode& task,
     exec = measured;
   }
   exec += injected.delay_seconds;
-
-  if (failed) {
-    handle_task_failure(task, device, transfer, exec, fail_reason,
-                        /*is_timeout=*/false);
-    return;
-  }
-  const double limit = watchdog_limit(task, device);
-  if (limit > 0.0 && exec > limit) {
-    handle_task_failure(task, device, transfer, exec,
-                        "watchdog: execution exceeded limit",
-                        /*is_timeout=*/true);
-    return;
-  }
-  finalize_task(task, device, transfer, exec);
+  end_attempt(task, device, exec, failed, reason,
+              "watchdog: execution exceeded limit");
 }
 
 // --- Flight recorder ------------------------------------------------------------
@@ -1756,18 +1677,8 @@ EngineStats Engine::stats() const {
       ds.declared_gflops = device.spec.sustained_gflops;
       s.devices.push_back(std::move(ds));
       s.tasks_completed += device.tasks_run;
-      s.trace.insert(s.trace.end(), device.trace.begin(), device.trace.end());
     }
   }
-  // Per-device traces are each in completion order; merge into the global
-  // virtual-clock order the callers expect.
-  std::stable_sort(s.trace.begin(), s.trace.end(),
-                   [](const TaskTrace& a, const TaskTrace& b) {
-                     if (a.start_vtime != b.start_vtime) {
-                       return a.start_vtime < b.start_vtime;
-                     }
-                     return a.id < b.id;
-                   });
   if (dispatch_) s.steals = dispatch_->steals();
   {
     std::lock_guard<std::mutex> mem(memory_mutex_);
@@ -1803,7 +1714,24 @@ EngineStats Engine::stats() const {
     std::lock_guard<std::mutex> lock(submit_mutex_);
     s.tasks_submitted = tasks_submitted_;
     s.perf_model_seeds = perf_model_seeds_;
+    // One row per finished task, read off its node: loading kDone orders
+    // these reads after finalize_task's writes, a hybrid worker's included.
+    for (std::size_t i = 0; i < tasks_.size(); ++i) {
+      const detail::TaskNode& task = tasks_[i];
+      if (task.state.load() != detail::TaskState::kDone) continue;
+      s.trace.push_back(TaskTrace{task.id, task.label, task.ran_on,
+                                  task.start_vtime, task.finish_vtime,
+                                  task.transfer_seconds, task.exec_seconds,
+                                  task.flops, task.ready_vtime.load()});
+    }
   }
+  // Virtual-clock order; ids are unique, so the order is total.
+  std::sort(s.trace.begin(), s.trace.end(),
+            [](const TaskTrace& a, const TaskTrace& b) {
+              return a.start_vtime != b.start_vtime
+                         ? a.start_vtime < b.start_vtime
+                         : a.id < b.id;
+            });
   // Immutable after construction; no lock needed.
   s.perf_store_entries = perf_store_entries_;
   s.perf_store_rejected = perf_store_rejected_;

@@ -180,9 +180,25 @@ class Engine {
 
   void worker_loop(DeviceId device);
 
-  /// One task execution on a hybrid worker: decision, buffer acquisition,
-  /// kernel run, then finalize or the failure path. No global lock.
+  /// One task execution on a hybrid worker: begin_attempt, the kernel run
+  /// on measured time, end_attempt. No global lock.
   void run_task_hybrid(detail::TaskNode& task, detail::DeviceState& device);
+
+  /// Start an attempt of `task` on `device`, in either mode: mark it
+  /// running, count the attempt, record the decision, charge the transfers,
+  /// publish the ready-queue depth to the gauge and the flight ring with
+  /// the task-start record, and return the fault plan's verdict. The caller
+  /// is the ring's one producer (the device's worker or the simulation
+  /// loop).
+  FaultPlan::Injection begin_attempt(detail::TaskNode& task,
+                                     detail::DeviceState& device);
+
+  /// Finish an attempt: a failed one goes to handle_task_failure, one whose
+  /// `exec` exceeds the watchdog limit times out with `watchdog_reason`,
+  /// any other is finalized.
+  void end_attempt(detail::TaskNode& task, detail::DeviceState& device,
+                   double exec, bool failed, const std::string& reason,
+                   const char* watchdog_reason);
 
   /// Validate a descriptor (throws std::invalid_argument).
   void validate_desc(const TaskDesc& desc) const;
@@ -215,7 +231,7 @@ class Engine {
   /// Called by the owning worker (hybrid, lock-free on the global path) or
   /// under mutex_ (simulation).
   void finalize_task(detail::TaskNode& task, detail::DeviceState& device,
-                     double transfer, double exec);
+                     double exec);
 
   // --- Fault tolerance (cold path; fault_mutex_) -----------------------------
 
@@ -225,8 +241,8 @@ class Engine {
   /// exponential backoff (budget left and a live device exists) or fail it
   /// permanently. Takes fault_mutex_ itself.
   void handle_task_failure(detail::TaskNode& task, detail::DeviceState& device,
-                           double transfer, double exec,
-                           const std::string& reason, bool is_timeout);
+                           double exec, const std::string& reason,
+                           bool is_timeout);
 
   /// Permanently fail `task` (kFailed) and cascade-cancel every transitive
   /// successor still waiting on it (fault_mutex_ held).
@@ -338,6 +354,14 @@ class Engine {
   /// Group interchangeable devices into classes_ / class_of_ /
   /// class_gflops_ (constructor only; device list already built).
   void build_placement_classes();
+
+  /// Append a rows x cols block of `parent` at `offset` doubles into it,
+  /// with row stride `ld`, to the handle arena and to parent's children.
+  /// It is valid on the host if the parent is (submit_mutex_ and
+  /// memory_mutex_ held).
+  DataHandle* add_block_locked(DataHandle* parent, std::size_t offset,
+                               std::size_t rows, std::size_t cols,
+                               std::size_t ld, std::string name);
 
   /// Simulation modes: guards the discrete-event loop and everything it
   /// touches. Hybrid mode: only scheduler_ remains under it (unused).

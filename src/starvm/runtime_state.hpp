@@ -30,7 +30,6 @@
 #include "starvm/codelet.hpp"
 #include "starvm/device.hpp"
 #include "starvm/perf_model.hpp"
-#include "starvm/stats.hpp"
 #include "starvm/types.hpp"
 
 namespace starvm::detail {
@@ -100,10 +99,6 @@ struct DeviceState {
   /// Racy-by-design in hybrid mode (a stale read only degrades placement,
   /// never correctness); the simulation scheduler keeps its own copy.
   std::atomic<double> est_avail{0.0};
-
-  /// Completed-task trace, owner-written (worker thread or sim loop);
-  /// merged and sorted by Engine::stats() after quiescence.
-  std::vector<TaskTrace> trace;
 
   // --- statistics (owner-written) ---
   double busy_seconds = 0.0;

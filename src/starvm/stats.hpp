@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/flight_recorder.hpp"
 #include "starvm/types.hpp"
 
 namespace starvm {
@@ -65,15 +66,9 @@ struct DeviceStats {
 /// One fault-tolerance decision, in virtual-clock order. Rendered as
 /// instant events in the Chrome trace and emitted on the obs event sink.
 struct FaultEvent {
-  enum class Kind {
-    kFailure,     ///< an execution attempt failed (injected, fail(), throw)
-    kTimeout,     ///< watchdog rejected an attempt as too slow
-    kRetry,       ///< a failed task was re-queued with backoff
-    kBlacklist,   ///< a device stopped receiving work
-    kReroute,     ///< a queued task moved off a blacklisted device
-    kTaskFailed,  ///< a task permanently failed (budget exhausted / no device)
-    kCancelled,   ///< a task was cancelled because a dependency failed
-  };
+  /// The flight record's kind; a fault event is one of kRetry through
+  /// kCancelled, and obs::to_string names it.
+  using Kind = obs::FlightKind;
   Kind kind = Kind::kFailure;
   double vtime = 0.0;
   TaskId task = 0;      ///< 0 when the event concerns a device only
@@ -81,8 +76,6 @@ struct FaultEvent {
   int attempt = 0;
   std::string detail;
 };
-
-const char* to_string(FaultEvent::Kind kind);
 
 /// One execution attempt in a task's fault-tolerance history. Every attempt
 /// that ends (success, failure, timeout) and every forced move (reroute off

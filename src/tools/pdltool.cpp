@@ -70,7 +70,7 @@ void usage(const char* argv0) {
                "options: --metrics-out <file>   write an obs metrics snapshot"
                " (also: PDL_METRICS)\n"
                "         --perf-store <file>    feed measured rates into plan/"
-               "profile (also: PDL_PERF_STORE)\n",
+               "profile\n",
                argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0,
                argv0, argv0, argv0);
 }
@@ -372,9 +372,9 @@ int main(int raw_argc, char** raw_argv) {
   // command line, "--metrics-out f" or "--metrics-out=f") overrides it.
   obs::init_from_env();
   std::string metrics_path = obs::env_metrics_path();
-  // PDL_PERF_STORE provides the default; --perf-store overrides it (used by
-  // the plan and profile subcommands).
-  std::string perf_store_path = starvm::perf_store::env_store_path();
+  // --perf-store feeds the plan and profile subcommands; like pdlcheck
+  // --plan, they read no PDL_PERF_STORE.
+  std::string perf_store_path;
   std::vector<char*> args;
   for (int i = 0; i < raw_argc; ++i) {
     std::string flag = raw_argv[i];

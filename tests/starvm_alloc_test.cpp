@@ -20,7 +20,9 @@
 // reason formatted for a PU whose reason nobody reads), validating that
 // description (no locator built for a PU without a finding) and
 // constructing the cascabel::rt::Context that runs it (no copy of the
-// description kept).
+// description kept). A fifth bounds the drain of that context's 2,048
+// vecadd tasks: a finished task is recorded on its task node only, not
+// copied into a per-device trace vector that grows on every device.
 //
 // Built as its own binary (test_starvm_alloc) so the interposed
 // operator new cannot perturb the rest of the suite, and skipped under
@@ -123,7 +125,7 @@ TEST(AllocBudget, SubmissionAveragesFewAllocationsPerTask) {
   const double per_task =
       static_cast<double>(after - before) / static_cast<double>(kTasks - 64);
   RecordProperty("allocs_per_task", static_cast<int>(per_task * 100));
-  // Budget: TaskDesc's buffer vector (1) + amortized arena/trace growth.
+  // Budget: TaskDesc's buffer vector (1) + amortized arena growth.
   // The scheduler's device orders are flat heaps, so placing a task
   // allocates nothing; a per-task map, string, vector or tree node (each
   // adds >= 1) fails here.
@@ -214,6 +216,40 @@ TEST(AllocBudget, ContextSetUpAllocatesFewPerPu) {
   // description and keeps no copy of it, which would add about five per PU
   // (the PU, its descriptor and group vectors, long property strings).
   EXPECT_LT(allocations, 4 * pus) << "context set-up allocates per PU again";
+}
+
+TEST(AllocBudget, DrainOf1000DevicesAllocatesNoTraceRows) {
+  if (PDL_UNDER_SANITIZER) {
+    GTEST_SKIP() << "sanitizer owns the allocator";
+  }
+  cascabel::rt::Options options;
+  options.mode = ExecutionMode::kDeterministic;
+  cascabel::TaskRepository repo = cascabel::TaskRepository::with_defaults();
+  cascabel::register_builtin_variants(repo);
+  cascabel::rt::Context ctx(wide_platform(), std::move(repo), options);
+  constexpr std::size_t kN = 4096;
+  std::vector<double> a(kN, 1.0);
+  std::vector<double> b(kN, 2.0);
+  ASSERT_TRUE(ctx.execute("Ivecadd", "all",
+                          {cascabel::rt::arg(a.data(), kN,
+                                             cascabel::AccessMode::kReadWrite,
+                                             cascabel::DistributionKind::kBlock),
+                           cascabel::rt::arg(b.data(), kN,
+                                             cascabel::AccessMode::kRead,
+                                             cascabel::DistributionKind::kBlock)})
+                  .ok());
+
+  pdl::util::Status drained;
+  const std::uint64_t allocations =
+      allocations_during([&] { drained = ctx.wait(); });
+  RecordProperty("allocations", static_cast<int>(allocations));
+  ASSERT_TRUE(drained.ok());
+  EXPECT_EQ(ctx.stats().tasks_completed, 2048u);
+  EXPECT_EQ(a[kN - 1], 3.0);
+  // Running a task allocates nothing: its start, finish and costs stay on
+  // its node, which stats() reads. A per-device copy of each finished task
+  // costs two or three vector growths on each of the 1000 devices.
+  EXPECT_LT(allocations, 16u) << "the drain allocates per task again";
 }
 
 TEST(AllocBudget, PreselectAllocatesLessThanOncePerPu) {

@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <latch>
+#include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,6 +19,7 @@
 #include "json_checker.hpp"
 #include "obs/flight_recorder.hpp"
 #include "starvm/engine.hpp"
+#include "starvm/fault.hpp"
 #include "util/string_util.hpp"
 
 namespace starvm {
@@ -167,6 +171,68 @@ TEST(EngineFlight, PostMortemDumpOnPermanentFailure) {
   EXPECT_FALSE(engine.wait_all().ok());
   EXPECT_FALSE(pdl::util::read_file(prefix + ".jsonl").has_value());
   std::remove((prefix + ".trace.json").c_str());
+}
+
+// Real threads: every finished task is one trace row, and the row carries
+// the device, interval and costs of the task's one kTaskEnd flight record,
+// the retried task included. The golden views only cover the simulation
+// modes; this pins the hybrid worker's attempt path and the trace read.
+TEST(EngineFlight, HybridTraceRowsMatchTaskEndRecords) {
+  EngineConfig config = EngineConfig::cpus(4);
+  ASSERT_EQ(config.mode, ExecutionMode::kHybrid);
+  auto plan = FaultPlan::parse("fail:task=5,attempts=1");
+  ASSERT_TRUE(plan.ok()) << plan.error().str();
+  config.fault_plan = std::make_shared<const FaultPlan>(std::move(plan).value());
+  Engine engine(std::move(config));
+
+  Codelet work = make_codelet("work", [](const ExecContext& ctx) {
+    for (const BufferView& view : *ctx.buffers) {
+      if (view.mode != Access::kRead) static_cast<double*>(view.handle->ptr())[0] += 1.0;
+    }
+  });
+  // Every fourth task extends a chain on one buffer (task 5 among them);
+  // the rest are independent.
+  constexpr std::size_t kTasks = 256;
+  std::vector<std::vector<double>> buffers(kTasks, std::vector<double>(1, 0.0));
+  std::vector<DataHandle*> handles;
+  for (auto& buf : buffers) handles.push_back(engine.register_vector(buf.data(), 1));
+  for (std::size_t t = 0; t < kTasks; ++t) {
+    DataHandle* h = t % 4 == 0 ? handles[0] : handles[t];
+    engine.submit(TaskDesc{&work, {{h, Access::kReadWrite}}});
+  }
+  ASSERT_TRUE(engine.wait_all().ok());
+  EXPECT_EQ(buffers[0][0], static_cast<double>(kTasks / 4));
+
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.retries, 1u);
+  EXPECT_EQ(stats.flight_overwritten, 0u);
+  std::map<std::uint64_t, obs::FlightEvent> ends;
+  for (const obs::FlightEvent& e : engine.flight_snapshot()) {
+    if (e.kind != obs::FlightKind::kTaskEnd) continue;
+    EXPECT_TRUE(ends.emplace(e.task, e).second) << "task " << e.task << " ended twice";
+  }
+  ASSERT_EQ(ends.size(), kTasks);
+  EXPECT_EQ(ends.at(5).aux, 2u) << "task 5 succeeds on its second attempt";
+
+  ASSERT_EQ(stats.trace.size(), kTasks);
+  std::set<TaskId> seen;
+  for (const TaskTrace& row : stats.trace) {
+    EXPECT_TRUE(seen.insert(row.id).second) << "task " << row.id << " traced twice";
+    const auto it = ends.find(row.id);
+    ASSERT_NE(it, ends.end()) << "task " << row.id << " has no end record";
+    const obs::FlightEvent& end = it->second;
+    EXPECT_EQ(end.device, row.device) << "task " << row.id;
+    EXPECT_EQ(end.t0, row.start_vtime) << "task " << row.id;
+    EXPECT_EQ(end.t1, row.finish_vtime) << "task " << row.id;
+    EXPECT_EQ(end.value, row.exec_seconds) << "task " << row.id;
+    EXPECT_EQ(end.value2, row.transfer_seconds) << "task " << row.id;
+  }
+  EXPECT_TRUE(std::is_sorted(stats.trace.begin(), stats.trace.end(),
+                             [](const TaskTrace& a, const TaskTrace& b) {
+                               return a.start_vtime != b.start_vtime
+                                          ? a.start_vtime < b.start_vtime
+                                          : a.id < b.id;
+                             }));
 }
 
 // --- Rings over uninitialized memory ----------------------------------------

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <random>
 #include <string>
@@ -138,14 +139,13 @@ inline EngineStats run_dag(EngineConfig config) {
 }
 
 /// The Fig-5 DGEMM (C += A * B, C and A in row bands, B whole) at n = 256
-/// through the runtime veneer, on the 2-GPU testbed description.
-inline EngineStats run_fig5(const pdl::Platform& testbed, SchedulerKind scheduler,
-                            ExecutionMode mode) {
+/// through the runtime veneer, on the 2-GPU testbed description; `drained`
+/// sees the context once the program has run.
+inline void run_fig5_with(
+    const pdl::Platform& testbed, const cascabel::rt::Options& options,
+    const std::function<void(cascabel::rt::Context&)>& drained) {
   cascabel::TaskRepository repo = cascabel::TaskRepository::with_defaults();
   cascabel::register_builtin_variants(repo);
-  cascabel::rt::Options options;
-  options.scheduler = scheduler;
-  options.mode = mode;
   cascabel::rt::Context ctx(testbed, std::move(repo), options);
   constexpr std::size_t n = 256;
   std::vector<double> a(n * n), b(n * n), c(n * n, 0.0);
@@ -162,7 +162,18 @@ inline EngineStats run_fig5(const pdl::Platform& testbed, SchedulerKind schedule
        cascabel::rt::arg_matrix(b.data(), n, n, cascabel::AccessMode::kRead,
                                 cascabel::DistributionKind::kNone)});
   (void)ctx.wait();
-  return ctx.stats();
+  drained(ctx);
+}
+
+inline EngineStats run_fig5(const pdl::Platform& testbed, SchedulerKind scheduler,
+                            ExecutionMode mode) {
+  cascabel::rt::Options options;
+  options.scheduler = scheduler;
+  options.mode = mode;
+  EngineStats stats;
+  run_fig5_with(testbed, options,
+                [&stats](cascabel::rt::Context& ctx) { stats = ctx.stats(); });
+  return stats;
 }
 
 /// 256 independent tasks on 16 cores, the fourth of which fails every

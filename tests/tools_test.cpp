@@ -589,8 +589,8 @@ TEST_F(ToolsTest, CascabelcFailsCleanlyOnBadInputs) {
 }
 
 TEST_F(ToolsTest, SimulatedRunsLeaveThePersistedPerfStoreUntouched) {
-  // The pure-sim preview and `pdltool profile` run with PDL_PERF_STORE
-  // set: they read the store but must not rewrite its learned rates.
+  // The pure-sim preview (PDL_PERF_STORE set) and `pdltool profile`
+  // (--perf-store) read the store but must not rewrite its learned rates.
   const std::string root = PDL_SOURCE_DIR;
   const auto fixture =
       pdl::util::read_file(root + "/tests/fixtures/testbed-starpu-2gpu.perfstore");
@@ -607,8 +607,8 @@ TEST_F(ToolsTest, SimulatedRunsLeaveThePersistedPerfStoreUntouched) {
             0)
       << output;
   EXPECT_EQ(pdl::util::read_file(store), fixture);
-  EXPECT_EQ(run("PDL_PERF_STORE=" + store + " " + kPdltool + " profile " +
-                    platform + " " + root + "/tests/fixtures/dgemm_pipeline.graph",
+  EXPECT_EQ(run(kPdltool + " --perf-store " + store + " profile " + platform +
+                    " " + root + "/tests/fixtures/dgemm_pipeline.graph",
                 &output),
             0)
       << output;
@@ -665,8 +665,9 @@ TEST_F(ToolsTest, PdlcheckPlanIgnoresTheFaultInjectionEnvironment) {
 
 TEST_F(ToolsTest, PdlcheckPlanIgnoresThePerfStoreEnvironment) {
   // A store that matches the plan's every-PU device list and charges the
-  // task 0.5 s instead of the declared ~0.1 s: the plan prices from the
-  // caller's --perf-store only, so the environment must not move it.
+  // task 0.5 s instead of the declared ~0.1 s: `pdlcheck --plan` and
+  // `pdltool plan` price from the caller's --perf-store only, so the
+  // environment must move neither.
   const std::string root = PDL_SOURCE_DIR;
   const std::string platform = root + "/platforms/testbed-single.pdl.xml";
   auto parsed = pdl::parse_platform_file(platform);
@@ -695,6 +696,13 @@ TEST_F(ToolsTest, PdlcheckPlanIgnoresThePerfStoreEnvironment) {
             rc);
   EXPECT_EQ(stored, clean);
   EXPECT_NE(clean.find("schedule plan: 1 task(s)"), std::string::npos) << clean;
+
+  const std::string plan_args = " plan " + platform + " " + graph;
+  const int plan_rc = run(kPdltool + plan_args, &clean);
+  EXPECT_EQ(run("PDL_PERF_STORE=" + store_path + " " + kPdltool + plan_args,
+                &stored),
+            plan_rc);
+  EXPECT_EQ(stored, clean);
 }
 
 TEST_F(ToolsTest, StarmcIgnoresTheFaultInjectionEnvironment) {
