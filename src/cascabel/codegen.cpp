@@ -1,7 +1,9 @@
 #include "cascabel/codegen.hpp"
 
 #include <algorithm>
-#include <sstream>
+#include <charconv>
+#include <string_view>
+#include <vector>
 
 #include "pdl/serializer.hpp"
 #include "util/string_util.hpp"
@@ -66,14 +68,13 @@ std::optional<std::string> generate_call_block(const AnnotatedProgram& program,
 
   const auto where = program.source_name + ":" + std::to_string(call.pragma.range.line);
 
-  std::ostringstream os;
-  os << "{ // cascabel: execute " << call.pragma.task_interface;
+  std::string out = "{ // cascabel: execute " + call.pragma.task_interface;
   if (!call.pragma.execution_group.empty()) {
-    os << " on group '" << call.pragma.execution_group << "'";
+    out += " on group '" + call.pragma.execution_group + "'";
   }
-  os << " (generated)\n";
-  os << "  ::cascabel::rt::execute(\"" << call.pragma.task_interface << "\", \""
-     << call.pragma.execution_group << "\", {\n";
+  out += " (generated)\n";
+  out += "  ::cascabel::rt::execute(\"" + call.pragma.task_interface + "\", \"" +
+         call.pragma.execution_group + "\", {\n";
 
   // Arguments in paramlist order (the buffer-index convention adapters use).
   for (std::size_t p = 0; p < variant.pragma.params.size(); ++p) {
@@ -102,33 +103,32 @@ std::optional<std::string> generate_call_block(const AnnotatedProgram& program,
                   where);
       return std::nullopt;
     }
-    os << "    ";
+    out += "    ";
     if (dist->sizes.size() == 1) {
-      os << "::cascabel::rt::arg(" << pointer_expr << ", static_cast<std::size_t>("
-         << dist->sizes[0] << "), " << access_enum(param.mode) << ", "
-         << dist_enum(dist->kind) << ")";
+      out += "::cascabel::rt::arg(" + pointer_expr + ", static_cast<std::size_t>(" +
+             dist->sizes[0] + "), " + access_enum(param.mode) + ", " +
+             dist_enum(dist->kind) + ")";
     } else {
-      os << "::cascabel::rt::arg_matrix(" << pointer_expr
-         << ", static_cast<std::size_t>(" << dist->sizes[0]
-         << "), static_cast<std::size_t>(" << dist->sizes[1] << "), "
-         << access_enum(param.mode) << ", " << dist_enum(dist->kind) << ")";
+      out += "::cascabel::rt::arg_matrix(" + pointer_expr +
+             ", static_cast<std::size_t>(" + dist->sizes[0] +
+             "), static_cast<std::size_t>(" + dist->sizes[1] + "), " +
+             access_enum(param.mode) + ", " + dist_enum(dist->kind) + ")";
     }
-    os << (p + 1 < variant.pragma.params.size() ? ",\n" : "\n");
+    out += p + 1 < variant.pragma.params.size() ? ",\n" : "\n";
   }
-  os << "  });\n";
+  out += "  });\n";
   if (options.sync_each_call) {
-    os << "  ::cascabel::rt::wait();\n";
+    out += "  ::cascabel::rt::wait();\n";
   }
-  os << "}";
-  return os.str();
+  out += "}";
+  return out;
 }
 
 /// Adapter body: call the in-file function with buffers in paramlist order
 /// and block geometry for trailing scalars (see DESIGN.md conventions).
 std::string generate_adapter(const TaskVariant& variant, pdl::Diagnostics& diags,
                              const std::string& where) {
-  std::ostringstream os;
-  os << variant.function.name << "(";
+  std::string out = variant.function.name + "(";
   int scalar_index = 0;
   // Count scalars to choose the geometry convention:
   //   one scalar  -> cols(0)            (square matrices / vector length)
@@ -140,7 +140,7 @@ std::string generate_adapter(const TaskVariant& variant, pdl::Diagnostics& diags
     if (!in_paramlist) ++scalar_count;
   }
   for (std::size_t i = 0; i < variant.function.param_names.size(); ++i) {
-    if (i != 0) os << ", ";
+    if (i != 0) out += ", ";
     const std::string& name = variant.function.param_names[i];
     int buffer_index = -1;
     for (std::size_t p = 0; p < variant.pragma.params.size(); ++p) {
@@ -149,7 +149,7 @@ std::string generate_adapter(const TaskVariant& variant, pdl::Diagnostics& diags
       }
     }
     if (buffer_index >= 0) {
-      os << "ctx.buffer(" << buffer_index << ")";
+      out += "ctx.buffer(" + std::to_string(buffer_index) + ")";
       continue;
     }
     // Trailing scalar: block geometry of buffer 0.
@@ -161,7 +161,7 @@ std::string generate_adapter(const TaskVariant& variant, pdl::Diagnostics& diags
     if (!type.empty() && type != "std::size_t" && type != "size_t") {
       expr = "static_cast<" + type + ">(" + expr + ")";
     }
-    os << expr;
+    out += expr;
     ++scalar_index;
     if (type.find('*') != std::string::npos) {
       add_warning(diags,
@@ -171,8 +171,39 @@ std::string generate_adapter(const TaskVariant& variant, pdl::Diagnostics& diags
                   where);
     }
   }
-  os << ");";
-  return os.str();
+  out += ");";
+  return out;
+}
+
+/// The suffix of the embedded description's raw-string delimiter: the
+/// first of CASCABEL_PDL, CASCABEL_PDL0, CASCABEL_PDL1, ... whose closing
+/// sequence `)<delimiter>"` does not occur in `text` ("" for CASCABEL_PDL).
+/// nullopt when each delimiter of at most 16 characters (the C++ limit),
+/// up to CASCABEL_PDL9999, occurs.
+std::optional<std::string> delimiter_suffix(std::string_view text) {
+  constexpr std::string_view kClose = ")CASCABEL_PDL";
+  // [0]: CASCABEL_PDL; [n + 1]: CASCABEL_PDL<n>, n < 10000.
+  std::vector<bool> taken;
+  for (std::size_t at = text.find(kClose); at != std::string_view::npos;
+       at = text.find(kClose, at + kClose.size())) {
+    // An occurrence closes the delimiter that the digits after it spell,
+    // when a quote follows them and they are a number of the sequence.
+    const std::string_view rest = text.substr(at + kClose.size());
+    const std::size_t digits =
+        std::min(rest.find_first_not_of("0123456789"), rest.size());
+    if (digits == rest.size() || rest[digits] != '"' || digits > 4 ||
+        (digits > 1 && rest[0] == '0')) {
+      continue;
+    }
+    std::size_t n = 0;
+    std::from_chars(rest.data(), rest.data() + digits, n);
+    if (taken.empty()) taken.resize(1 + 10000);
+    taken[digits == 0 ? 0 : n + 1] = true;
+  }
+  const auto free = std::find(taken.begin(), taken.end(), false);
+  if (free == taken.begin()) return std::string();  // also when none is taken
+  if (free == taken.end()) return std::nullopt;
+  return std::to_string(free - taken.begin() - 1);
 }
 
 }  // namespace
@@ -205,56 +236,72 @@ pdl::util::Result<std::string> generate_source(const AnnotatedProgram& program,
     edits.push_back(Edit{begin, end, std::move(*block)});
   }
 
-  // Apply edits back-to-front.
-  std::sort(edits.begin(), edits.end(),
-            [](const Edit& a, const Edit& b) { return a.begin > b.begin; });
-  std::string body = program.source;
-  for (const auto& edit : edits) {
-    body.replace(edit.begin, edit.end - edit.begin, edit.text);
-  }
-
   // Prologue.
-  std::ostringstream out;
-  out << "// ===== Generated by cascabel =====\n";
-  out << "// input:  " << program.source_name << "\n";
-  out << "// target: " << (target.name().empty() ? "<unnamed platform>" : target.name())
-      << "\n";
-  out << "// Do not edit; regenerate from the annotated input program.\n";
-  out << "#include <cstddef>\n";
-  out << "#include \"cascabel/rt.hpp\"\n\n";
-  out << body;
-  out << "\n\n// ===== cascabel epilogue: variant registration & runtime init =====\n";
-  out << "namespace {\n";
+  std::string out = "// ===== Generated by cascabel =====\n";
+  out += "// input:  " + program.source_name + "\n";
+  out += "// target: ";
+  out += target.name().empty() ? "<unnamed platform>" : target.name();
+  out += "\n";
+  out += "// Do not edit; regenerate from the annotated input program.\n";
+  out += "#include <cstddef>\n";
+  out += "#include \"cascabel/rt.hpp\"\n\n";
+
+  // The input with its edits spliced in, front to back (edits do not overlap).
+  std::sort(edits.begin(), edits.end(),
+            [](const Edit& a, const Edit& b) { return a.begin < b.begin; });
+  std::size_t copied = 0;
+  for (const auto& edit : edits) {
+    out.append(program.source, copied, edit.begin - copied);
+    out += edit.text;
+    copied = edit.end;
+  }
+  out.append(program.source, copied);
+
+  out += "\n\n// ===== cascabel epilogue: variant registration & runtime init =====\n";
+  out += "namespace {\n";
 
   // Adapters + registrations for in-file variants.
   for (const auto& variant : program.variants) {
     const std::string where =
         program.source_name + ":" + std::to_string(variant.pragma.range.line);
-    out << "[[maybe_unused]] const bool cascabel_reg_" << variant.pragma.variant_name
-        << " = ::cascabel::rt::register_variant(\n";
-    out << "    \"" << variant.pragma.task_interface << "\", \""
-        << variant.pragma.variant_name << "\",\n    {";
+    out += "[[maybe_unused]] const bool cascabel_reg_" + variant.pragma.variant_name +
+           " = ::cascabel::rt::register_variant(\n";
+    out += "    \"" + variant.pragma.task_interface + "\", \"" +
+           variant.pragma.variant_name + "\",\n    {";
     for (std::size_t i = 0; i < variant.pragma.target_platforms.size(); ++i) {
-      out << (i ? ", " : "") << "\"" << variant.pragma.target_platforms[i] << "\"";
+      out += i ? ", \"" : "\"";
+      out += variant.pragma.target_platforms[i] + "\"";
     }
     // The in-file variant's device class follows its first target platform.
-    out << "},\n    "
-        << kind_enum(device_kind_for_target(variant.pragma.target_platforms.front()))
-        << ",\n";
-    out << "    [](const ::starvm::ExecContext& ctx) { "
-        << generate_adapter(variant, diags, where) << " });\n";
+    out += "},\n    ";
+    out += kind_enum(device_kind_for_target(variant.pragma.target_platforms.front()));
+    out += ",\n";
+    out += "    [](const ::starvm::ExecContext& ctx) { " +
+           generate_adapter(variant, diags, where) + " });\n";
   }
 
   if (options.emit_initialize) {
+    // The description is written once, straight into the file, then given
+    // a raw-string delimiter that it cannot close early.
+    out += "\nconst char cascabel_target_pdl[] = R\"CASCABEL_PDL(\n";
+    const std::size_t description = out.size();
     pdl::SerializeOptions so;
     so.pretty = true;
-    out << "\nconst char cascabel_target_pdl[] = R\"CASCABEL_PDL(\n"
-        << pdl::serialize(target, so) << ")CASCABEL_PDL\";\n";
-    out << "[[maybe_unused]] const bool cascabel_rt_ready =\n"
-        << "    ::cascabel::rt::initialize(cascabel_target_pdl);\n";
+    pdl::serialize(target, out, so);
+    const auto suffix = delimiter_suffix(std::string_view(out).substr(description));
+    if (!suffix) {
+      return pdl::util::Error{
+          "no raw-string delimiter from CASCABEL_PDL to CASCABEL_PDL9999 is free: "
+          "the target description holds the closing sequence of each",
+          target.name()};
+    }
+    if (!suffix->empty()) out.insert(description - 2, *suffix);  // before "(\n"
+    out += ")CASCABEL_PDL" + *suffix + "\";\n";
+    out += "[[maybe_unused]] const bool cascabel_rt_ready =\n";
+    out += "    ::cascabel::rt::initialize(cascabel_target_pdl);\n";
   }
-  out << "}  // namespace\n";
-  return out.str();
+  out += "}  // namespace\n";
+  return out;
 }
 
 }  // namespace cascabel

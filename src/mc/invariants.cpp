@@ -133,38 +133,30 @@ std::vector<Violation> check_invariants(const RunOutcome& run,
 
   // A602b: per-device monotone virtual-clock progress. Two completions on
   // one device must not overlap, and no task may finish before it starts.
+  // EngineStats::trace lists the rows by start time.
   {
     std::map<starvm::DeviceId, double> last_finish;
-    // Trace rows are appended in finalize order; sort by start time per
-    // check so interleaved devices do not alias.
-    std::vector<const starvm::TaskTrace*> rows;
-    rows.reserve(stats.trace.size());
-    for (const starvm::TaskTrace& t : stats.trace) rows.push_back(&t);
-    std::sort(rows.begin(), rows.end(),
-              [](const starvm::TaskTrace* a, const starvm::TaskTrace* b) {
-                return a->start_vtime < b->start_vtime;
-              });
     constexpr double kSlack = 1e-9;
-    for (const starvm::TaskTrace* t : rows) {
-      if (t->finish_vtime + kSlack < t->start_vtime) {
+    for (const starvm::TaskTrace& t : stats.trace) {
+      if (t.finish_vtime + kSlack < t.start_vtime) {
         out.push_back({"A602-divergent-replay",
-                       "task #" + std::to_string(t->id) +
+                       "task #" + std::to_string(t.id) +
                            " finishes before it starts on device " +
-                           std::to_string(t->device)});
+                           std::to_string(t.device)});
         continue;
       }
-      auto [it, inserted] = last_finish.try_emplace(t->device, t->finish_vtime);
+      auto [it, inserted] = last_finish.try_emplace(t.device, t.finish_vtime);
       if (!inserted) {
-        if (t->start_vtime + kSlack < it->second) {
+        if (t.start_vtime + kSlack < it->second) {
           out.push_back({"A602-divergent-replay",
-                         "device " + std::to_string(t->device) +
+                         "device " + std::to_string(t.device) +
                              " virtual clock ran backwards: task #" +
-                             std::to_string(t->id) + " starts at " +
-                             std::to_string(t->start_vtime) +
+                             std::to_string(t.id) + " starts at " +
+                             std::to_string(t.start_vtime) +
                              " before previous finish " +
                              std::to_string(it->second)});
         }
-        it->second = std::max(it->second, t->finish_vtime);
+        it->second = std::max(it->second, t.finish_vtime);
       }
     }
   }

@@ -142,8 +142,7 @@ class PlatformReader {
       case Kind::kPu:
         if (local == "PUDescriptor") {
           // A later descriptor replaces an earlier one.
-          parent.pu->descriptor() = Descriptor();
-          open_.push_back({Kind::kDescriptor, element, nullptr, &parent.pu->descriptor()});
+          start_descriptor(element, parent.pu->descriptor());
         } else if (local == "MemoryRegion") {
           start_memory_region(*parent.pu);
         } else if (local == "Interconnect") {
@@ -172,8 +171,7 @@ class PlatformReader {
       case Kind::kInterconnect: {
         const bool mr = parent.kind == Kind::kMemoryRegion;
         if (local == (mr ? "MRDescriptor" : "ICDescriptor")) {
-          *parent.descriptor = Descriptor();
-          open_.push_back({Kind::kDescriptor, element, nullptr, parent.descriptor});
+          start_descriptor(element, *parent.descriptor);
         } else if (local == "Property") {
           // Tolerate properties directly under MemoryRegion/Interconnect.
           start_property(*parent.descriptor);
@@ -211,6 +209,9 @@ class PlatformReader {
           report(Severity::kError, "<Property> without <name>", property_->loc,
                  closed.element);
         }
+        break;
+      case Kind::kDescriptor:
+        last_descriptor_size_ = closed.descriptor->size();
         break;
       case Kind::kNameOrValue:
         trim_in_place(*closed.text);
@@ -317,8 +318,17 @@ class PlatformReader {
     open_.push_back({Kind::kInterconnect, reader_.name(), nullptr, &ic.descriptor});
   }
 
+  /// Sibling descriptors tend to be alike: room for as many properties as
+  /// the previous descriptor element held spares each later one from
+  /// regrowing, and is never more than the input wrote out.
+  void start_descriptor(std::string_view element, Descriptor& descriptor) {
+    descriptor = Descriptor();
+    descriptor.properties().reserve(last_descriptor_size_);
+    open_.push_back({Kind::kDescriptor, element, nullptr, &descriptor});
+  }
+
   void start_property(Descriptor& descriptor) {
-    Property& prop = descriptor.add(Property{});
+    Property& prop = descriptor.properties().emplace_back();
     prop.fixed = !util::iequals(reader_.attribute("fixed").value_or("true"), "false");
     prop.xsi_type = attribute("xsi:type");
     prop.loc = loc();
@@ -334,6 +344,7 @@ class PlatformReader {
   std::optional<std::string> root_error_;
   std::vector<Open> open_;          // open PDL elements, innermost last
   std::size_t skip_until_ = 0;      // nonzero: ignoring tokens until depth drops below it
+  std::size_t last_descriptor_size_ = 0;  // properties of the last closed descriptor
   // At most one <Property> and one <LogicGroupAttribute> are open at a time.
   Property* property_ = nullptr;
   bool property_named_ = false;

@@ -164,14 +164,20 @@ std::size_t markup_size(const ProcessingUnit& pu, std::size_t depth) {
 
 }  // namespace
 
-std::string serialize(const Platform& platform, const SerializeOptions& options) {
-  std::string out;
+void serialize(const Platform& platform, std::string& out,
+               const SerializeOptions& options) {
   std::size_t size = 256;
   for (const auto& master : platform.masters()) size += markup_size(*master, 1);
-  out.reserve(options.pretty ? size : size * 3 / 4);  // no indentation or newlines
+  // Compact output has no indentation or newlines.
+  out.reserve(out.size() + (options.pretty ? size : size * 3 / 4));
   const bool bare = options.bare_master_root && platform.masters().size() == 1 &&
                     platform.name().empty();
   PlatformWriter(out, options).write(platform, bare);
+}
+
+std::string serialize(const Platform& platform, const SerializeOptions& options) {
+  std::string out;
+  serialize(platform, out, options);
   return out;
 }
 

@@ -18,6 +18,10 @@ struct SerializeOptions {
   bool pretty = true;
 };
 
+/// Serialize to XML text appended to `out`, reserving room for all of it
+/// up front.
+void serialize(const Platform& platform, std::string& out,
+               const SerializeOptions& options = {});
 /// Serialize to XML text.
 std::string serialize(const Platform& platform, const SerializeOptions& options = {});
 

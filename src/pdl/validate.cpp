@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <functional>
-#include <set>
+#include <memory_resource>
 #include <string>
+#include <string_view>
+#include <unordered_set>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -15,8 +17,11 @@ namespace {
 struct Checker {
   const Platform& platform;
   Diagnostics& diags;
-  std::set<std::string> pu_ids;
-  std::set<std::string> mr_ids;
+  // Views of the ids seen so far, in hash-set nodes carved from one pool:
+  // no heap allocation per id.
+  std::pmr::monotonic_buffer_resource pool;
+  std::pmr::unordered_set<std::string_view> pu_ids{&pool};
+  std::pmr::unordered_set<std::string_view> mr_ids{&pool};
 
   void report(Severity severity, const char* rule, std::string message,
               SourceLoc loc, std::string where) {
@@ -170,7 +175,7 @@ bool validate(const Platform& platform, Diagnostics& diags) {
   static obs::Counter& diag_warnings = obs::counter("pdl.diags_warning");
   const std::size_t errors_before = count_severity(diags, Severity::kError);
   const std::size_t warnings_before = count_severity(diags, Severity::kWarning);
-  Checker checker{platform, diags, {}, {}};
+  Checker checker{platform, diags};
 
   // V1.
   if (platform.masters().empty()) {

@@ -2,6 +2,7 @@
 
 #include "cascabel/translator.hpp"
 #include "discovery/presets.hpp"
+#include "pdl/serializer.hpp"
 
 namespace cascabel {
 namespace {
@@ -185,6 +186,64 @@ TEST(Translate, SyncEachCallCanBeDisabled) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().output_source.find("::cascabel::rt::wait();"),
             std::string::npos);
+}
+
+/// The contents of the raw string literal that embeds the target
+/// description in `src`, read up to its delimiter's first closing sequence.
+std::string embedded_description(const std::string& src) {
+  const std::string open = "cascabel_target_pdl[] = R\"";
+  const std::size_t delimiter = src.find(open) + open.size();
+  const std::size_t paren = src.find('(', delimiter);
+  const std::string close = ")" + src.substr(delimiter, paren - delimiter) + "\"";
+  const std::size_t begin = paren + 2;  // after "(\n"
+  return src.substr(begin, src.find(close, begin) - begin);
+}
+
+/// The CPU testbed with one more master property holding `note`.
+pdl::Platform testbed_with_note(const std::string& note) {
+  pdl::Platform target = paper_platform_starpu_cpu();
+  target.masters().front()->descriptor().add("NOTE", note);
+  return target;
+}
+
+pdl::util::Result<TranslationResult> translate_vecadd(const pdl::Platform& target) {
+  const TranslationOptions options;
+  return translate(kVecaddProgram, "vecadd.cpp", target, options);
+}
+
+TEST(Translate, DescriptionCannotCloseTheEmbeddedLiteral) {
+  // Text escaping leaves quotes and parentheses alone, so this value holds
+  // the closing sequence of the default delimiter.
+  const pdl::Platform target = testbed_with_note(
+      ")CASCABEL_PDL\"; int injected = 42; const char tail[] = R\"CASCABEL_PDL(");
+  auto result = translate_vecadd(target);
+  ASSERT_TRUE(result.ok()) << result.error().str();
+  const std::string& src = result.value().output_source;
+  EXPECT_EQ(embedded_description(src), pdl::serialize(target));
+  EXPECT_NE(src.find("cascabel_target_pdl[] = R\"CASCABEL_PDL0(\n"), std::string::npos);
+}
+
+TEST(Translate, DelimiterIsTheFirstWhoseClosingSequenceIsAbsent) {
+  // CASCABEL_PDL and CASCABEL_PDL0 are taken; "01" and "10000" (17
+  // characters) spell no delimiter of the sequence and "1x" is not followed
+  // by a quote.
+  const pdl::Platform target = testbed_with_note(
+      ")CASCABEL_PDL\" )CASCABEL_PDL0\" )CASCABEL_PDL01\" )CASCABEL_PDL10000\" "
+      ")CASCABEL_PDL1x\"");
+  auto result = translate_vecadd(target);
+  ASSERT_TRUE(result.ok()) << result.error().str();
+  const std::string& src = result.value().output_source;
+  EXPECT_NE(src.find("R\"CASCABEL_PDL1(\n"), std::string::npos);
+  EXPECT_EQ(embedded_description(src), pdl::serialize(target));
+}
+
+TEST(Translate, FailsWhenEveryDelimiterIsTaken) {
+  // Delimiters are at most 16 characters: CASCABEL_PDL, then 0 to 9999.
+  std::string note = ")CASCABEL_PDL\"";
+  for (int n = 0; n <= 9999; ++n) note += ")CASCABEL_PDL" + std::to_string(n) + "\"";
+  auto result = translate_vecadd(testbed_with_note(note));
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.error().str().find("no raw-string delimiter"), std::string::npos);
 }
 
 }  // namespace

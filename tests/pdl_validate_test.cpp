@@ -79,6 +79,37 @@ TEST(Validate, V6_RejectsEmptyId) {
   EXPECT_FALSE(validate(p, diags));
 }
 
+TEST(Validate, V6_V10_FlagEveryLaterDeclarationInTreeOrder) {
+  // The first PU (memory region) in depth-first order keeps its id; each
+  // later one, wherever it sits in the tree, is flagged, and V8 still
+  // resolves the shared id.
+  Platform p;
+  ProcessingUnit* x = p.add_master("x");
+  x->memory_regions().push_back(MemoryRegion{"mr", {}, {}});
+  ProcessingUnit* h = x->add_child(PuKind::kHybrid, "h");
+  h->add_child(PuKind::kWorker, "x");
+  ProcessingUnit* w = x->add_child(PuKind::kWorker, "w");
+  w->memory_regions().push_back(MemoryRegion{"mr", {}, {}});
+  ProcessingUnit* w_master = p.add_master("w");
+  w_master->add_child(PuKind::kWorker, "x");
+  w_master->interconnects().push_back(Interconnect{"QPI", "w", "x", "", {}, {}});
+  Diagnostics diags;
+  EXPECT_FALSE(validate(p, diags));
+
+  std::vector<std::string> found;
+  for (const auto& d : diags) {
+    if (d.rule == "V6" || d.rule == "V10" || d.rule == "V8") {
+      found.push_back(d.rule + " " + d.where + " " + d.message);
+    }
+  }
+  EXPECT_EQ(found, (std::vector<std::string>{
+                       "V6 x/h/x duplicate PU id 'x'",
+                       "V10 x/w duplicate MemoryRegion id 'mr'",
+                       "V6 w duplicate PU id 'w'",
+                       "V6 w/x duplicate PU id 'x'",
+                   }));
+}
+
 TEST(Validate, V7_RejectsNonPositiveQuantity) {
   Platform p;
   ProcessingUnit* m = p.add_master("m0");

@@ -1,5 +1,6 @@
-// Allocation budgets for the submission hot path and for set-up on a
-// 1000-PU platform.
+// Allocation budgets for the submission hot path, for set-up on a
+// 1000-PU platform and for the description layers that read, check and
+// embed that platform's description.
 //
 // The lock-split engine amortizes node and handle storage through
 // chunked arenas (detail::Arena), caches perf-model rows per codelet and
@@ -18,17 +19,26 @@
 // devices (no per-device ready queue or tree node), pre-selecting the
 // builtin repository against a 1000-worker description (no mismatch
 // reason formatted for a PU whose reason nobody reads), validating that
-// description (no locator built for a PU without a finding) and
-// constructing the cascabel::rt::Context that runs it (no copy of the
-// description kept). A fifth bounds the drain of that context's 2,048
-// vecadd tasks: a finished task is recorded on its task node only, not
-// copied into a per-device trace vector that grows on every device.
+// description (no tree node per PU id, no locator built for a PU without
+// a finding) and constructing the cascabel::rt::Context that runs it (no
+// copy of the description kept). A fifth bounds the drain of that
+// context's 2,048 vecadd tasks: a finished task is recorded on its task
+// node only, not copied into a per-device trace vector that grows on
+// every device.
+//
+// The toolchain reads and writes the same description: parsing its
+// serialized text builds each property in place in a vector allocated
+// once per descriptor, and translating a program onto it writes the
+// description once, straight into the generated file, so the bytes it
+// allocates stay below twice the file's size (operator new also sums the
+// bytes it hands out).
 //
 // Built as its own binary (test_starvm_alloc) so the interposed
 // operator new cannot perturb the rest of the suite, and skipped under
 // sanitizers, which own the allocator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -39,12 +49,15 @@
 #include "cascabel/builtin_variants.hpp"
 #include "cascabel/rt.hpp"
 #include "cascabel/selection.hpp"
+#include "cascabel/translator.hpp"
 #include "discovery/presets.hpp"
+#include "pdl/parser.hpp"
 #include "pdl/query.hpp"
+#include "pdl/serializer.hpp"
 #include "pdl/validate.hpp"
-#include "pdl/well_known.hpp"
 #include "starvm/bridge.hpp"
 #include "starvm/engine.hpp"
+#include "wide_platform.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define PDL_UNDER_SANITIZER 1
@@ -59,18 +72,32 @@
 
 namespace {
 std::atomic<std::uint64_t> g_new_calls{0};
+std::atomic<std::uint64_t> g_new_bytes{0};
 }  // namespace
 
 #if !PDL_UNDER_SANITIZER
 void* operator new(std::size_t size) {
   g_new_calls.fetch_add(1, std::memory_order_relaxed);
+  g_new_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
   g_new_calls.fetch_add(1, std::memory_order_relaxed);
+  g_new_bytes.fetch_add(size, std::memory_order_relaxed);
   return std::malloc(size);
+}
+
+// Over-aligned requests, such as the default std::pmr memory resource
+// makes; the nothrow and array forms call this one.
+void* operator new(std::size_t size, std::align_val_t align) {
+  g_new_calls.fetch_add(1, std::memory_order_relaxed);
+  g_new_bytes.fetch_add(size, std::memory_order_relaxed);
+  void* p = nullptr;
+  const std::size_t alignment = std::max(sizeof(void*), static_cast<std::size_t>(align));
+  if (posix_memalign(&p, alignment, size) == 0) return p;
+  throw std::bad_alloc();
 }
 
 void operator delete(void* p) noexcept { std::free(p); }
@@ -78,6 +105,10 @@ void operator delete(void* p) noexcept { std::free(p); }
 // operator new above and reports a false -Wmismatched-new-delete.
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 #endif  // !PDL_UNDER_SANITIZER
 
 namespace starvm {
@@ -140,27 +171,15 @@ std::uint64_t allocations_during(F&& f) {
   return g_new_calls.load(std::memory_order_relaxed) - before;
 }
 
-/// 1000 x86 cores under one Master, each written out as its own Worker
-/// (no quantity shorthand): the description shape whose set-up these
-/// budgets bound.
-pdl::Platform wide_platform() {
-  namespace props = pdl::props;
-  pdl::Platform platform("wide-x86");
-  pdl::ProcessingUnit* master = platform.add_master("m0");
-  master->descriptor().add(props::kArchitecture, props::kArchX86);
-  master->descriptor().add(props::kFrequencyMhz, "2660");
-  master->descriptor().add(props::kSustainedGflops, "9.8");
-  for (int core = 0; core < 1000; ++core) {
-    pdl::ProcessingUnit* worker =
-        master->add_child(pdl::PuKind::kWorker, "core" + std::to_string(core));
-    worker->descriptor().add(props::kArchitecture, "x86_core");
-    worker->descriptor().add(props::kFrequencyMhz, "2660");
-    worker->descriptor().add(props::kPeakGflops, "10.64");
-    worker->descriptor().add(props::kSustainedGflops, "9.8");
-    worker->logic_groups().push_back("all");
-  }
-  return platform;
+/// Bytes operator new hands out while `f` runs.
+template <typename F>
+std::uint64_t bytes_allocated_during(F&& f) {
+  const std::uint64_t before = g_new_bytes.load(std::memory_order_relaxed);
+  f();
+  return g_new_bytes.load(std::memory_order_relaxed) - before;
 }
+
+using pdl::fixtures::wide_platform;
 
 TEST(AllocBudget, EngineSetUpAllocatesFewPerDevice) {
   if (PDL_UNDER_SANITIZER) {
@@ -281,7 +300,6 @@ TEST(AllocBudget, ValidateAllocatesFewPerPu) {
     GTEST_SKIP() << "sanitizer owns the allocator";
   }
   const pdl::Platform target = wide_platform();
-  const std::size_t pus = pdl::all_pus(target).size();
   {
     pdl::Diagnostics warm_up;
     ASSERT_TRUE(pdl::validate(target, warm_up));
@@ -294,10 +312,65 @@ TEST(AllocBudget, ValidateAllocatesFewPerPu) {
   RecordProperty("allocations", static_cast<int>(allocations));
   EXPECT_TRUE(valid);
   EXPECT_TRUE(diags.empty());
-  // One node of the PU-id set per PU (the duplicate-id and interconnect
-  // endpoint checks need it); no locator for a PU without a finding and no
-  // set of property names per descriptor.
-  EXPECT_LT(allocations, 2 * pus) << "validation allocates per PU again";
+  // The duplicate-id and interconnect endpoint checks keep views of the
+  // PU ids in hash-set nodes carved from one pool (a few geometrically
+  // growing blocks), not a tree node per PU; no locator for a PU without a
+  // finding and no set of property names per descriptor.
+  EXPECT_LT(allocations, 32u) << "validation allocates per PU again";
+}
+
+TEST(AllocBudget, ParseAllocatesFewPerPu) {
+  if (PDL_UNDER_SANITIZER) {
+    GTEST_SKIP() << "sanitizer owns the allocator";
+  }
+  const std::string text = pdl::serialize(wide_platform());
+  {
+    pdl::Diagnostics warm_up;
+    ASSERT_TRUE(pdl::parse_platform(text, warm_up).ok());
+  }
+
+  pdl::Diagnostics diags;
+  std::optional<pdl::util::Result<pdl::Platform>> parsed;
+  const std::uint64_t allocations =
+      allocations_during([&] { parsed.emplace(pdl::parse_platform(text, diags)); });
+  RecordProperty("allocations", static_cast<int>(allocations));
+  ASSERT_TRUE(parsed->ok());
+  EXPECT_TRUE(diags.empty());
+  const std::size_t pus = pdl::all_pus(parsed->value()).size();
+  ASSERT_EQ(pus, 1001u);
+  // Per worker: its node, its property vector, its group vector and the
+  // one property name too long for the small-string buffer. Each property
+  // is built in place, in a vector that holds as many as the previous
+  // descriptor did; regrowing it through 1, 2 and 4 costs two more.
+  EXPECT_LT(static_cast<double>(allocations), 4.5 * static_cast<double>(pus))
+      << "parsing allocates per property again";
+}
+
+TEST(AllocBudget, TranslateAllocatesLessThanTwiceItsOutput) {
+  if (PDL_UNDER_SANITIZER) {
+    GTEST_SKIP() << "sanitizer owns the allocator";
+  }
+  const pdl::Platform target = wide_platform();
+  const cascabel::TranslationOptions options;
+  const auto translate = [&] {
+    return cascabel::translate(pdl::fixtures::kWideVecaddProgram, "vecadd.cpp", target,
+                               options);
+  };
+  // The first translation registers the toolchain's counters.
+  ASSERT_TRUE(translate().ok());
+
+  std::optional<pdl::util::Result<cascabel::TranslationResult>> result;
+  const std::uint64_t bytes =
+      bytes_allocated_during([&] { result.emplace(translate()); });
+  ASSERT_TRUE(result->ok());
+  const std::size_t output = result->value().output_source.size();
+  RecordProperty("bytes", static_cast<int>(bytes));
+  RecordProperty("output_bytes", static_cast<int>(output));
+  ASSERT_GT(output, 600'000u);
+  // The 617 KB description is written once, into the generated file. A
+  // returned copy of it, a stream buffer doubling through it and a copy
+  // out of the stream allocate about six times the output.
+  EXPECT_LT(bytes, 2u * output) << "translation copies the description again";
 }
 
 }  // namespace
