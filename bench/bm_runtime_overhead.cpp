@@ -139,9 +139,10 @@ BENCHMARK(BM_SubmitBatchEmptyTasks)->Arg(1000)->Arg(10000)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// Contended submission: `producers` application threads submit
-/// concurrently (disjoint handle sets) while the 4 workers drain. Scaling
-/// from 1 to N producers exercises the lock split — wiring serializes on
-/// the submit mutex but placement and the per-device ready queues do not.
+/// concurrently (disjoint handle sets) while the workers drain. Scaling
+/// from 1 to N producers exercises the submission path — wiring
+/// serializes on the submit mutex; a producer that finds the engine lock
+/// taken hands its task over through the inbox instead of waiting.
 void BM_MultiProducerSubmitDrain(benchmark::State& state) {
   const int producers = static_cast<int>(state.range(0));
   constexpr int kTotalTasks = 8000;

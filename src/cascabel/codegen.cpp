@@ -56,6 +56,19 @@ std::string comment_out(std::string_view text) {
   return out;
 }
 
+/// Append `text` to a `//` comment line with `\`, CR and LF escaped, so a
+/// name from the description or the source cannot end the comment.
+void append_comment_text(std::string& out, std::string_view text) {
+  for (const char c : text) {
+    switch (c) {
+      case '\\': out += "\\\\"; break;
+      case '\r': out += "\\r"; break;
+      case '\n': out += "\\n"; break;
+      default: out += c;
+    }
+  }
+}
+
 /// The generated replacement for one annotated call site, or nullopt when
 /// the call cannot be translated (diagnostic added; original call kept).
 std::optional<std::string> generate_call_block(const AnnotatedProgram& program,
@@ -237,10 +250,12 @@ pdl::util::Result<std::string> generate_source(const AnnotatedProgram& program,
   }
 
   // Prologue.
-  std::string out = "// ===== Generated by cascabel =====\n";
-  out += "// input:  " + program.source_name + "\n";
-  out += "// target: ";
-  out += target.name().empty() ? "<unnamed platform>" : target.name();
+  std::string out = "// ===== Generated by cascabel =====\n// input:  ";
+  append_comment_text(out, program.source_name);
+  out += "\n// target: ";
+  append_comment_text(out, target.name().empty()
+                               ? "<unnamed platform>"
+                               : std::string_view(target.name()));
   out += "\n";
   out += "// Do not edit; regenerate from the annotated input program.\n";
   out += "#include <cstddef>\n";

@@ -16,8 +16,9 @@
 // torn-read-safe under TSan, not just in practice.
 //
 // Ownership contract: record() on one ring must come from a single
-// producer at a time (a worker thread owning its device ring, or writers
-// serialized by a mutex, as the engine's fault path is). snapshot() is
+// producer at a time: writers serialized by a mutex, as the engine's are
+// (its lane rings under the engine mutex, its fault ring under the fault
+// mutex). snapshot() is
 // safe from anywhere, any time — that is the whole point of a flight
 // recorder: the post-mortem dump runs while the crash is still unfolding.
 #pragma once

@@ -110,12 +110,12 @@ struct EngineConfig {
   /// every nondeterministic choice point — schedule pick, release order,
   /// placement-class member — is offered to the oracle with the canonical
   /// tie-break as alternative 0. Null keeps the fixed tie-break; non-owning
-  /// and must outlive the engine. Ignored in kHybrid (real threads cannot
-  /// be steered by a single-threaded oracle).
+  /// and must outlive the engine. Ignored in kHybrid (its worker threads
+  /// cannot be serialized through an oracle).
   DecisionOracle* oracle = nullptr;
 
-  /// Test-only: wrap (or replace) the simulation scheduler after
-  /// construction. The model-checking harness uses this to install
+  /// Test-only: wrap (or replace) the engine's one scheduler, in any mode,
+  /// after construction. The model-checking harness uses this to install
   /// deliberately broken decorators (e.g. a lost-wakeup seeder) and prove
   /// the explorer catches them. Null for production use.
   std::function<std::unique_ptr<detail::Scheduler>(

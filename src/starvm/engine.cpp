@@ -10,6 +10,7 @@
 #include <fstream>
 #include <limits>
 #include <map>
+#include <span>
 #include <stdexcept>
 #include <tuple>
 
@@ -23,6 +24,22 @@
 namespace starvm {
 
 namespace {
+
+/// Threaded mode: once the moving average of measured kernel times falls
+/// below kShortKernelSeconds, kernels run one at a time until it rises
+/// above kLongKernelSeconds. Every turn takes the one engine lock, so for
+/// such kernels a second worker would mostly wait for it and slow the
+/// first one down. The gap keeps a mix of long and short kernels from
+/// flipping the mode. The average starts long: the first tasks wake
+/// workers as soon as work is left.
+constexpr double kShortKernelSeconds = 1e-6;
+constexpr double kLongKernelSeconds = 4e-6;
+/// Weight of one measured kernel in that average.
+constexpr double kKernelAverageWeight = 1.0 / 64;
+
+/// Threaded mode: how often an idle worker yields its core and looks for a
+/// push before it sleeps.
+constexpr int kPollsBeforeSleep = 64;
 
 double now_seconds() {
   return std::chrono::duration<double>(
@@ -189,25 +206,17 @@ Engine::Engine(EngineConfig config) : config_(std::move(config)) {
   }
   build_placement_classes();
 
-  detail::CostClassFn cost = [this](const detail::TaskNode& task, double* out) {
-    estimated_cost_class_row(task, out);
-  };
-  // Simulation modes are a deterministic discrete-event loop driven by
-  // wait_all() on the caller's thread: real worker threads would race in
-  // *wall* time and distort which device pops next in *virtual* time. The
-  // real-threads path instead uses the lock-split HybridDispatch.
-  if (hybrid()) {
-    dispatch_ = std::make_unique<detail::HybridDispatch>(
-        config_.scheduler, &devices_, &classes_, cost);
-  } else {
-    // The oracle only steers the single-threaded simulation loop; real
-    // worker threads cannot be serialized through it.
-    oracle_ = config_.oracle;
-    scheduler_ = detail::make_scheduler(config_.scheduler, &devices_,
-                                        &classes_, std::move(cost), oracle_);
-    if (config_.wrap_scheduler) {
-      scheduler_ = config_.wrap_scheduler(std::move(scheduler_));
-    }
+  // The oracle only steers the simulation loop, which one thread runs;
+  // threaded workers cannot be serialized through it.
+  if (!hybrid()) oracle_ = config_.oracle;
+  scheduler_ = detail::make_scheduler(
+      config_.scheduler, &devices_, &classes_,
+      [this](const detail::TaskNode& task, double* out) {
+        estimated_cost_class_row(task, out);
+      },
+      oracle_);
+  if (config_.wrap_scheduler) {
+    scheduler_ = config_.wrap_scheduler(std::move(scheduler_));
   }
   decision_counter_ = &obs::counter("starvm.decisions." +
                                     std::string(to_string(config_.scheduler)));
@@ -249,9 +258,19 @@ Engine::Engine(EngineConfig config) : config_(std::move(config)) {
   }
 
   if (hybrid()) {
-    workers_.reserve(devices_.size());
-    for (std::size_t i = 0; i < devices_.size(); ++i) {
-      workers_.emplace_back([this, i] { worker_loop(static_cast<DeviceId>(i)); });
+    // Until a kernel has been measured, treat kernels as long: wake a
+    // worker for any work left behind.
+    kernel_ema_seconds_ = kLongKernelSeconds;
+    // Any worker serves any lane, so more workers than host cores would
+    // only contend for them.
+    const std::size_t workers = std::min<std::size_t>(
+        devices_.size(), std::max(1u, std::thread::hardware_concurrency()));
+    workers_.reserve(workers);
+    for (std::size_t i = 0; i < workers; ++i) {
+      workers_.emplace_back([this] {
+        std::unique_lock<std::mutex> lock(mutex_);
+        run_turns(lock);
+      });
     }
   }
 }
@@ -311,8 +330,13 @@ const DeviceSpec* Engine::node_link_spec(MemoryNodeId node) const {
 
 Engine::~Engine() {
   (void)wait_all();  // task errors were the caller's to collect
-  stopping_.store(true);
-  if (dispatch_) dispatch_->notify_all();
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stopping_ = true;
+  }
+  // Pollers see the epoch move, sleepers the notification.
+  work_epoch_.fetch_add(1, std::memory_order_relaxed);
+  wake_.notify_all();
   for (auto& w : workers_) w.join();
   // Workers are gone: the model is quiescent, snapshot and persist it. Only
   // a hybrid run measures anything; in the simulation modes every
@@ -627,31 +651,80 @@ void Engine::publish_submission(detail::TaskNode* task) {
                                            detail::TaskState::kReady)) {
     return;  // cancelled or failed during wiring
   }
-  if (hybrid()) {
-    dispatch_ready(task);
-  } else {
+  publish_ready({&task, 1});
+}
+
+void Engine::publish_ready(std::span<detail::TaskNode* const> ready) {
+  std::unique_lock<std::mutex> lock(mutex_, std::try_to_lock);
+  if (!lock.owns_lock()) {
+    // A turn holds mutex_: leave the tasks for its next pop rather than
+    // wait for it.
+    for (std::size_t i = 1; i < ready.size(); ++i) {
+      ready[i]->next_ready = ready[i - 1];
+    }
+    hand_over(ready.front(), ready.back());
+    return;
+  }
+  for (detail::TaskNode* task : ready) dispatch_ready(task);
+  const Listener listener = leave_work_locked();
+  lock.unlock();
+  notify(listener);
+}
+
+void Engine::hand_over(detail::TaskNode* oldest, detail::TaskNode* newest) {
+  detail::TaskNode* head = inbox_.load(std::memory_order_relaxed);
+  do {
+    oldest->next_ready = head;
+  } while (!inbox_.compare_exchange_weak(head, newest));
+  // Every awake worker drains the inbox at its next turn, and a worker
+  // re-checks it after registering as a sleeper. So wake a sleeper only
+  // when every worker sleeps, or when kernels are long and the work
+  // should not wait for a running one. No wake-up in the simulation modes.
+  if (pollers_.load() > 0) return;
+  const int sleeping = sleepers_.load();
+  if (sleeping == 0 ||
+      (sleeping < static_cast<int>(workers_.size()) &&
+       short_kernels_.load(std::memory_order_relaxed))) {
+    return;
+  }
+  // Taking mutex_ orders the notify after a sleeper's wait: it holds
+  // mutex_ from its inbox re-check until it waits.
+  {
     std::lock_guard<std::mutex> lock(mutex_);
-    dispatch_ready(task);
+    if (sleepers_ <= wakes_pending_) return;  // one is being woken already
+    ++wakes_pending_;
+  }
+  wake_.notify_one();
+}
+
+void Engine::drain_inbox_locked() {
+  detail::TaskNode* newest = inbox_.exchange(nullptr);
+  detail::TaskNode* oldest = nullptr;  // reverse into submission order
+  while (newest != nullptr) {
+    detail::TaskNode* next = newest->next_ready;
+    newest->next_ready = oldest;
+    oldest = newest;
+    newest = next;
+  }
+  while (oldest != nullptr) {
+    detail::TaskNode* next = oldest->next_ready;
+    dispatch_ready(oldest);
+    oldest = next;
   }
 }
 
 void Engine::dispatch_ready(detail::TaskNode* task) {
-  if (hybrid()) {
-    if (!dispatch_->push(task)) {
-      // Every capable device was blacklisted after the readiness check.
-      std::lock_guard<std::mutex> fault(fault_mutex_);
-      fail_task_locked(*task, "no live device can execute codelet '" +
-                                  task->codelet->name + "'");
-      return;
-    }
-    if (obs::metrics_enabled()) {
-      ready_queue_gauge().set(static_cast<std::int64_t>(dispatch_->size()));
-    }
-  } else {
-    scheduler_->push(task);
-    if (obs::metrics_enabled()) {
-      ready_queue_gauge().set(static_cast<std::int64_t>(scheduler_->size()));
-    }
+  // Wiring checked for a live device without mutex_; a threaded worker
+  // may have blacklisted the last one since.
+  if (blacklists_ > 0 && !has_live_capable_device(*task->codelet)) {
+    std::lock_guard<std::mutex> fault(fault_mutex_);
+    fail_task_locked(*task, "no live device can execute codelet '" +
+                                task->codelet->name + "'");
+    return;
+  }
+  scheduler_->push(task);
+  if (obs::metrics_enabled()) {
+    ready_queue_gauge().set(static_cast<std::int64_t>(scheduler_->size()));
   }
 }
 
@@ -694,9 +767,8 @@ std::vector<TaskId> Engine::submit_batch(std::vector<TaskDesc> descs) {
   ids.reserve(nodes.size());
   for (const detail::TaskNode* task : nodes) ids.push_back(task->id);
 
-  // Publish the whole batch, then hand every now-ready task to the
-  // dispatcher in one call (each involved device queue is locked and its
-  // workers woken once).
+  // Publish the whole batch, then push every now-ready task under one
+  // acquisition of mutex_.
   std::vector<detail::TaskNode*> ready;
   for (detail::TaskNode* task : nodes) {
     if (task->deps_remaining.fetch_sub(1) != 1) continue;
@@ -706,51 +778,25 @@ std::vector<TaskId> Engine::submit_batch(std::vector<TaskDesc> descs) {
       ready.push_back(task);
     }
   }
-  if (!ready.empty()) {
-    if (hybrid()) {
-      const std::vector<detail::TaskNode*> rejected =
-          dispatch_->push_batch(ready);
-      if (obs::metrics_enabled()) {
-        ready_queue_gauge().set(static_cast<std::int64_t>(dispatch_->size()));
-      }
-      if (!rejected.empty()) {
-        std::lock_guard<std::mutex> fault(fault_mutex_);
-        for (detail::TaskNode* task : rejected) {
-          fail_task_locked(*task, "no live device can execute codelet '" +
-                                      task->codelet->name + "'");
-        }
-      }
-    } else {
-      std::lock_guard<std::mutex> lock(mutex_);
-      for (detail::TaskNode* task : ready) scheduler_->push(task);
-      if (obs::metrics_enabled()) {
-        ready_queue_gauge().set(static_cast<std::int64_t>(scheduler_->size()));
-      }
-    }
-  }
+  if (!ready.empty()) publish_ready(ready);
   return ids;
 }
 
 pdl::util::Status Engine::wait_all() {
-  pdl::util::Status status;
   if (!hybrid()) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    run_simulation_locked();
-    drain_wall_.store(now_seconds());
-    {
-      std::lock_guard<std::mutex> fault(fault_mutex_);
-      status = drain_status_locked();
-    }
+    // The simulation loop runs on the caller's thread and performs every
+    // completion itself.
+    std::unique_lock<std::mutex> lock(mutex_);
+    run_turns(lock);
   } else {
-    {
-      std::unique_lock<std::mutex> lock(drain_mutex_);
-      drain_cv_.wait(lock, [this] { return pending_.load() == 0; });
-    }
-    drain_wall_.store(now_seconds());
-    {
-      std::lock_guard<std::mutex> fault(fault_mutex_);
-      status = drain_status_locked();
-    }
+    std::unique_lock<std::mutex> lock(drain_mutex_);
+    drain_cv_.wait(lock, [this] { return pending_.load() == 0; });
+  }
+  drain_wall_.store(now_seconds());
+  pdl::util::Status status;
+  {
+    std::lock_guard<std::mutex> fault(fault_mutex_);
+    status = drain_status_locked();
   }
   // Post-mortem on an aggregated failure, after fault_mutex_ is released
   // (the dump reads task labels under submit_mutex_ and writes files).
@@ -767,8 +813,8 @@ bool Engine::wait(TaskId id) {
     task = &tasks_[static_cast<std::size_t>(id - 1)];
   }
   if (!hybrid()) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    run_simulation_locked();
+    std::unique_lock<std::mutex> lock(mutex_);
+    run_turns(lock);
     return task->state.load() == detail::TaskState::kDone;
   }
   // Register as a waiter first (sequentially consistent), so a finalizer
@@ -814,42 +860,139 @@ void Engine::notify_drain() {
   drain_cv_.notify_all();
 }
 
-void Engine::run_simulation_locked() {
-  // Deterministic discrete-event loop: the device that becomes free
-  // earliest (on the virtual clock) asks the scheduler next — the
-  // virtual-time analogue of "the first idle worker pops". The scheduler
-  // keeps an avail-ordered index incrementally (pop_earliest /
-  // on_device_time_advanced), so one loop turn costs O(log devices)
-  // instead of re-sorting every device each iteration.
-  while (pending_.load() > 0) {
+Engine::Listener Engine::leave_work_locked() {
+  if (pollers_ > 0) return Listener::kPoller;
+  const bool needed =
+      running_ == 0 || !short_kernels_.load(std::memory_order_relaxed);
+  if (!needed || sleepers_ <= wakes_pending_) return Listener::kNone;
+  ++wakes_pending_;
+  return Listener::kSleeper;
+}
+
+void Engine::notify(Listener listener) {
+  if (listener == Listener::kPoller) {
+    work_epoch_.fetch_add(1, std::memory_order_relaxed);
+  } else if (listener == Listener::kSleeper) {
+    wake_.notify_one();
+  }
+}
+
+bool Engine::poll_for_work(std::unique_lock<std::mutex>& lock) {
+  ++pollers_;
+  const std::uint32_t seen = work_epoch_.load(std::memory_order_relaxed);
+  lock.unlock();
+  bool signalled = false;
+  for (int i = 0; i < kPollsBeforeSleep && !signalled; ++i) {
+    std::this_thread::yield();
+    signalled = work_epoch_.load(std::memory_order_relaxed) != seen ||
+                inbox_.load(std::memory_order_relaxed) != nullptr;
+  }
+  lock.lock();
+  --pollers_;
+  return signalled;
+}
+
+void Engine::note_kernel_time_locked(double seconds) {
+  kernel_ema_seconds_ += (seconds - kernel_ema_seconds_) * kKernelAverageWeight;
+  if (kernel_ema_seconds_ < kShortKernelSeconds) {
+    short_kernels_.store(true, std::memory_order_relaxed);
+  } else if (kernel_ema_seconds_ > kLongKernelSeconds) {
+    short_kernels_.store(false, std::memory_order_relaxed);
+  }
+}
+
+void Engine::run_turns(std::unique_lock<std::mutex>& lock) {
+  // Discrete-event loop: the free lane that becomes available earliest on
+  // the virtual clock pops next — the virtual-time analogue of "the first
+  // idle worker pops". The scheduler keeps an avail-ordered index
+  // incrementally (pop_earliest / on_device_time_advanced), so one turn
+  // costs O(log devices) instead of re-sorting every device.
+  bool idle = false;  // polled since the last task and saw no work
+  bool ran = false;   // the last turn ran a task
+  for (;;) {
+    if (inbox_.load(std::memory_order_relaxed) != nullptr) drain_inbox_locked();
+    // After a short kernel a threaded worker stands aside while another
+    // runs one: it would mostly wait for mutex_, and the other comes back
+    // to pop.
+    const bool surplus = ran && running_ > 0 &&
+                         short_kernels_.load(std::memory_order_relaxed);
     DeviceId chosen = -1;
-    detail::TaskNode* task = oracle_ != nullptr
-                                 ? pop_via_oracle(&chosen)
-                                 : scheduler_->pop_earliest(&chosen);
-    if (task == nullptr) {
-      // Submitted-but-waiting tasks only unblock through completions, which
-      // this loop performs synchronously — reaching here means a dependency
-      // cycle or a foreign bug; bail out rather than spin.
-      break;
+    detail::TaskNode* task = nullptr;
+    if (pending_.load() > 0 && !surplus) {
+      task = oracle_ != nullptr ? pop_via_oracle(&chosen)
+                                : scheduler_->pop_earliest(&chosen);
     }
+    if (task == nullptr) {
+      // The simulation loop performs every completion itself: nothing
+      // runnable means it drained, or a dependency cycle or a foreign bug
+      // left tasks waiting; return rather than spin. An idle worker polls
+      // once for a push, then sleeps until a push or a freed lane leaves
+      // work for it.
+      if (!hybrid() || stopping_) return;
+      if (idle || surplus) {
+        sleepers_.fetch_add(1);
+        // A surplus worker leaves the inbox to the running one.
+        if (surplus || inbox_.load() == nullptr) wake_.wait(lock);
+        sleepers_.fetch_sub(1);
+        if (wakes_pending_ > 0) --wakes_pending_;
+        idle = false;
+      } else {
+        idle = !poll_for_work(lock);
+      }
+      ran = false;
+      continue;
+    }
+    idle = false;
+    ran = true;
     detail::DeviceState& device = devices_[static_cast<std::size_t>(chosen)];
     const FaultPlan::Injection injected = begin_attempt(*task, device);
-    // The clock charges the model in both simulation modes.
-    const double exec = exec_estimate(*task, device) + injected.delay_seconds;
     bool failed = injected.fail;
     std::string reason = injected.reason;
-    if (!failed && config_.mode == ExecutionMode::kDeterministic) {
-      // Kernels run for real, single-threaded under the engine mutex, in
-      // virtual-clock order, so the run replays identically while the
-      // numerics are genuine.
-      const Implementation* impl = task->codelet->find_impl(device.spec.kind);
-      if (impl != nullptr && impl->fn) {
+    // kPureSim models every kernel without running it.
+    const Implementation* impl =
+        failed || config_.mode == ExecutionMode::kPureSim
+            ? nullptr
+            : task->codelet->find_impl(device.spec.kind);
+    const bool kernel = impl != nullptr && impl->fn;
+    double exec = 0.0;
+    const char* watchdog = "watchdog: modeled execution exceeded limit";
+    if (hybrid()) {
+      // The lane stays busy while its kernel runs without mutex_. Work this
+      // pop left behind goes to a poller or a sleeper, which signals the
+      // next in turn.
+      device.busy = true;
+      ++running_;
+      const Listener listener =
+          scheduler_->empty() ? Listener::kNone : leave_work_locked();
+      lock.unlock();
+      notify(listener);
+      double measured = 0.0;  // a body-less codelet costs no measurable time
+      if (kernel) {
+        pdl::util::Stopwatch sw;
         failed = !run_attempt(*impl, *task, device, reason);
+        measured = sw.elapsed_seconds();
       }
+      // A CPU lane is charged its measured time. A simulated accelerator's
+      // host run only produced the data: its lane is charged what the
+      // declared rate takes.
+      exec = device.spec.kind == DeviceKind::kAccelerator && task->flops > 0.0
+                 ? task->flops / (device.spec.sustained_gflops * 1e9)
+                 : measured;
+      watchdog = "watchdog: execution exceeded limit";
+      lock.lock();
+      device.busy = false;
+      --running_;
+      note_kernel_time_locked(measured);
+    } else {
+      // The clock charges the model in both simulation modes; kDeterministic
+      // also runs the kernel, single-threaded in virtual-clock order, so the
+      // run replays identically while the numerics are genuine.
+      exec = exec_estimate(*task, device);
+      if (kernel) failed = !run_attempt(*impl, *task, device, reason);
     }
-    end_attempt(*task, device, exec, failed, reason,
-                "watchdog: modeled execution exceeded limit");
-    // Only the executing device's clock moved this turn; re-key just it.
+    end_attempt(*task, device, exec + injected.delay_seconds, failed, reason,
+                watchdog);
+    // Only the executing lane's clock moved this turn; re-key just it.
     scheduler_->on_device_time_advanced(device.id);
   }
 }
@@ -859,13 +1002,10 @@ FaultPlan::Injection Engine::begin_attempt(detail::TaskNode& task,
   task.state.store(detail::TaskState::kRunning);
   task.ran_on = device.id;
   ++task.attempts;
-  // The ready-queue depth at pop, read once and only when the gauge or the
-  // flight ring records it: in hybrid mode it is a counter that every push
-  // and pop on any device writes.
+  // The ready-queue depth at pop, read only when the gauge or the flight
+  // ring records it.
   const bool gauge = obs::metrics_enabled();
-  const std::size_t queued =
-      gauge || flight_ ? (hybrid() ? dispatch_->size() : scheduler_->size())
-                       : 0;
+  const std::size_t queued = gauge || flight_ ? scheduler_->size() : 0;
   if (gauge) ready_queue_gauge().set(static_cast<std::int64_t>(queued));
   // Before acquire_buffers: candidate costs must see decision-time replica
   // placement.
@@ -960,8 +1100,8 @@ void Engine::finalize_task(detail::TaskNode& task, detail::DeviceState& device,
   PerfModel::observe_in(*task.model_row, device.id, exec, task.flops);
   // Variant alias (Codelet::calibration_alias): record the same sample
   // under the selected variant's name so the persisted store learns
-  // per-variant rates. Same single-writer-per-cell protocol — the cell's
-  // writer is this device's worker regardless of which codelet aliases it.
+  // per-variant rates. Every observation is made under mutex_, so each
+  // cell keeps one writer at a time.
   if (PerfModel::Row* alias =
           task.alias_rows[static_cast<std::size_t>(device.spec.kind)]) {
     PerfModel::observe_in(*alias, device.id, exec, task.flops);
@@ -976,7 +1116,7 @@ void Engine::finalize_task(detail::TaskNode& task, detail::DeviceState& device,
                           {});
   }
   if (flight_) {
-    // Owning worker (hybrid) or the sim loop under mutex_: single producer.
+    // Written under mutex_ only: one producer at a time.
     obs::FlightRing& ring = flight_->ring(static_cast<std::size_t>(device.id));
     ring.record(obs::FlightKind::kTaskEnd,
                 static_cast<std::uint32_t>(task.attempts), task.id, device.id,
@@ -1200,13 +1340,13 @@ void Engine::blacklist_device_locked(detail::DeviceState& device) {
           std::to_string(device.consecutive_failures) +
           " consecutive failures");
 
-  // Graceful degradation: queued work re-enters the dispatcher against the
+  // Graceful degradation: queued work re-enters the scheduler against the
   // shrunken candidate set; work nothing can run fails right away. Note the
-  // direct dispatch_->push (not dispatch_ready): fault_mutex_ is held here
-  // and dispatch_ready would try to re-take it on a push failure.
+  // direct scheduler_->push (not dispatch_ready): fault_mutex_ is held here
+  // and dispatch_ready would try to re-take it on a failure. The caller
+  // holds mutex_, as every scheduler call requires.
   const std::vector<detail::TaskNode*> drained =
-      hybrid() ? dispatch_->drain_device(device.id)
-               : scheduler_->drain_device(device.id);
+      scheduler_->drain_device(device.id);
   for (detail::TaskNode* task : drained) {
     if (has_live_capable_device(*task->codelet)) {
       ++reroutes_;
@@ -1221,12 +1361,7 @@ void Engine::blacklist_device_locked(detail::DeviceState& device) {
       if (oracle_ != nullptr) {
         oracle_->note(ChoiceKind::kReroute, task->id, device.id);
       }
-      const bool pushed =
-          hybrid() ? dispatch_->push(task) : (scheduler_->push(task), true);
-      if (!pushed) {
-        fail_task_locked(*task, "no live device can execute codelet '" +
-                                    task->codelet->name + "'");
-      }
+      scheduler_->push(task);
     } else {
       fail_task_locked(*task, "no live device can execute codelet '" +
                                   task->codelet->name + "'");
@@ -1296,9 +1431,8 @@ void Engine::handle_task_failure(detail::TaskNode& task,
       fail_task_locked(task, reason);
     }
   }
-  // Re-dispatch outside fault_mutex_: the hybrid push-failure path inside
-  // dispatch_ready takes it again. In the simulation modes the caller holds
-  // mutex_, which is what scheduler_ pushes require.
+  // Re-dispatch outside fault_mutex_: dispatch_ready's failure path takes
+  // it again. The caller holds mutex_, which scheduler_ pushes require.
   if (retry) dispatch_ready(&task);
   // A watchdog fire is the flight recorder's primary trigger: dump while
   // the evidence is still resident (also after fault_mutex_ is released).
@@ -1365,7 +1499,6 @@ void Engine::record_decision(const detail::TaskNode& task,
     obs::emit_event(event);
   }
 
-  std::lock_guard<std::mutex> lock(decisions_mutex_);
   decisions_.push_back(std::move(decision));
 }
 
@@ -1570,47 +1703,6 @@ void Engine::estimated_cost_class_row(const detail::TaskNode& task,
   }
 }
 
-// --- Worker loop -------------------------------------------------------------------
-
-void Engine::worker_loop(DeviceId device_id) {
-  detail::DeviceState& device = devices_[static_cast<std::size_t>(device_id)];
-  for (;;) {
-    detail::TaskNode* task = dispatch_->wait_pop(device_id, stopping_);
-    if (task == nullptr) return;  // stopping
-    run_task_hybrid(*task, device);
-  }
-}
-
-void Engine::run_task_hybrid(detail::TaskNode& task,
-                             detail::DeviceState& device) {
-  const FaultPlan::Injection injected = begin_attempt(task, device);
-
-  // --- execute, no engine lock held ---
-  bool failed = injected.fail;
-  std::string reason = injected.reason;
-  const Implementation* impl = task.codelet->find_impl(device.spec.kind);
-  assert(impl != nullptr);
-  double measured = 0.0;  // a body-less codelet costs no measurable time
-  if (impl->fn && !failed) {
-    pdl::util::Stopwatch sw;
-    failed = !run_attempt(*impl, task, device, reason);
-    measured = sw.elapsed_seconds();
-  }
-  double exec = 0.0;
-  if (device.spec.kind == DeviceKind::kAccelerator) {
-    // Simulated accelerator: host execution produced the data; the
-    // virtual clock charges what the modeled device would have taken.
-    exec = task.flops > 0.0
-               ? task.flops / (device.spec.sustained_gflops * 1e9)
-               : measured;
-  } else {
-    exec = measured;
-  }
-  exec += injected.delay_seconds;
-  end_attempt(task, device, exec, failed, reason,
-              "watchdog: execution exceeded limit");
-}
-
 // --- Flight recorder ------------------------------------------------------------
 
 std::vector<obs::FlightEvent> Engine::flight_snapshot() const {
@@ -1678,8 +1770,10 @@ EngineStats Engine::stats() const {
       s.devices.push_back(std::move(ds));
       s.tasks_completed += device.tasks_run;
     }
+    // The simulation views leave steals at 0.
+    if (hybrid()) s.steals = scheduler_->steals();
+    s.decisions = decisions_;
   }
-  if (dispatch_) s.steals = dispatch_->steals();
   {
     std::lock_guard<std::mutex> mem(memory_mutex_);
     s.transfers = transfers_;
@@ -1715,7 +1809,7 @@ EngineStats Engine::stats() const {
     s.tasks_submitted = tasks_submitted_;
     s.perf_model_seeds = perf_model_seeds_;
     // One row per finished task, read off its node: loading kDone orders
-    // these reads after finalize_task's writes, a hybrid worker's included.
+    // these reads after finalize_task's writes, a threaded worker's included.
     for (std::size_t i = 0; i < tasks_.size(); ++i) {
       const detail::TaskNode& task = tasks_[i];
       if (task.state.load() != detail::TaskState::kDone) continue;
@@ -1743,10 +1837,6 @@ EngineStats Engine::stats() const {
   const double drained = drain_wall_.load();
   if (first >= 0.0 && drained > first) {
     s.wall_seconds = drained - first;
-  }
-  {
-    std::lock_guard<std::mutex> lock(decisions_mutex_);
-    s.decisions = decisions_;
   }
   return s;
 }

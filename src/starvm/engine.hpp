@@ -11,22 +11,26 @@
 //
 // Dependencies are inferred from access modes per data handle with
 // sequential consistency (RAW, WAR, WAW), exactly the contract StarPU
-// gives the paper's generated programs. Each device runs its own worker
-// thread; simulated accelerators execute implementations on the host while
-// their time is charged from the performance model (DESIGN.md).
+// gives the paper's generated programs. Each described device is a lane:
+// a queue in the one scheduler plus a virtual clock. The simulation modes
+// run the lanes on the caller's thread inside wait_all; the threaded mode
+// (kHybrid) runs the same loop on k = min(devices, host cores) workers,
+// any of which may serve any lane. Simulated accelerators execute
+// implementations on the host while their time is charged from the
+// performance model (DESIGN.md).
 //
 // Thread-safety: submit/submit_batch/wait_all may be called concurrently
 // from multiple application threads while workers drain; DataHandle
 // registration and partitioning must happen outside active task execution
 // on those handles.
 //
-// Locking (real-threads mode; see docs/RUNTIME.md "Scheduling & locking
-// architecture"): submission wiring is serialized by submit_mutex_;
-// dependency release goes through per-task edge mutexes; ready tasks flow
-// through per-device queues (scheduler.hpp HybridDispatch); replica
-// bookkeeping has its own memory_mutex_ (skipped entirely on single-node
-// platforms); fault handling has fault_mutex_. The simulation modes keep
-// the single coarse mutex_ for the discrete-event loop.
+// Locking (see docs/RUNTIME.md "Scheduling & locking architecture"): the
+// scheduler, the lanes and every attempt's bookkeeping are guarded by
+// mutex_ in every mode; a threaded worker releases it only around the
+// kernel. Submission wiring is serialized by submit_mutex_; dependency
+// release goes through per-task edge mutexes; replica bookkeeping has its
+// own memory_mutex_ (skipped entirely on single-node platforms); fault
+// handling has fault_mutex_.
 #pragma once
 
 #include <array>
@@ -37,6 +41,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -146,6 +151,10 @@ class Engine {
 
   const EngineConfig& config() const { return config_; }
   std::size_t device_count() const { return devices_.size(); }
+  /// Host threads serving the lanes: min(devices, host cores) in the
+  /// threaded mode, 0 in the simulation modes (the caller's thread runs
+  /// the loop).
+  std::size_t worker_count() const { return workers_.size(); }
   /// Number of placement classes (groups of interchangeable devices) the
   /// schedulers evaluate per task; a quantity-expanded 1k-worker group
   /// counts once. Equals device_count() when
@@ -178,18 +187,18 @@ class Engine {
  private:
   bool hybrid() const { return config_.mode == ExecutionMode::kHybrid; }
 
-  void worker_loop(DeviceId device);
+  /// The loop of every mode (`lock` holds mutex_). A turn pops the task of
+  /// the earliest free lane, begins the attempt, runs or models the
+  /// kernel, ends the attempt and re-keys the lane. The simulation modes
+  /// return when nothing is runnable; a threaded worker releases the lock
+  /// around the kernel, sleeps when nothing is runnable and returns once
+  /// the engine stops.
+  void run_turns(std::unique_lock<std::mutex>& lock);
 
-  /// One task execution on a hybrid worker: begin_attempt, the kernel run
-  /// on measured time, end_attempt. No global lock.
-  void run_task_hybrid(detail::TaskNode& task, detail::DeviceState& device);
-
-  /// Start an attempt of `task` on `device`, in either mode: mark it
-  /// running, count the attempt, record the decision, charge the transfers,
-  /// publish the ready-queue depth to the gauge and the flight ring with
-  /// the task-start record, and return the fault plan's verdict. The caller
-  /// is the ring's one producer (the device's worker or the simulation
-  /// loop).
+  /// Start an attempt of `task` on `device` (mutex_ held): mark it running,
+  /// count the attempt, record the decision, charge the transfers, publish
+  /// the ready-queue depth to the gauge and the flight ring with the
+  /// task-start record, and return the fault plan's verdict.
   FaultPlan::Injection begin_attempt(detail::TaskNode& task,
                                      detail::DeviceState& device);
 
@@ -209,17 +218,47 @@ class Engine {
   detail::TaskNode& wire_task_locked(TaskDesc&& desc, double flops);
 
   /// Drop the submission reference; when that makes the task ready,
-  /// dispatch it. Returns true when the task was dispatched.
+  /// publish it.
   void publish_submission(detail::TaskNode* task);
 
-  /// Route a ready task to the workers (hybrid) or the simulation scheduler
-  /// (mutex_ must be held by the caller in the simulation modes).
+  /// Dispatch submitted ready tasks, in order, when mutex_ is free; else
+  /// hand them over.
+  void publish_ready(std::span<detail::TaskNode* const> ready);
+
+  /// Put the ready tasks `oldest`..`newest` (linked newest to oldest
+  /// through next_ready) in the inbox, and wake a worker when one is
+  /// needed to drain it.
+  void hand_over(detail::TaskNode* oldest, detail::TaskNode* newest);
+
+  /// Dispatch the inbox's tasks in submission order (mutex_ held).
+  void drain_inbox_locked();
+
+  /// Push a ready task to the scheduler (mutex_ held); a task that no live
+  /// device can run any more fails instead.
   void dispatch_ready(detail::TaskNode* task);
 
-  /// Discrete-event loop of the simulation modes (mutex_ held): repeatedly
-  /// lets the device that is free earliest on the virtual clock pop the
-  /// next task. In kDeterministic the popped task's kernel also executes.
-  void run_simulation_locked();
+  /// Who must hear of runnable work left for another worker.
+  enum class Listener { kNone, kPoller, kSleeper };
+
+  /// Runnable work is being left for another worker (mutex_ held): the
+  /// polling worker if one polls; otherwise one sleeper when a worker
+  /// sleeps that nobody is waking yet and the work needs it — kernels are
+  /// long, or no worker will come back from a kernel to pop it. kNone in
+  /// the simulation modes.
+  Listener leave_work_locked();
+
+  /// Act on leave_work_locked's answer once mutex_ is released, so the
+  /// notified worker does not block on it at once.
+  void notify(Listener listener);
+
+  /// Threaded worker with nothing runnable: poll for a moved epoch or a
+  /// filled inbox with mutex_ released, yielding the core, then retake
+  /// it. True when work was signalled.
+  bool poll_for_work(std::unique_lock<std::mutex>& lock);
+
+  /// Fold a measured kernel time into the average and switch the
+  /// short-kernel mode at its thresholds (mutex_ held).
+  void note_kernel_time_locked(double seconds);
 
   /// Oracle-steered pop (mutex_ held, oracle_ non-null): enumerate every
   /// (device, task) pair a pop could yield as a kSchedule ChoicePoint in
@@ -227,9 +266,8 @@ class Engine {
   /// oracle picks. nullptr when nothing is runnable anywhere.
   detail::TaskNode* pop_via_oracle(DeviceId* chosen);
 
-  /// Book a completed task: virtual clock, stats, dependency release.
-  /// Called by the owning worker (hybrid, lock-free on the global path) or
-  /// under mutex_ (simulation).
+  /// Book a completed task: virtual clock, stats, dependency release
+  /// (mutex_ held).
   void finalize_task(detail::TaskNode& task, detail::DeviceState& device,
                      double exec);
 
@@ -275,10 +313,9 @@ class Engine {
   /// changed (never called with drain_mutex_ held).
   void notify_drain();
 
-  /// Record a SchedulerDecision for `task` placed on `chosen` (called by
-  /// the executing worker before acquire_buffers mutates replica state).
-  /// Counts the decision always; allocates nothing unless recording is
-  /// active (decisions_mutex_ taken only then).
+  /// Record a SchedulerDecision for `task` placed on `chosen` (mutex_
+  /// held, before acquire_buffers mutates replica state). Counts the
+  /// decision always; allocates nothing unless recording is active.
   void record_decision(const detail::TaskNode& task,
                        const detail::DeviceState& chosen);
 
@@ -328,10 +365,8 @@ class Engine {
   /// deque, not vector: DeviceState embeds atomics (immovable) and
   /// deque growth never relocates elements.
   mutable std::deque<detail::DeviceState> devices_;
-  /// Simulation-mode scheduler (null in hybrid mode).
+  /// The one scheduler of every mode (mutex_).
   std::unique_ptr<detail::Scheduler> scheduler_;
-  /// Hybrid-mode lock-split dispatch (null in the simulation modes).
-  std::unique_ptr<detail::HybridDispatch> dispatch_;
   PerfModel perf_model_;
   /// True when every device lives on the host memory node: replica
   /// bookkeeping is then a no-op and acquire_buffers skips memory_mutex_.
@@ -363,9 +398,27 @@ class Engine {
                                std::size_t rows, std::size_t cols,
                                std::size_t ld, std::string name);
 
-  /// Simulation modes: guards the discrete-event loop and everything it
-  /// touches. Hybrid mode: only scheduler_ remains under it (unused).
+  /// Guards the scheduler, the lanes, the decision log and every
+  /// attempt's bookkeeping, in every mode.
   mutable std::mutex mutex_;
+  /// Threaded mode. Written under mutex_; atomic where hand_over reads
+  /// them without it: workers asleep in wake_ (registered under mutex_, so
+  /// no wake-up is lost), workers polling with mutex_ released, workers
+  /// running a kernel, and the moving average of measured kernel times
+  /// with the mode it selects.
+  std::condition_variable wake_;
+  std::atomic<int> sleepers_{0};
+  std::atomic<int> pollers_{0};
+  std::atomic<int> running_{0};
+  int wakes_pending_ = 0;  ///< notified sleepers that have not woken yet
+  double kernel_ema_seconds_ = 0.0;
+  std::atomic<bool> short_kernels_{false};
+  /// Moved when a worker leaves work while another polls.
+  std::atomic<std::uint32_t> work_epoch_{0};
+  /// Ready tasks handed over by submitters, newest first, linked through
+  /// TaskNode::next_ready. The next turn drains them into the scheduler,
+  /// so a submitter never waits for mutex_.
+  std::atomic<detail::TaskNode*> inbox_{nullptr};
 
   /// Serializes submission wiring: task-id assignment, arena growth,
   /// handle registration and dependency-tail updates. Guarantees a total
@@ -375,13 +428,11 @@ class Engine {
   mutable std::mutex memory_mutex_;
   /// Failure/retry/blacklist/cancel bookkeeping (cold path).
   mutable std::mutex fault_mutex_;
-  /// SchedulerDecision log (taken only when recording is active).
-  mutable std::mutex decisions_mutex_;
   /// Pairs with drain_cv_ for wait/wait_all sleeping.
   mutable std::mutex drain_mutex_;
   std::condition_variable drain_cv_;
 
-  std::atomic<bool> stopping_{false};
+  bool stopping_ = false;  ///< mutex_
   /// Tasks submitted but not yet done/failed/cancelled.
   std::atomic<std::size_t> pending_{0};
   /// Threads blocked in wait(TaskId); finalize only signals drain_cv_ when
@@ -419,13 +470,15 @@ class Engine {
   std::uint64_t writeback_bytes_ = 0;  ///< memory_mutex_
   std::atomic<double> first_submit_wall_{-1.0};
   std::atomic<double> drain_wall_{0.0};
-  std::vector<SchedulerDecision> decisions_;  ///< decisions_mutex_
+  std::vector<SchedulerDecision> decisions_;  ///< mutex_
 
   // Fault-tolerance statistics (guarded by fault_mutex_).
   std::uint64_t task_failures_ = 0;
   std::uint64_t retries_ = 0;
   std::uint64_t timeouts_ = 0;
   std::uint64_t reroutes_ = 0;
+  /// Also read under mutex_ alone: a device is blacklisted only inside
+  /// end_attempt, which holds mutex_ too.
   std::uint64_t blacklists_ = 0;
   std::uint64_t failed_tasks_ = 0;
   std::uint64_t cancelled_tasks_ = 0;
@@ -445,9 +498,9 @@ class Engine {
   /// (fault_mutex_ held); empty when the chain is empty.
   std::string attempt_chain_locked(TaskId task) const;
 
-  // Flight recorder (tentpole, docs/OBSERVABILITY.md). Ring i belongs to
-  // device i (its worker / the sim loop is the sole producer); the extra
-  // ring at index devices_.size() takes the fault-path events, whose
+  // Flight recorder (docs/OBSERVABILITY.md). Ring i belongs to lane i and
+  // is written only under mutex_, so it has one producer at a time; the
+  // extra ring at index devices_.size() takes the fault-path events, whose
   // producers are serialized by fault_mutex_. Null when disabled.
   std::unique_ptr<obs::FlightRecorder> flight_;
   /// Ensures the automatic post-mortem dump fires at most once per engine.
@@ -475,7 +528,7 @@ class Engine {
   obs::Counter* decision_counter_ = nullptr;
 
   /// Decision oracle steering the simulation loop (EngineConfig::oracle;
-  /// always null in hybrid mode). Non-owning.
+  /// null in the threaded mode). Non-owning.
   DecisionOracle* oracle_ = nullptr;
 
   std::vector<std::thread> workers_;

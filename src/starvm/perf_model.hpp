@@ -11,9 +11,9 @@
 //  - The hot path avoids that mutex entirely: row() hands out a stable
 //    pointer to a codelet's calibration row once (at task wiring), and
 //    estimate_in / observe_in operate on the row's atomic cells lock-free.
-//    Each (codelet, device) cell has a single writer — the device's worker
-//    thread — so a relaxed-store / release-count protocol suffices; readers
-//    pair it with an acquire load of the count.
+//    Each (codelet, device) cell has one writer at a time — the engine
+//    observes only under its mutex — so a relaxed-store / release-count
+//    protocol suffices; readers pair it with an acquire load of the count.
 #pragma once
 
 #include <array>

@@ -1,8 +1,8 @@
 // Internal runtime state shared by engine.cpp and scheduler.cpp.
 // Not part of the public API.
 //
-// Concurrency model (real-threads / kHybrid path — see docs/RUNTIME.md,
-// "Scheduling & locking architecture"):
+// Concurrency model (see docs/RUNTIME.md, "Scheduling & locking
+// architecture"):
 //   - Fields marked "immutable after wiring" are written while the task is
 //     private to the submitting thread (under the engine's submit mutex)
 //     and never change afterwards.
@@ -11,11 +11,10 @@
 //     kWaiting -> kReady (publish) or kWaiting -> kFailed (cancel) race.
 //   - `successors`, `released` and the finish_vtime handoff to late
 //     subscribers are guarded by the per-task `edge_mutex`.
-//   - Ready queues are not device state: HybridDispatch (scheduler.hpp) owns
-//     one ReadyQueue (mutex + cv + deque) per device; the owning worker pops
-//     from the front, idle peers steal from the back.
-// The virtual-clock simulation modes keep the single engine mutex, simply
-// use the atomics with plain load/store semantics and build no ReadyQueue.
+//   - A device is a lane: its queue lives in the one Scheduler, its clock
+//     and statistics here. Both, and every attempt's bookkeeping, are
+//     written under the engine mutex in every mode; only a threaded
+//     worker's kernel runs without it, while its lane is marked `busy`.
 #pragma once
 
 #include <array>
@@ -68,16 +67,19 @@ struct TaskNode {
 
   /// Virtual time when all dependencies have finished (CAS-max updated).
   std::atomic<double> ready_vtime{0.0};
-  /// Virtual interval this task occupied on its device (owner-written).
+  /// Virtual interval this task occupied on its device (engine mutex).
   double start_vtime = 0.0;
   double finish_vtime = 0.0;
-  DeviceId ran_on = -1;
   double transfer_seconds = 0.0;  ///< modeled transfer cost paid by this task
   double exec_seconds = 0.0;      ///< measured or modeled execution cost
+  DeviceId ran_on = -1;
 
   // --- fault tolerance ---
   int attempts = 0;   ///< execution attempts started so far
   std::string error;  ///< why the task failed (kFailed only)
+
+  /// Link in the engine's inbox of submitted ready tasks.
+  TaskNode* next_ready = nullptr;
 };
 
 /// Raise an atomic virtual clock to at least `v` (concurrent max).
@@ -92,15 +94,15 @@ struct DeviceState {
   DeviceId id = -1;
   MemoryNodeId node = kHostNode;
 
-  /// Virtual time when the device next becomes free (raised by its worker;
-  /// read by schedulers and decision recording).
+  /// Virtual time when the device next becomes free (raised when an
+  /// attempt ends; read by schedulers and decision recording).
   std::atomic<double> avail_vtime{0.0};
-  /// HEFT bookkeeping: estimated completion of everything queued to it.
-  /// Racy-by-design in hybrid mode (a stale read only degrades placement,
-  /// never correctness); the simulation scheduler keeps its own copy.
-  std::atomic<double> est_avail{0.0};
+  /// A threaded worker is running a kernel on this lane with the engine
+  /// mutex released; pop_earliest skips the lane until the worker ends the
+  /// attempt. Never set in the simulation modes (engine mutex).
+  bool busy = false;
 
-  // --- statistics (owner-written) ---
+  // --- statistics (engine mutex) ---
   double busy_seconds = 0.0;
   double transfer_seconds = 0.0;
   std::uint64_t tasks_run = 0;
@@ -127,7 +129,7 @@ struct PlacementClass {
   DeviceId representative = -1;
   std::vector<DeviceId> members;  ///< ascending device ids
   /// Members not blacklisted; decremented by the engine's blacklist path.
-  /// Atomic so the hybrid submit path can read it without the fault mutex.
+  /// Atomic so the submit path can read it without the engine mutex.
   std::atomic<int> live_members{0};
 };
 

@@ -135,8 +135,8 @@ struct EngineStats {
   /// Per-task virtual overhead charged at dispatch
   /// (EngineConfig::task_overhead_us), echoed for the profiler.
   double task_overhead_us = 0.0;
-  /// Tasks an idle worker took from a peer's ready queue instead of its own
-  /// (real-threads mode with a per-device policy; 0 in the simulation modes).
+  /// Tasks a lane took from another lane's queue instead of its own
+  /// (work-stealing policy, threaded mode; 0 in the simulation modes).
   std::uint64_t steals = 0;
   std::uint64_t transfers = 0;
   std::uint64_t transfer_bytes = 0;

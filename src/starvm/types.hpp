@@ -28,8 +28,10 @@ inline bool writes(Access a) { return a != Access::kRead; }
 
 /// How the engine advances time (see DESIGN.md "virtual-time accounting").
 enum class ExecutionMode {
-  /// Kernels run for real; CPU task cost = measured wall time, accelerator
-  /// task cost = model. The default: correct results + modeled makespan.
+  /// Kernels run for real on min(devices, host cores) worker threads,
+  /// through the same loop and scheduler as the simulation modes; CPU task
+  /// cost = measured wall time, accelerator task cost = model. The
+  /// default: correct results + modeled makespan.
   kHybrid,
   /// Nothing executes; every cost comes from the models. Used for
   /// paper-scale problem sizes (8192^3 DGEMM) that are too slow to run.

@@ -1,8 +1,9 @@
 // Fixed-size thread pool with a parallel_for helper.
 //
 // Used by the parallel DGEMM kernel (S8) and available to library users.
-// starvm has its own per-device worker threads and does not use this pool;
-// mixing the two would hide which "device" performed work.
+// starvm runs its own workers (one per host core, serving any device) and
+// does not use this pool; mixing the two would hide which "device"
+// performed work.
 #pragma once
 
 #include <chrono>

@@ -3,6 +3,7 @@
 #include "cascabel/translator.hpp"
 #include "discovery/presets.hpp"
 #include "pdl/serializer.hpp"
+#include "util/string_util.hpp"
 
 namespace cascabel {
 namespace {
@@ -244,6 +245,28 @@ TEST(Translate, FailsWhenEveryDelimiterIsTaken) {
   auto result = translate_vecadd(testbed_with_note(note));
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.error().str().find("no raw-string delimiter"), std::string::npos);
+}
+
+TEST(Translate, NamesWithLineBreaksStayInsideThePrologueComments) {
+  pdl::Platform target = paper_platform_starpu_cpu();
+  target.set_name("t\nint injected_by_name = 42;");
+  const TranslationOptions options;
+  auto result = translate(kVecaddProgram, "v.cpp\r\nint injected_by_source = 1;",
+                          target, options);
+  ASSERT_TRUE(result.ok()) << result.error().str();
+  const std::string& src = result.value().output_source;
+  const std::size_t includes = src.find("\n#include <cstddef>\n");
+  ASSERT_NE(includes, std::string::npos);
+  for (const auto& line : pdl::util::split(src.substr(0, includes), '\n')) {
+    EXPECT_EQ(line.substr(0, 2), "//") << line;
+  }
+  for (const auto& line : pdl::util::split(src, '\n')) {
+    EXPECT_NE(line.rfind("int injected_by_", 0), 0u) << line;
+  }
+  EXPECT_NE(src.find("// input:  v.cpp\\r\\nint injected_by_source = 1;\n"),
+            std::string::npos);
+  EXPECT_NE(src.find("// target: t\\nint injected_by_name = 42;\n"),
+            std::string::npos);
 }
 
 }  // namespace

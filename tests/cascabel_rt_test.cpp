@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cascabel/builtin_variants.hpp"
@@ -628,67 +630,82 @@ TEST(Context, VecaddWithShorterBFailsNamingOperandB) {
 }
 
 TEST(Context, BlockDecompositionSubmitsOnlyFilledBlocks) {
-  Options options;
-  options.mode = starvm::ExecutionMode::kDeterministic;
-  {
-    // Listings 3/4 on 1000 cores: a target of 4 x 1000 blocks splits 4096
-    // elements two per block, which fills 2048 blocks. The 1952 empty ones
-    // must not become tasks (each was charged the perf model's 1 ms
-    // unknown-cost default).
-    Context ctx(pdl::discovery::manycore_platform(1000), builtin_repo(), options);
-    const std::size_t n = 4096;
-    std::vector<double> a(n), b(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      a[i] = static_cast<double>(i);
-      b[i] = static_cast<double>(3 * i + 1);
+  // The deterministic mode charges modeled costs; the default threaded
+  // mode charges CPU lanes their measured time, so only the deterministic
+  // run checks the times.
+  for (const starvm::ExecutionMode mode :
+       {starvm::ExecutionMode::kDeterministic, starvm::ExecutionMode::kHybrid}) {
+    const bool threaded = mode == starvm::ExecutionMode::kHybrid;
+    SCOPED_TRACE(threaded ? "threaded" : "deterministic");
+    Options options;
+    options.mode = mode;
+    {
+      // Listings 3/4 on 1000 cores: a target of 4 x 1000 blocks splits 4096
+      // elements two per block, which fills 2048 blocks. The 1952 empty
+      // ones must not become tasks (each was charged the perf model's 1 ms
+      // unknown-cost default).
+      Context ctx(pdl::discovery::manycore_platform(1000), builtin_repo(), options);
+      if (threaded) {
+        // 1000 lanes, at most one worker per host core.
+        EXPECT_LE(ctx.engine().worker_count(),
+                  std::max(1u, std::thread::hardware_concurrency()));
+      }
+      const std::size_t n = 4096;
+      std::vector<double> a(n), b(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        a[i] = static_cast<double>(i);
+        b[i] = static_cast<double>(3 * i + 1);
+      }
+      ASSERT_TRUE(ctx.execute("Ivecadd", "",
+                              {arg(a.data(), n, AccessMode::kReadWrite,
+                                   DistributionKind::kBlock),
+                               arg(b.data(), n, AccessMode::kRead,
+                                   DistributionKind::kBlock)})
+                      .ok());
+      ASSERT_TRUE(ctx.wait().ok());
+      const auto stats = ctx.stats();
+      EXPECT_EQ(stats.tasks_submitted, 2048u);
+      if (!threaded) {
+        std::size_t charged_default = 0;
+        for (const auto& t : stats.trace) charged_default += t.exec_seconds >= 1e-3;
+        EXPECT_EQ(charged_default, 0u);
+        EXPECT_LT(stats.makespan_seconds, 1e-3);
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(a[i], static_cast<double>(4 * i + 1)) << i;
+      }
     }
+    // 8 devices give a target of 32 blocks; 40 rows or elements split two
+    // per block fill 20 of them.
+    Context ctx(paper_platform_starpu_cpu(), builtin_repo(), options);
+    std::vector<double> a(40, 1.0), b(40, 2.0);
     ASSERT_TRUE(ctx.execute("Ivecadd", "",
-                            {arg(a.data(), n, AccessMode::kReadWrite,
+                            {arg(a.data(), a.size(), AccessMode::kReadWrite,
                                  DistributionKind::kBlock),
-                             arg(b.data(), n, AccessMode::kRead,
+                             arg(b.data(), b.size(), AccessMode::kRead,
                                  DistributionKind::kBlock)})
                     .ok());
     ASSERT_TRUE(ctx.wait().ok());
-    const auto stats = ctx.stats();
-    EXPECT_EQ(stats.tasks_submitted, 2048u);
-    std::size_t charged_default = 0;
-    for (const auto& t : stats.trace) charged_default += t.exec_seconds >= 1e-3;
-    EXPECT_EQ(charged_default, 0u);
-    EXPECT_LT(stats.makespan_seconds, 1e-3);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(a[i], static_cast<double>(4 * i + 1)) << i;
-    }
-  }
-  // 8 devices give a target of 32 blocks; 40 rows or elements split two
-  // per block fill 20 of them.
-  Context ctx(paper_platform_starpu_cpu(), builtin_repo(), options);
-  std::vector<double> a(40, 1.0), b(40, 2.0);
-  ASSERT_TRUE(ctx.execute("Ivecadd", "",
-                          {arg(a.data(), a.size(), AccessMode::kReadWrite,
-                               DistributionKind::kBlock),
-                           arg(b.data(), b.size(), AccessMode::kRead,
-                               DistributionKind::kBlock)})
-                  .ok());
-  ASSERT_TRUE(ctx.wait().ok());
-  EXPECT_EQ(ctx.stats().tasks_submitted, 20u);
-  for (double v : a) EXPECT_EQ(v, 3.0);
+    EXPECT_EQ(ctx.stats().tasks_submitted, 20u);
+    for (double v : a) EXPECT_EQ(v, 3.0);
 
-  const std::size_t n = 40;
-  kernels::Matrix ma(n, n), mb(n, n), mc(n, n), ref(n, n);
-  ma.fill_random(7);
-  mb.fill_random(8);
-  ASSERT_TRUE(ctx.execute("Idgemm", "",
-                          {arg_matrix(mc.data(), n, n, AccessMode::kReadWrite,
-                                      DistributionKind::kBlock),
-                           arg_matrix(ma.data(), n, n, AccessMode::kRead,
-                                      DistributionKind::kBlock),
-                           arg_matrix(mb.data(), n, n, AccessMode::kRead,
-                                      DistributionKind::kNone)})
-                  .ok());
-  ASSERT_TRUE(ctx.wait().ok());
-  EXPECT_EQ(ctx.stats().tasks_submitted, 40u);  // 20 vecadd + 20 dgemm bands
-  kernels::dgemm_naive(n, n, n, ma.data(), mb.data(), ref.data());
-  EXPECT_LT(kernels::max_abs_diff(mc.data(), ref.data(), n * n), 1e-9);
+    const std::size_t n = 40;
+    kernels::Matrix ma(n, n), mb(n, n), mc(n, n), ref(n, n);
+    ma.fill_random(7);
+    mb.fill_random(8);
+    ASSERT_TRUE(ctx.execute("Idgemm", "",
+                            {arg_matrix(mc.data(), n, n, AccessMode::kReadWrite,
+                                        DistributionKind::kBlock),
+                             arg_matrix(ma.data(), n, n, AccessMode::kRead,
+                                        DistributionKind::kBlock),
+                             arg_matrix(mb.data(), n, n, AccessMode::kRead,
+                                        DistributionKind::kNone)})
+                    .ok());
+    ASSERT_TRUE(ctx.wait().ok());
+    EXPECT_EQ(ctx.stats().tasks_submitted, 40u);  // 20 vecadd + 20 dgemm bands
+    kernels::dgemm_naive(n, n, n, ma.data(), mb.data(), ref.data());
+    EXPECT_LT(kernels::max_abs_diff(mc.data(), ref.data(), n * n), 1e-9);
+  }
 }
 
 TEST(Context, SinglePlatformRunsSequentialFallback) {

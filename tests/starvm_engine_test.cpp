@@ -634,5 +634,59 @@ TEST(Engine, WatchdogOffByDefault) {
   EXPECT_GE(stats.makespan_seconds, 1.0);  // the delay is on the clock
 }
 
+/// A 50-task read-write chain on three accelerators. The codelet runs only
+/// on accelerators and declares its flops, so every cost is modeled in
+/// either mode and the threaded run has nothing measured to differ by.
+EngineStats run_accelerator_chain(ExecutionMode mode, SchedulerKind scheduler) {
+  EngineConfig config;
+  for (int i = 0; i < 3; ++i) {
+    DeviceSpec accel;
+    accel.name = "acc" + std::to_string(i);
+    accel.kind = DeviceKind::kAccelerator;
+    accel.sustained_gflops = 100.0;
+    config.devices.push_back(accel);
+  }
+  config.mode = mode;
+  config.scheduler = scheduler;
+  Engine engine(std::move(config));
+  std::vector<double> data(64, 0.0);
+  DataHandle* h = engine.register_vector(data.data(), data.size());
+  Codelet step = make_codelet(
+      "step", [](const ExecContext& ctx) { ctx.buffer(0)[0] += 1.0; },
+      DeviceKind::kAccelerator);
+  step.flops = [](const std::vector<BufferView>&) { return 1e6; };
+  for (int i = 0; i < 50; ++i) {
+    engine.submit(TaskDesc{&step, {{h, Access::kReadWrite}}});
+  }
+  EXPECT_TRUE(engine.wait_all().ok());
+  if (mode == ExecutionMode::kHybrid) {
+    EXPECT_EQ(data[0], 50.0);
+  }
+  return engine.stats();
+}
+
+TEST(Engine, ThreadedChainPlacementMatchesPureSim) {
+  for (const SchedulerKind kind :
+       {SchedulerKind::kEager, SchedulerKind::kWorkStealing, SchedulerKind::kHeft}) {
+    SCOPED_TRACE(std::string(to_string(kind)));
+    const EngineStats sim = run_accelerator_chain(ExecutionMode::kPureSim, kind);
+    const EngineStats threaded = run_accelerator_chain(ExecutionMode::kHybrid, kind);
+    ASSERT_EQ(sim.trace.size(), 50u);
+    ASSERT_EQ(threaded.trace.size(), 50u);
+    for (std::size_t i = 0; i < sim.trace.size(); ++i) {
+      const TaskTrace& want = sim.trace[i];
+      const TaskTrace& got = threaded.trace[i];
+      ASSERT_EQ(got.id, want.id) << i;
+      EXPECT_EQ(got.device, want.device) << "task " << want.id;
+      // The simulation charges the perf model's moving average, which may
+      // differ from the declared rate in the last bits.
+      EXPECT_NEAR(got.start_vtime, want.start_vtime, 1e-9 * want.start_vtime)
+          << "task " << want.id;
+      EXPECT_NEAR(got.finish_vtime, want.finish_vtime, 1e-9 * want.finish_vtime)
+          << "task " << want.id;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace starvm
