@@ -1,6 +1,9 @@
 #include "cascabel/rt.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <iterator>
+#include <limits>
 #include <mutex>
 
 #include "cascabel/builtin_variants.hpp"
@@ -13,14 +16,13 @@ namespace cascabel::rt {
 
 namespace {
 
-starvm::Access to_starvm(AccessMode mode) {
-  switch (mode) {
-    case AccessMode::kRead: return starvm::Access::kRead;
-    case AccessMode::kWrite: return starvm::Access::kWrite;
-    case AccessMode::kReadWrite: return starvm::Access::kReadWrite;
-  }
-  return starvm::Access::kRead;
-}
+/// The top of the block-count sweep, and the split of a codelet without a
+/// flops model: 4 blocks per device.
+constexpr int kBlocksPerDevice = 4;
+
+/// A block count whose modeled makespan is within this fraction of the
+/// sweep's best is preferred when it is smaller.
+constexpr double kPartitionTolerance = 0.02;
 
 /// The extent a BLOCK/CYCLIC argument is split along: rows of a matrix,
 /// cols of a vector.
@@ -149,7 +151,7 @@ Context::Registered& Context::find_or_register(const Arg& a) {
 }
 
 void Context::repartition(Registered& reg, const Arg& a, int nblocks) {
-  if (reg.nblocks == nblocks) return;
+  if (reg.nblocks == (nblocks > 1 ? nblocks : 0)) return;
   // In-flight tasks may reference the old blocks; drain before replacing.
   // Task failures stay sticky in the engine; wait() reports them.
   (void)engine_->wait_all();
@@ -250,8 +252,8 @@ pdl::util::Status Context::execute(std::string_view interface_name,
   }
 
   const std::string codelet_key = iface + "@" + std::string(group);
-  auto codelet_it = codelets_.find(codelet_key);
-  if (codelet_it == codelets_.end()) {
+  auto site_it = sites_.find(codelet_key);
+  if (site_it == sites_.end()) {
     auto codelet = std::make_unique<starvm::Codelet>();
     codelet->name = codelet_key;
     bool model_known = true;
@@ -315,36 +317,32 @@ pdl::util::Status Context::execute(std::string_view interface_name,
           "' for the devices of this platform (group '" + std::string(group) + "')");
     }
     codelet->flops = flops_fn;
-    codelet_it = codelets_.emplace(codelet_key, std::move(codelet)).first;
+    site_it = sites_.emplace(codelet_key, Site{std::move(codelet), {}}).first;
   }
-  starvm::Codelet* codelet = codelet_it->second.get();
+  Site& site = site_it->second;
+  starvm::Codelet* codelet = site.codelet.get();
 
   // Data registration and decomposition. Every BLOCK/CYCLIC argument splits
   // the same extent (checked above) into only the blocks that hold data;
   // un-distributed arguments are passed whole to every task (e.g. the B
   // matrix of row-banded DGEMM).
+  std::vector<Registered*> regs;
+  regs.reserve(args.size());
+  for (const auto& a : args) regs.push_back(&find_or_register(a));
   int nblocks = 1;
   const auto distributed = std::find_if(args.begin(), args.end(), [](const Arg& a) {
     return a.dist != DistributionKind::kNone;
   });
   if (distributed != args.end()) {
-    const int target_blocks =
-        options_.blocks_per_device * static_cast<int>(engine_->device_count());
+    const std::size_t extent = split_extent(*distributed);
     // An extent of 0 fills no block and still runs one whole-buffer task.
-    nblocks = std::max(1, starvm::filled_blocks(split_extent(*distributed),
-                                                std::max(1, target_blocks)));
+    nblocks = std::max(1, starvm::filled_blocks(
+                              extent, block_target(site, iface, extent, args, regs)));
   }
-
-  std::vector<Registered*> regs;
-  regs.reserve(args.size());
-  for (const auto& a : args) {
-    Registered& reg = find_or_register(a);
-    if (a.dist != DistributionKind::kNone) {
-      repartition(reg, a, nblocks);
-    } else if (reg.nblocks != 0) {
-      repartition(reg, a, 1);  // whole-buffer use after being partitioned
-    }
-    regs.push_back(&reg);
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    // A whole argument that an earlier call split is joined again.
+    repartition(*regs[i], args[i],
+                args[i].dist != DistributionKind::kNone ? nblocks : 1);
   }
 
   // CYCLIC distributions submit blocks in round-robin order over a stride;
@@ -388,6 +386,64 @@ pdl::util::Status Context::execute(std::string_view interface_name,
   }
   engine_->submit_batch(std::move(batch));
   return {};
+}
+
+int Context::block_target(Site& site, const std::string& iface, std::size_t extent,
+                          const std::vector<Arg>& args,
+                          const std::vector<Registered*>& regs) {
+  const int devices = static_cast<int>(engine_->device_count());
+  if (options_.blocks_per_device > 0) return options_.blocks_per_device * devices;
+  const int per_device = kBlocksPerDevice * devices;
+  const starvm::Codelet& codelet = *site.codelet;
+  if (!codelet.flops || extent == 0) return per_device;
+  for (const auto& [decided_extent, count] : site.blocks) {
+    if (decided_extent == extent) return count;
+  }
+
+  std::vector<starvm::BufferView> whole;
+  std::vector<starvm::SplitArg> priced;
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    const starvm::Access mode = to_starvm(args[i].mode);
+    whole.push_back(starvm::BufferView{regs[i]->handle, mode});
+    priced.push_back(starvm::SplitArg{regs[i]->handle->bytes(), mode,
+                                      args[i].dist != DistributionKind::kNone});
+  }
+  const double flops = codelet.flops(whole);
+  const auto makespan = [&](int count) {
+    return engine_->modeled_split_makespan(codelet, flops, priced, extent, count);
+  };
+  // The geometric sweep {1, 2, 4, ..., 4 x devices}; the fewest blocks
+  // within kPartitionTolerance of its best win.
+  std::vector<std::pair<int, double>> sweep;
+  for (int count = 1;; count = std::min(2 * count, per_device)) {
+    sweep.emplace_back(count, makespan(count));
+    if (count == per_device) break;
+  }
+  double best = std::numeric_limits<double>::infinity();
+  for (const auto& point : sweep) best = std::min(best, point.second);
+  // When no class can hold a block at any count, the old split stays.
+  auto chosen = std::prev(sweep.end());
+  if (std::isfinite(best)) {
+    chosen = std::find_if(sweep.begin(), sweep.end(), [&](const auto& point) {
+      return point.second <= best * (1.0 + kPartitionTolerance);
+    });
+  }
+  const int blocks = starvm::filled_blocks(extent, chosen->first);
+  pdl::add_info(
+      diags_, "partition: '" + iface + "' splits extent " + std::to_string(extent) +
+                  " into " + std::to_string(blocks) + " block(s), modeled makespan " +
+                  std::to_string(chosen->second * 1e3) + " ms; " +
+                  std::to_string(kBlocksPerDevice) + " per device would make " +
+                  std::to_string(starvm::filled_blocks(extent, per_device)) +
+                  " block(s), " + std::to_string(sweep.back().second * 1e3) + " ms");
+  site.blocks.emplace_back(extent, chosen->first);
+  return chosen->first;
+}
+
+const starvm::Codelet* Context::codelet(std::string_view interface_name,
+                                        std::string_view group) const {
+  const auto it = sites_.find(std::string(interface_name) + "@" + std::string(group));
+  return it == sites_.end() ? nullptr : it->second.codelet.get();
 }
 
 pdl::util::Status Context::wait() { return engine_->wait_all(); }

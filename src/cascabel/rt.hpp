@@ -10,8 +10,9 @@
 //     a context object through unmodified application code).
 //
 // One execute() call implements paper §IV-C step 3 for a single call site:
-// data registration, BLOCK/CYCLIC decomposition, variant choice per device
-// class, and submission of one starvm task per block.
+// data registration, BLOCK/CYCLIC decomposition into a block count derived
+// from the description, variant choice per device class, and submission of
+// one starvm task per block.
 #pragma once
 
 #include <cstddef>
@@ -19,6 +20,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "annot/task_model.hpp"
@@ -54,12 +56,24 @@ inline Arg arg_matrix(double* ptr, std::size_t rows, std::size_t cols, AccessMod
   return Arg{ptr, rows, cols, mode, dist};
 }
 
+/// The engine's access mode for a parameter's.
+inline starvm::Access to_starvm(AccessMode mode) {
+  switch (mode) {
+    case AccessMode::kRead: return starvm::Access::kRead;
+    case AccessMode::kWrite: return starvm::Access::kWrite;
+    case AccessMode::kReadWrite: return starvm::Access::kReadWrite;
+  }
+  return starvm::Access::kRead;
+}
+
 struct Options {
   starvm::SchedulerKind scheduler = starvm::SchedulerKind::kHeft;
   starvm::ExecutionMode mode = starvm::ExecutionMode::kHybrid;
-  /// BLOCK distributions split data into up to blocks_per_device *
-  /// device_count row bands, fewer when the split would leave some empty.
-  int blocks_per_device = 4;
+  /// 0: BLOCK/CYCLIC call sites split into the block count derived from
+  /// the description (paper §IV-C step 3; docs/RUNTIME.md "Data"), decided
+  /// once per interface, group and extent. > 0: into blocks_per_device x
+  /// device_count instead. Either way only the blocks that hold data run.
+  int blocks_per_device = 0;
   starvm::BridgeOptions bridge;
   /// Engine recovery policy (retries, backoff, blacklist, watchdog).
   starvm::FaultToleranceConfig fault_tolerance;
@@ -127,6 +141,10 @@ class Context {
   }
   const pdl::Diagnostics& diagnostics() const { return diags_; }
   const Options& options() const { return options_; }
+  /// The codelet execute() built for `interface_name` in `group`, or null
+  /// before that site's first call.
+  const starvm::Codelet* codelet(std::string_view interface_name,
+                                 std::string_view group) const;
 
  private:
   struct Registered {
@@ -135,8 +153,19 @@ class Context {
     int nblocks = 0;  ///< 0 = unpartitioned
   };
 
+  /// A call site's codelet and the block counts decided for it, by split
+  /// extent.
+  struct Site {
+    std::unique_ptr<starvm::Codelet> codelet;
+    std::vector<std::pair<std::size_t, int>> blocks;
+  };
+
   Registered& find_or_register(const Arg& a);
   void repartition(Registered& reg, const Arg& a, int nblocks);
+  /// How many blocks `site` splits `extent` into (Options::blocks_per_device).
+  int block_target(Site& site, const std::string& iface, std::size_t extent,
+                   const std::vector<Arg>& args,
+                   const std::vector<Registered*>& regs);
 
   TaskRepository repository_;
   Options options_;
@@ -153,7 +182,7 @@ class Context {
   /// ptr -> registration (keyed by base pointer; geometry must be stable).
   std::map<double*, Registered> registered_;
   /// Codelets must outlive their tasks; cached per interface+group.
-  std::map<std::string, std::unique_ptr<starvm::Codelet>> codelets_;
+  std::map<std::string, Site> sites_;
 };
 
 // --- Process-global context (used by Cascabel-generated sources) -------------

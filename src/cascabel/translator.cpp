@@ -8,6 +8,12 @@ namespace cascabel {
 
 pdl::util::Result<TranslationResult> translate(std::string_view source,
                                                std::string source_name,
+                                               const pdl::Platform& target) {
+  return translate(source, std::move(source_name), target, TranslationOptions{});
+}
+
+pdl::util::Result<TranslationResult> translate(std::string_view source,
+                                               std::string source_name,
                                                const pdl::Platform& target,
                                                const TranslationOptions& options) {
   obs::Span translate_span("cascabel.translate", source_name);

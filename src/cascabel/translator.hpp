@@ -50,6 +50,12 @@ struct TranslationResult {
 pdl::util::Result<TranslationResult> translate(std::string_view source,
                                                std::string source_name,
                                                const pdl::Platform& target,
-                                               const TranslationOptions& options = {});
+                                               const TranslationOptions& options);
+
+/// translate() with default options, built here rather than as a
+/// temporary in every caller.
+pdl::util::Result<TranslationResult> translate(std::string_view source,
+                                               std::string source_name,
+                                               const pdl::Platform& target);
 
 }  // namespace cascabel

@@ -35,8 +35,12 @@ struct SourceLoc {
   std::string str() const {
     if (!valid()) return {};
     std::string out = file.empty() ? "<input>" : file;
-    out += ":" + std::to_string(line);
-    if (column > 0) out += ":" + std::to_string(column);
+    out += ':';
+    out += std::to_string(line);
+    if (column > 0) {
+      out += ':';
+      out += std::to_string(column);
+    }
     return out;
   }
 

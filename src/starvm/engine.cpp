@@ -1703,6 +1703,72 @@ void Engine::estimated_cost_class_row(const detail::TaskNode& task,
   }
 }
 
+double Engine::modeled_split_makespan(const Codelet& codelet, double flops,
+                                      std::span<const SplitArg> args,
+                                      std::size_t extent, int nblocks) const {
+  const std::size_t span = block_span(extent, nblocks, 0).count;
+  const auto share = [&](std::size_t bytes) {
+    return extent == 0 ? bytes : bytes / extent * span;
+  };
+  const double block_flops =
+      extent == 0 ? flops
+                  : flops * static_cast<double>(span) / static_cast<double>(extent);
+  std::size_t resident = 0;  // one block plus the whole arguments
+  for (const SplitArg& a : args) resident += a.split ? share(a.bytes) : a.bytes;
+
+  // A class's blocks are equal and its members interchangeable: its
+  // members take one block each per round, and the first round also pays
+  // the one-off moves of the whole arguments to the class's node.
+  struct Lane {
+    double block = 0.0;  ///< one block's cost
+    double next = 0.0;   ///< when the lane's next block would finish
+    int members = 0;
+    int free = 0;  ///< members still free to finish a block at `next`
+  };
+  std::vector<Lane> lanes;
+  for (std::size_t c = 0; c < classes_.size(); ++c) {
+    const detail::PlacementClass& pc = classes_[c];
+    Lane lane;
+    lane.members = pc.live_members.load(std::memory_order_relaxed);
+    if (lane.members == 0 || !codelet.supports(pc.kind)) continue;
+    lane.block = config_.task_overhead_us * 1e-6 +
+                 PerfModel::analytic_estimate(block_flops, class_gflops_[c]);
+    if (pc.node != kHostNode) {
+      const std::size_t capacity =
+          devices_[static_cast<std::size_t>(pc.representative)].spec.memory_bytes;
+      if (capacity > 0 && resident > capacity) continue;
+      for (const SplitArg& a : args) {
+        if (!reads(a.mode)) continue;
+        (a.split ? lane.block : lane.next) +=
+            hop_seconds(a.split ? share(a.bytes) : a.bytes, pc.node);
+      }
+    }
+    lane.next += lane.block;
+    lane.free = lane.members;
+    lanes.push_back(lane);
+  }
+  if (lanes.empty()) return std::numeric_limits<double>::infinity();
+
+  // Each block goes where it finishes first, ties to the lowest class; the
+  // free members of that lane take as many blocks at once.
+  double makespan = 0.0;
+  for (int left = std::max(1, filled_blocks(extent, nblocks)); left > 0;) {
+    Lane* best = &lanes.front();
+    for (Lane& lane : lanes) {
+      if (lane.next < best->next) best = &lane;
+    }
+    const int taken = std::min(left, best->free);
+    left -= taken;
+    makespan = std::max(makespan, best->next);
+    best->free -= taken;
+    if (best->free == 0) {
+      best->next += best->block;
+      best->free = best->members;
+    }
+  }
+  return makespan;
+}
+
 // --- Flight recorder ------------------------------------------------------------
 
 std::vector<obs::FlightEvent> Engine::flight_snapshot() const {

@@ -77,6 +77,13 @@ BlockSpan block_span(std::size_t extent, int nblocks, int b);
 /// How many of the `nblocks` spans of block_span hold data.
 int filled_blocks(std::size_t extent, int nblocks);
 
+/// One argument of a call site that Engine::modeled_split_makespan prices.
+struct SplitArg {
+  std::size_t bytes = 0;  ///< the whole argument
+  Access mode = Access::kRead;
+  bool split = false;  ///< each block takes its share; else passed whole
+};
+
 class Engine {
  public:
   explicit Engine(EngineConfig config);
@@ -160,6 +167,21 @@ class Engine {
   /// counts once. Equals device_count() when
   /// EngineConfig::placement_classes is false.
   std::size_t placement_class_count() const { return classes_.size(); }
+  /// Modeled makespan of one call site whose split arguments are cut into
+  /// `nblocks` spans of `extent` (block_span's rule; only filled spans
+  /// run), in closed form: a greedy list schedule of equal blocks over the
+  /// placement classes that can run `codelet`, priced with the terms HEFT
+  /// uses. A block pays task_overhead_us and its share of `flops` (the
+  /// whole call's work) at its class's sustained rate; off the host node
+  /// it also pays one hop per split argument it reads, and each whole
+  /// argument it reads crosses once per memory node. A class whose bounded
+  /// memory cannot hold one block plus the whole arguments takes no block.
+  /// Every argument starts valid on the host and no history is used.
+  /// Infinity when no class can take a block. Takes no lock: it reads what
+  /// construction fixed and the classes' live member counts.
+  double modeled_split_makespan(const Codelet& codelet, double flops,
+                                std::span<const SplitArg> args,
+                                std::size_t extent, int nblocks) const;
   /// Spec of the device owning memory node `node` (the node→spec index
   /// behind the transfer model); nullptr for the host node or unknown ids.
   const DeviceSpec* node_link_spec(MemoryNodeId node) const;

@@ -10,14 +10,14 @@ namespace {
 constexpr double kEmaAlpha = 0.25;
 // Estimate when neither history nor a FLOPs model exists.
 constexpr double kDefaultEstimateSeconds = 1e-3;
+}  // namespace
 
-double analytic_estimate(double flops, double device_gflops) {
+double PerfModel::analytic_estimate(double flops, double device_gflops) {
   if (flops > 0.0 && device_gflops > 0.0) {
     return flops / (device_gflops * 1e9);
   }
   return kDefaultEstimateSeconds;
 }
-}  // namespace
 
 PerfModel::Row& PerfModel::row(std::string_view codelet) {
   std::lock_guard<std::mutex> lock(mutex_);

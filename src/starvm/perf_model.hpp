@@ -55,6 +55,10 @@ class PerfModel {
   /// the mutex; call once per codelet and cache, not once per task.
   Row& row(std::string_view codelet);
 
+  /// The analytic model: FLOPs / sustained GFLOPS, or a fixed default when
+  /// either is unknown. What every estimate falls back to without history.
+  static double analytic_estimate(double flops, double device_gflops);
+
   /// Lock-free estimate from a cached row: history wins, then a seeded
   /// declared rate, else the analytic FLOPs / sustained-GFLOPS model, else
   /// a fixed default. Seeding with the device's own sustained rate is

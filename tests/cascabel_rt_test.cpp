@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -14,9 +15,13 @@
 #include "discovery/presets.hpp"
 #include "kernels/dgemm.hpp"
 #include "kernels/matrix.hpp"
+#include "partition_sweep.hpp"
+#include "pdl/parser.hpp"
 #include "pdl/serializer.hpp"
 #include "starvm/bridge.hpp"
 #include "starvm/perf_store.hpp"
+#include "util/string_util.hpp"
+#include "wide_platform.hpp"
 
 namespace cascabel::rt {
 namespace {
@@ -39,7 +44,11 @@ TEST(Context, ConstructionRunsPreselection) {
 }
 
 TEST(Context, VecaddExecutesWithBlockDistribution) {
-  Context ctx(paper_platform_starpu_cpu(), builtin_repo());
+  // The split of 4 blocks per device: the description's own choice runs
+  // 1,000 elements on 8 cores as one task.
+  Options options;
+  options.blocks_per_device = 4;
+  Context ctx(paper_platform_starpu_cpu(), builtin_repo(), options);
   const std::size_t n = 1000;
   std::vector<double> a(n, 1.0), b(n, 2.0);
   auto status = ctx.execute("Ivecadd", "cpu",
@@ -608,9 +617,11 @@ TEST(Context, DgemmWithBandedBFailsNamingOperandB) {
 
 TEST(Context, VecaddWithShorterBFailsNamingOperandB) {
   // A whole beside B:BLOCK: every task pairs all 64 elements of A with one
-  // block of B, so the kernel would read past each block.
+  // block of B, so the kernel would read past each block. 4 blocks per
+  // device: as one block, B would be whole too.
   Options options;
   options.mode = starvm::ExecutionMode::kDeterministic;
+  options.blocks_per_device = 4;
   Context ctx(paper_platform_starpu_2gpu(), builtin_repo(), options);
   const std::size_t n = 64;
   std::vector<double> a(n, 1.0), b(n, 2.0);
@@ -639,6 +650,7 @@ TEST(Context, BlockDecompositionSubmitsOnlyFilledBlocks) {
     SCOPED_TRACE(threaded ? "threaded" : "deterministic");
     Options options;
     options.mode = mode;
+    options.blocks_per_device = 4;
     {
       // Listings 3/4 on 1000 cores: a target of 4 x 1000 blocks splits 4096
       // elements two per block, which fills 2048 blocks. The 1952 empty
@@ -706,6 +718,194 @@ TEST(Context, BlockDecompositionSubmitsOnlyFilledBlocks) {
     kernels::dgemm_naive(n, n, n, ma.data(), mb.data(), ref.data());
     EXPECT_LT(kernels::max_abs_diff(mc.data(), ref.data(), n * n), 1e-9);
   }
+}
+
+// --- Partition decision -----------------------------------------------------
+
+using sweep::best_of;
+using sweep::puresim_sweep;
+
+/// The decision lines execute() wrote.
+std::vector<std::string> partition_lines(const Context& ctx) {
+  std::vector<std::string> lines;
+  for (const auto& d : ctx.diagnostics()) {
+    if (d.message.rfind("partition: ", 0) == 0) lines.push_back(d.message);
+  }
+  return lines;
+}
+
+TEST(Partition, Fig5DgemmRunsWithinFivePercentOfTheSweepsBest) {
+  Options options;
+  options.mode = starvm::ExecutionMode::kPureSim;
+  Context ctx(paper_platform_starpu_2gpu(), builtin_repo(), options);
+  const sweep::Operands fig5 = sweep::operands("Idgemm", 256);
+  ASSERT_TRUE(ctx.execute("Idgemm", "all", fig5.args).ok());
+  ASSERT_TRUE(ctx.wait().ok());
+  const double chosen = ctx.stats().makespan_seconds;
+
+  const auto points = puresim_sweep(ctx, "Idgemm", "all", fig5.args);
+  ASSERT_EQ(points.back().first, 32);
+  EXPECT_LE(chosen, best_of(points).second * 1.05);
+  EXPECT_LT(chosen, points.back().second);
+
+  // One line records the decision: count, its makespan and the old split's.
+  const auto lines = partition_lines(ctx);
+  ASSERT_EQ(lines.size(), 1u);
+  const std::string blocks =
+      "into " + std::to_string(ctx.stats().tasks_submitted) + " block(s)";
+  EXPECT_NE(lines[0].find("'Idgemm' splits extent 256 " + blocks), std::string::npos)
+      << lines[0];
+  EXPECT_NE(lines[0].find("modeled makespan "), std::string::npos) << lines[0];
+  EXPECT_NE(lines[0].find("4 per device would make 32 block(s)"), std::string::npos)
+      << lines[0];
+}
+
+TEST(Partition, WideVecaddRunsAsAFewBlocksWithExactResults) {
+  // Listings 3/4 on the 1000-core description of the `wide` benchmark,
+  // where 4 blocks per device make 2,048 two-element tasks.
+  for (const starvm::ExecutionMode mode :
+       {starvm::ExecutionMode::kDeterministic, starvm::ExecutionMode::kHybrid}) {
+    const bool threaded = mode == starvm::ExecutionMode::kHybrid;
+    SCOPED_TRACE(threaded ? "threaded" : "deterministic");
+    Options options;
+    options.mode = mode;
+    Context ctx(pdl::fixtures::wide_platform(), builtin_repo(), options);
+    const std::size_t n = 4096;
+    std::vector<double> a(n), b(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      a[i] = static_cast<double>(i);
+      b[i] = static_cast<double>(3 * i + 1);
+    }
+    ASSERT_TRUE(ctx.execute("Ivecadd", "all",
+                            {arg(a.data(), n, AccessMode::kReadWrite,
+                                 DistributionKind::kBlock),
+                             arg(b.data(), n, AccessMode::kRead,
+                                 DistributionKind::kBlock)})
+                    .ok());
+    ASSERT_TRUE(ctx.wait().ok());
+    const auto stats = ctx.stats();
+    EXPECT_LE(stats.tasks_submitted, 8u);
+    // The threaded mode charges CPU lanes their measured time.
+    if (!threaded) {
+      EXPECT_LE(stats.makespan_seconds, 0.0102e-3);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(a[i], static_cast<double>(4 * i + 1)) << i;
+    }
+  }
+}
+
+TEST(Partition, CodeletWithoutFlopsModelKeepsFourBlocksPerDevice) {
+  TaskRepository repo = TaskRepository::with_defaults();
+  TaskVariant variant;
+  variant.pragma.task_interface = "Imark";
+  variant.pragma.variant_name = "mark_seq";
+  variant.pragma.target_platforms = {"x86"};
+  repo.add_variant(variant);
+  repo.bind(BoundImpl{"mark_seq", starvm::DeviceKind::kCpu,
+                      [](const starvm::ExecContext&) {}, nullptr});
+  Options options;
+  options.mode = starvm::ExecutionMode::kDeterministic;
+  Context ctx(paper_platform_starpu_cpu(), std::move(repo), options);
+  std::vector<double> data(256, 0.0);
+  ASSERT_TRUE(ctx.execute("Imark", "",
+                          {arg(data.data(), data.size(), AccessMode::kReadWrite,
+                               DistributionKind::kBlock)})
+                  .ok());
+  ASSERT_TRUE(ctx.wait().ok());
+  EXPECT_EQ(ctx.stats().tasks_submitted, 4u * ctx.engine().device_count());
+  EXPECT_TRUE(partition_lines(ctx).empty());
+}
+
+TEST(Partition, SiteThatNoLocalStoreHoldsKeepsFourBlocksPerDevice) {
+  // 2^22 doubles per operand: even 32 blocks leave 1 MiB of A and of B per
+  // block, more than an SPE's local store, so no count of the sweep fits.
+  Options options;
+  options.mode = starvm::ExecutionMode::kPureSim;
+  Context ctx(pdl::discovery::cell_be_platform(), sweep::example_repository(),
+              options);
+  const sweep::Operands ops = sweep::operands("Ivecadd", std::size_t{1} << 22);
+  ASSERT_TRUE(ctx.execute("Ivecadd", "spe", ops.args).ok());
+  ASSERT_TRUE(ctx.wait().ok());
+  EXPECT_EQ(ctx.stats().tasks_submitted, 4u * ctx.engine().device_count());
+  const auto lines = partition_lines(ctx);
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_NE(lines[0].find("modeled makespan inf ms"), std::string::npos) << lines[0];
+}
+
+TEST(Partition, RunningASiteAgainRepartitionsNothing) {
+  // The simulation modes run tasks only inside wait_all, which a
+  // re-partition calls first: nothing may complete during the second
+  // round. The vecadd runs as one block, the DGEMM as several.
+  Options options;
+  options.mode = starvm::ExecutionMode::kDeterministic;
+  Context ctx(paper_platform_starpu_2gpu(), builtin_repo(), options);
+  const std::size_t n = 1000;
+  std::vector<double> a(n, 1.0), b(n, 2.0);
+  const std::size_t m = 64;
+  kernels::Matrix ma(m, m), mb(m, m), mc(m, m), ref(m, m);
+  ma.fill_random(11);
+  mb.fill_random(12);
+  std::uint64_t completed = 0;
+  for (int call = 0; call < 2; ++call) {
+    if (call == 1) completed = ctx.stats().tasks_completed;
+    ASSERT_TRUE(ctx.execute("Ivecadd", "",
+                            {arg(a.data(), n, AccessMode::kReadWrite,
+                                 DistributionKind::kBlock),
+                             arg(b.data(), n, AccessMode::kRead,
+                                 DistributionKind::kBlock)})
+                    .ok());
+    ASSERT_TRUE(ctx.execute("Idgemm", "",
+                            {arg_matrix(mc.data(), m, m, AccessMode::kReadWrite,
+                                        DistributionKind::kBlock),
+                             arg_matrix(ma.data(), m, m, AccessMode::kRead,
+                                        DistributionKind::kBlock),
+                             arg_matrix(mb.data(), m, m, AccessMode::kRead,
+                                        DistributionKind::kNone)})
+                    .ok());
+  }
+  EXPECT_EQ(ctx.stats().tasks_completed, completed);
+  EXPECT_GT(ctx.stats().tasks_submitted, 6u);
+  EXPECT_EQ(partition_lines(ctx).size(), 2u);
+  ASSERT_TRUE(ctx.wait().ok());
+  for (double v : a) EXPECT_EQ(v, 5.0);
+  kernels::dgemm_naive(m, m, m, ma.data(), mb.data(), ref.data());
+  kernels::dgemm_naive(m, m, m, ma.data(), mb.data(), ref.data());
+  EXPECT_LT(kernels::max_abs_diff(mc.data(), ref.data(), m * m), 1e-9);
+}
+
+TEST(Partition, ExampleSitesRunNearTheSweepsBestOnEveryPlatform) {
+  std::vector<std::filesystem::path> platforms;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(PDL_SOURCE_DIR) + "/platforms")) {
+    platforms.push_back(entry.path());
+  }
+  std::sort(platforms.begin(), platforms.end());
+  ASSERT_EQ(platforms.size(), 6u);
+  int runs = 0;
+  for (const sweep::ExampleSite& site : sweep::kExampleSites) {
+    // Pure simulation never touches the operands.
+    const sweep::Operands ops = sweep::operands(site.iface, site.n);
+    for (const auto& path : platforms) {
+      SCOPED_TRACE(std::string(site.example) + " on " + path.filename().string());
+      const auto text = pdl::util::read_file(path.string());
+      ASSERT_TRUE(text.has_value());
+      pdl::Diagnostics diags;
+      auto platform = pdl::parse_platform(*text, diags, path.filename().string());
+      ASSERT_TRUE(platform.ok());
+      Options options;
+      options.mode = starvm::ExecutionMode::kPureSim;
+      Context ctx(platform.value(), sweep::example_repository(), options);
+      if (!ctx.execute(site.iface, site.group, ops.args).ok()) continue;  // no variant
+      ASSERT_TRUE(ctx.wait().ok());
+      ++runs;
+      const double chosen = ctx.stats().makespan_seconds;
+      const auto points = puresim_sweep(ctx, site.iface, site.group, ops.args);
+      EXPECT_LE(chosen, best_of(points).second * 1.05);
+      EXPECT_LE(chosen, points.back().second);
+    }
+  }
+  EXPECT_GE(runs, 12);
 }
 
 TEST(Context, SinglePlatformRunsSequentialFallback) {

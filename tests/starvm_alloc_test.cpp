@@ -243,6 +243,7 @@ TEST(AllocBudget, DrainOf1000DevicesAllocatesNoTraceRows) {
   }
   cascabel::rt::Options options;
   options.mode = ExecutionMode::kDeterministic;
+  options.blocks_per_device = 4;  // the drain of 2,048 tasks
   cascabel::TaskRepository repo = cascabel::TaskRepository::with_defaults();
   cascabel::register_builtin_variants(repo);
   cascabel::rt::Context ctx(wide_platform(), std::move(repo), options);

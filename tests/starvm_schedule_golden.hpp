@@ -146,7 +146,10 @@ inline void run_fig5_with(
     const std::function<void(cascabel::rt::Context&)>& drained) {
   cascabel::TaskRepository repo = cascabel::TaskRepository::with_defaults();
   cascabel::register_builtin_variants(repo);
-  cascabel::rt::Context ctx(testbed, std::move(repo), options);
+  // The 32 blocks of 4 per device the goldens were recorded with.
+  cascabel::rt::Options pinned = options;
+  pinned.blocks_per_device = 4;
+  cascabel::rt::Context ctx(testbed, std::move(repo), pinned);
   constexpr std::size_t n = 256;
   std::vector<double> a(n * n), b(n * n), c(n * n, 0.0);
   for (std::size_t i = 0; i < n * n; ++i) {
