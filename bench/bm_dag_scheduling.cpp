@@ -12,8 +12,10 @@
 // compares the two — class-based HEFT keeps the 1000-device per-task cost
 // within 3x of the 4-device cost instead of the ~250x a per-device scan
 // would give. BM_EngineLifecycle/{4,1000} and its RecorderOff twin time a
-// whole engine per iteration (set-up, 1000 tasks, teardown); CI bounds the
-// flight recorder's share at 1000 devices by comparing the two.
+// whole engine per iteration (set-up, 1000 tasks, teardown), and
+// BM_EngineSetUp/1000 and its RecorderOff twin one with no task (set-up and
+// teardown alone); CI bounds the flight recorder's share at 1000 devices by
+// comparing each pair.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -118,20 +120,26 @@ void BM_DagSubmitDrain(benchmark::State& state) {
 BENCHMARK(BM_DagSubmitDrain)->Arg(4)->Arg(1000)->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// One engine per iteration, as a translated program builds one: set-up
-// from the manycore platform in deterministic mode, 1000 no-op tasks on
-// 1000 blocks, drain, teardown. Per-device set-up work (such as the
-// flight rings) shows here and not in BM_DagSubmitDrain, which reuses one
-// engine.
-void engine_lifecycle(benchmark::State& state, bool recorder) {
-  constexpr int kBlocks = 1000;
+/// The engine a translated program builds for manycore_platform(n), n =
+/// state.range(0): deterministic mode, with or without the flight recorder.
+starvm::EngineConfig manycore_engine_config(const benchmark::State& state,
+                                            bool recorder) {
   starvm::BridgeOptions bridge;
   bridge.mode = starvm::ExecutionMode::kDeterministic;
-  auto config = starvm::engine_config_from_platform(
-      pdl::discovery::manycore_platform(static_cast<int>(state.range(0))),
-      bridge);
-  starvm::EngineConfig engine_config = std::move(config).value();
-  if (!recorder) engine_config.flight_records_per_device = 0;
+  starvm::EngineConfig config =
+      starvm::engine_config_from_platform(
+          pdl::discovery::manycore_platform(static_cast<int>(state.range(0))), bridge)
+          .value();
+  if (!recorder) config.flight_records_per_device = 0;
+  return config;
+}
+
+// One engine per iteration, as a translated program builds one: set-up,
+// 1000 no-op tasks on 1000 blocks, drain, teardown. Per-device set-up
+// work shows here and not in BM_DagSubmitDrain, which reuses one engine.
+void engine_lifecycle(benchmark::State& state, bool recorder) {
+  constexpr int kBlocks = 1000;
+  const starvm::EngineConfig engine_config = manycore_engine_config(state, recorder);
   starvm::Codelet noop;
   noop.name = "noop";
   noop.impls.push_back(
@@ -160,6 +168,28 @@ void BM_EngineLifecycleRecorderOff(benchmark::State& state) {
   engine_lifecycle(state, false);
 }
 BENCHMARK(BM_EngineLifecycleRecorderOff)->Arg(4)->Arg(1000)->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+// The recorder's fixed cost: the same engine built and torn down with no
+// task, so no record is written and what the recorder reserves is all it
+// costs.
+void engine_set_up(benchmark::State& state, bool recorder) {
+  const starvm::EngineConfig engine_config = manycore_engine_config(state, recorder);
+  for (auto _ : state) {
+    starvm::Engine engine(engine_config);
+    benchmark::DoNotOptimize(engine.device_count());
+  }
+  state.counters["devices"] = static_cast<double>(state.range(0));
+}
+
+void BM_EngineSetUp(benchmark::State& state) { engine_set_up(state, true); }
+BENCHMARK(BM_EngineSetUp)->Arg(1000)->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+void BM_EngineSetUpRecorderOff(benchmark::State& state) {
+  engine_set_up(state, false);
+}
+BENCHMARK(BM_EngineSetUpRecorderOff)->Arg(1000)->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 int run_abl7_table();

@@ -153,8 +153,9 @@ Context::Registered& Context::find_or_register(const Arg& a) {
 void Context::repartition(Registered& reg, const Arg& a, int nblocks) {
   if (reg.nblocks == (nblocks > 1 ? nblocks : 0)) return;
   // In-flight tasks may reference the old blocks; drain before replacing.
-  // Task failures stay sticky in the engine; wait() reports them.
-  (void)engine_->wait_all();
+  // A handle no task has used has none. Task failures stay sticky in the
+  // engine; wait() reports them.
+  if (reg.submitted) (void)engine_->wait_all();
   if (reg.nblocks != 0) {
     engine_->unpartition(reg.handle);
     reg.blocks.clear();
@@ -344,6 +345,7 @@ pdl::util::Status Context::execute(std::string_view interface_name,
     repartition(*regs[i], args[i],
                 args[i].dist != DistributionKind::kNone ? nblocks : 1);
   }
+  for (Registered* reg : regs) reg->submitted = true;
 
   // CYCLIC distributions submit blocks in round-robin order over a stride;
   // with a dynamic scheduler this only changes issue order (the paper's

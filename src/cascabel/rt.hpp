@@ -151,6 +151,7 @@ class Context {
     starvm::DataHandle* handle = nullptr;
     std::vector<starvm::DataHandle*> blocks;
     int nblocks = 0;  ///< 0 = unpartitioned
+    bool submitted = false;  ///< a task has used the handle or its blocks
   };
 
   /// A call site's codelet and the block counts decided for it, by split

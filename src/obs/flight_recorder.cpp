@@ -1,6 +1,5 @@
 #include "obs/flight_recorder.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <sstream>
@@ -104,46 +103,6 @@ void FlightRing::snapshot_into(std::vector<FlightEvent>& out,
     e.value2 = std::bit_cast<double>(w[7]);
     out.push_back(e);
   }
-}
-
-FlightRecorder::FlightRecorder(std::size_t ring_count,
-                               std::size_t records_per_ring) {
-  rings_.reserve(ring_count);
-  for (std::size_t i = 0; i < ring_count; ++i) {
-    rings_.push_back(std::make_unique<FlightRing>(records_per_ring));
-  }
-}
-
-std::vector<FlightEvent> FlightRecorder::snapshot() const {
-  std::vector<FlightEvent> events;
-  for (std::size_t i = 0; i < rings_.size(); ++i) {
-    rings_[i]->snapshot_into(events, static_cast<std::uint32_t>(i));
-  }
-  std::stable_sort(events.begin(), events.end(),
-                   [](const FlightEvent& a, const FlightEvent& b) {
-                     if (a.t0 != b.t0) return a.t0 < b.t0;
-                     if (a.ring != b.ring) return a.ring < b.ring;
-                     return a.seq < b.seq;
-                   });
-  return events;
-}
-
-std::uint64_t FlightRecorder::produced() const {
-  std::uint64_t n = 0;
-  for (const auto& r : rings_) n += r->produced();
-  return n;
-}
-
-std::uint64_t FlightRecorder::overwritten() const {
-  std::uint64_t n = 0;
-  for (const auto& r : rings_) n += r->overwritten();
-  return n;
-}
-
-std::size_t FlightRecorder::memory_bytes() const {
-  std::size_t bytes = 0;
-  for (const auto& r : rings_) bytes += r->capacity() * 8 * sizeof(std::uint64_t);
-  return bytes;
 }
 
 std::string flight_events_jsonl(const std::vector<FlightEvent>& events,

@@ -1,9 +1,9 @@
-// Always-on flight recorder: per-producer lock-free SPSC ring buffers of
-// fixed-size binary records, cheap enough to leave enabled on the starvm
-// hot path and bounded enough to forget about (capacity × 64 bytes per
-// ring, oldest records overwritten). A ring's capacity is reserved, not
-// touched, until written: slots start out uninitialized, so a 1000-device
-// engine pays for the records it writes, not for the rings it could fill.
+// Always-on flight recorder: a lock-free SPSC ring buffer of fixed-size
+// binary records, cheap enough to leave enabled on the starvm hot path and
+// bounded enough to forget about (capacity × 64 bytes, oldest records
+// overwritten). The capacity is reserved, not touched, until written:
+// slots start out uninitialized, so a 1000-device engine pays for the
+// records it writes, not for the ring it could fill.
 //
 // Each slot is a seqlock over 8 plain 64-bit words, every access going
 // through std::atomic_ref: the producer stamps the slot odd, stores the
@@ -15,12 +15,12 @@
 // is simply dropped. Every access is atomic, so concurrent overruns are
 // torn-read-safe under TSan, not just in practice.
 //
-// Ownership contract: record() on one ring must come from a single
-// producer at a time: writers serialized by a mutex, as the engine's are
-// (its lane rings under the engine mutex, its fault ring under the fault
-// mutex). snapshot() is
-// safe from anywhere, any time — that is the whole point of a flight
-// recorder: the post-mortem dump runs while the crash is still unfolding.
+// Ownership contract: record() must come from a single producer at a
+// time: writers serialized by a mutex, as the engine's are (its one lane
+// ring is written under the engine mutex only). snapshot_into() is safe
+// from anywhere, any time — that is the whole point of a flight recorder:
+// the post-mortem dump runs while the crash is still unfolding. The
+// engine's fault lane is no ring: it is read off the engine's fault log.
 #pragma once
 
 #include <atomic>
@@ -54,8 +54,10 @@ const char* to_string(FlightKind kind);
 /// point events (no end timestamp). `value`/`value2` are kind-specific
 /// (exec seconds and transfer seconds for kTaskEnd, depth for kQueueDepth).
 struct FlightEvent {
-  std::uint64_t seq = 0;    ///< per-ring sequence number (gaps = overwritten)
-  std::uint32_t ring = 0;   ///< which ring produced it (FlightRecorder index)
+  std::uint64_t seq = 0;    ///< number in its ring (gaps = overwritten)
+  /// The record's lane: the engine's device for task and transfer
+  /// records, one past the last device for its fault lane.
+  std::uint32_t ring = 0;
   FlightKind kind = FlightKind::kTaskStart;
   std::uint32_t aux = 0;    ///< attempt number (task records) / kind-specific
   std::uint64_t task = 0;   ///< task id; 0 when the event concerns a device
@@ -83,9 +85,9 @@ class FlightRing {
               std::int64_t device, double t0, double t1, double value,
               double value2 = 0.0);
 
-  /// Append every consistent record still resident, oldest first. Lock-free
-  /// and safe concurrently with record(); records the producer laps during
-  /// the read are skipped.
+  /// Append every consistent record still resident, oldest first, with
+  /// `ring` as its lane. Lock-free and safe concurrently with record();
+  /// records the producer laps during the read are skipped.
   void snapshot_into(std::vector<FlightEvent>& out, std::uint32_t ring) const;
 
   std::size_t capacity() const { return mask_ + 1; }
@@ -110,27 +112,6 @@ class FlightRing {
   std::unique_ptr<Slot[]> slots_;
   std::size_t mask_ = 0;
   std::atomic<std::uint64_t> head_{0};
-};
-
-/// A fixed set of flight rings (the engine keeps one per device plus one
-/// for the mutex-serialized fault path) with a merged snapshot.
-class FlightRecorder {
- public:
-  FlightRecorder(std::size_t ring_count, std::size_t records_per_ring);
-
-  FlightRing& ring(std::size_t i) { return *rings_[i]; }
-  const FlightRing& ring(std::size_t i) const { return *rings_[i]; }
-  std::size_t ring_count() const { return rings_.size(); }
-
-  /// Every resident record of every ring, ordered by (t0, ring, seq).
-  std::vector<FlightEvent> snapshot() const;
-
-  std::uint64_t produced() const;
-  std::uint64_t overwritten() const;
-  std::size_t memory_bytes() const;
-
- private:
-  std::vector<std::unique_ptr<FlightRing>> rings_;
 };
 
 /// Resolve a task id to a display label for dump rendering; empty = none.

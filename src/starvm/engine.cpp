@@ -10,6 +10,7 @@
 #include <fstream>
 #include <limits>
 #include <map>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <tuple>
@@ -76,21 +77,30 @@ obs::Histogram& task_exec_us_histogram() {
   static obs::Histogram& h = obs::histogram("starvm.task_exec_us");
   return h;
 }
-obs::Counter& task_failures_counter() {
-  static obs::Counter& c = obs::counter("starvm.task_failures");
-  return c;
+/// Tick the counters that mirror a fault edge of `kind`.
+void count_fault(FaultEvent::Kind kind) {
+  static obs::Counter& failures = obs::counter("starvm.task_failures");
+  static obs::Counter& timeouts = obs::counter("starvm.task_timeouts");
+  static obs::Counter& retries = obs::counter("starvm.task_retries");
+  static obs::Counter& blacklists = obs::counter("starvm.device_blacklists");
+  using Kind = FaultEvent::Kind;
+  if (kind == Kind::kFailure || kind == Kind::kTimeout) failures.inc();
+  if (kind == Kind::kTimeout) timeouts.inc();
+  if (kind == Kind::kRetry) retries.inc();
+  if (kind == Kind::kBlacklist) blacklists.inc();
 }
-obs::Counter& task_retries_counter() {
-  static obs::Counter& c = obs::counter("starvm.task_retries");
-  return c;
-}
-obs::Counter& task_timeouts_counter() {
-  static obs::Counter& c = obs::counter("starvm.task_timeouts");
-  return c;
-}
-obs::Counter& device_blacklists_counter() {
-  static obs::Counter& c = obs::counter("starvm.device_blacklists");
-  return c;
+
+/// The attempt a fault-log entry closes or the move it makes, if any:
+/// retries, blacklists and permanent failures end no attempt.
+std::optional<TaskAttempt::Outcome> attempt_outcome(FaultEvent::Kind kind) {
+  switch (kind) {
+    case FaultEvent::Kind::kTaskEnd: return TaskAttempt::Outcome::kCompleted;
+    case FaultEvent::Kind::kFailure: return TaskAttempt::Outcome::kFailed;
+    case FaultEvent::Kind::kTimeout: return TaskAttempt::Outcome::kTimeout;
+    case FaultEvent::Kind::kReroute: return TaskAttempt::Outcome::kRerouted;
+    case FaultEvent::Kind::kCancelled: return TaskAttempt::Outcome::kCancelled;
+    default: return std::nullopt;
+  }
 }
 
 /// Run `impl` on `task`'s buffers for `device`, turning ExecContext::fail()
@@ -221,12 +231,11 @@ Engine::Engine(EngineConfig config) : config_(std::move(config)) {
   decision_counter_ = &obs::counter("starvm.decisions." +
                                     std::string(to_string(config_.scheduler)));
 
-  // Flight recorder: one ring per device plus one for the fault path
-  // (whose producers fault_mutex_ serializes). Built before the workers so
-  // the very first task is already recorded.
+  // Flight recorder: one ring for every lane (the fault lane is read off the fault
+  // log), built before the workers so the very first task is already recorded.
   if (config_.flight_records_per_device > 0) {
-    flight_ = std::make_unique<obs::FlightRecorder>(
-        devices_.size() + 1, config_.flight_records_per_device);
+    flight_ = std::make_unique<obs::FlightRing>(
+        config_.flight_records_per_device * devices_.size());
   }
   flight_dump_prefix_ = config_.flight_dump_prefix;
   if (flight_dump_prefix_.empty()) {
@@ -537,10 +546,9 @@ void Engine::validate_desc(const TaskDesc& desc) const {
 detail::TaskNode& Engine::wire_task_locked(TaskDesc&& desc, double flops) {
   // Counted here — the one place both submit() and submit_batch() funnel
   // through — so a batch of N adds exactly N, never 1.
-  ++tasks_submitted_;
   if (obs::metrics_enabled()) tasks_submitted_counter().inc();
   detail::TaskNode& task = tasks_.emplace_back();
-  task.id = next_task_id_++;
+  task.id = tasks_.size();  // ids are dense from 1
   task.codelet = desc.codelet;
   task.buffers = std::move(desc.buffers);
   task.label = desc.label.empty() ? desc.codelet->name : std::move(desc.label);
@@ -610,7 +618,7 @@ detail::TaskNode& Engine::wire_task_locked(TaskDesc&& desc, double flops) {
 
   // Explicit predecessors (tag dependencies). Ids are dense from 1.
   for (const TaskId dep_id : desc.depends_on) {
-    if (dep_id == 0 || dep_id >= next_task_id_) continue;  // unknown: satisfied
+    if (dep_id == 0 || dep_id > task.id) continue;  // unknown: satisfied
     add_dep(&tasks_[static_cast<std::size_t>(dep_id - 1)]);
   }
 
@@ -621,14 +629,12 @@ detail::TaskNode& Engine::wire_task_locked(TaskDesc&& desc, double flops) {
     detail::TaskState expected = detail::TaskState::kWaiting;
     if (task.state.compare_exchange_strong(expected,
                                            detail::TaskState::kFailed)) {
-      task.error = "cancelled: a dependency failed before submission";
       pending_.fetch_sub(1);
       {
         std::lock_guard<std::mutex> fault(fault_mutex_);
-        ++cancelled_tasks_;
-        record_fault_event_locked(FaultEvent::Kind::kCancelled,
-                                  task.ready_vtime.load(), task.id, -1, 0,
-                                  task.error);
+        record_fault_event_locked(
+            FaultEvent::Kind::kCancelled, task.ready_vtime.load(), task.id, -1,
+            0, "cancelled: a dependency failed before submission");
       }
       notify_drain();
     }
@@ -809,7 +815,7 @@ bool Engine::wait(TaskId id) {
   {
     std::lock_guard<std::mutex> lock(submit_mutex_);
     // Task ids are dense and start at 1; tasks_ preserves submission order.
-    if (id == 0 || id >= next_task_id_) return false;
+    if (id == 0 || id > tasks_.size()) return false;
     task = &tasks_[static_cast<std::size_t>(id - 1)];
   }
   if (!hybrid()) {
@@ -834,11 +840,11 @@ bool Engine::wait(TaskId id) {
 }
 
 pdl::util::Status Engine::drain_status_locked() const {
-  if (failed_tasks_ == 0 && cancelled_tasks_ == 0) return {};
-  std::string message = std::to_string(failed_tasks_) + " task(s) failed";
-  if (cancelled_tasks_ > 0) {
-    message += ", " + std::to_string(cancelled_tasks_) + " cancelled";
-  }
+  const std::uint64_t failed = fault_count_locked(FaultEvent::Kind::kTaskFailed);
+  const std::uint64_t cancelled = fault_count_locked(FaultEvent::Kind::kCancelled);
+  if (failed == 0 && cancelled == 0) return {};
+  std::string message = std::to_string(failed) + " task(s) failed";
+  if (cancelled > 0) message += ", " + std::to_string(cancelled) + " cancelled";
   constexpr std::size_t kMaxQuoted = 3;
   for (std::size_t i = 0; i < task_errors_.size() && i < kMaxQuoted; ++i) {
     message += (i == 0 ? ": " : "; ") + task_errors_[i];
@@ -1015,12 +1021,11 @@ FaultPlan::Injection Engine::begin_attempt(detail::TaskNode& task,
       config_.task_overhead_us * 1e-6;
   task.transfer_seconds = acquire_buffers(task, device.node);
   if (flight_) {
-    obs::FlightRing& ring = flight_->ring(static_cast<std::size_t>(device.id));
-    ring.record(obs::FlightKind::kQueueDepth, 0, 0, device.id, task.start_vtime,
-                0.0, static_cast<double>(queued));
-    ring.record(obs::FlightKind::kTaskStart,
-                static_cast<std::uint32_t>(task.attempts), task.id, device.id,
-                task.start_vtime, 0.0, 0.0);
+    flight_->record(obs::FlightKind::kQueueDepth, 0, 0, device.id, task.start_vtime, 0.0,
+                    static_cast<double>(queued));
+    flight_->record(obs::FlightKind::kTaskStart,
+                    static_cast<std::uint32_t>(task.attempts), task.id, device.id,
+                    task.start_vtime, 0.0, 0.0);
   }
   FaultPlan::Injection injected;
   if (config_.fault_plan) {
@@ -1107,23 +1112,20 @@ void Engine::finalize_task(detail::TaskNode& task, detail::DeviceState& device,
     PerfModel::observe_in(*alias, device.id, exec, task.flops);
   }
   if (task.attempts > 1) {
-    // Close the attempt chain: this task failed at least once before
-    // succeeding. Cold path only — first-attempt successes never take
-    // fault_mutex_ here.
+    // Close the attempt chain in the fault log: this task failed at least once
+    // before succeeding. Cold path only: first successes never take fault_mutex_.
     std::lock_guard<std::mutex> fault(fault_mutex_);
-    record_attempt_locked(task.id, task.attempts, device.id,
-                          TaskAttempt::Outcome::kCompleted, task.finish_vtime,
-                          {});
+    record_fault_event_locked(FaultEvent::Kind::kTaskEnd, task.finish_vtime, task.id,
+                              device.id, task.attempts, {});
   }
   if (flight_) {
     // Written under mutex_ only: one producer at a time.
-    obs::FlightRing& ring = flight_->ring(static_cast<std::size_t>(device.id));
-    ring.record(obs::FlightKind::kTaskEnd,
-                static_cast<std::uint32_t>(task.attempts), task.id, device.id,
-                task.start_vtime, task.finish_vtime, exec, transfer);
+    flight_->record(obs::FlightKind::kTaskEnd,
+                    static_cast<std::uint32_t>(task.attempts), task.id, device.id,
+                    task.start_vtime, task.finish_vtime, exec, transfer);
     if (transfer > 0.0) {
-      ring.record(obs::FlightKind::kTransfer, 0, task.id, device.id,
-                  task.start_vtime, task.start_vtime + transfer, transfer);
+      flight_->record(obs::FlightKind::kTransfer, 0, task.id, device.id, task.start_vtime,
+                      task.start_vtime + transfer, transfer);
     }
   }
   if (obs::metrics_enabled()) {
@@ -1218,7 +1220,9 @@ bool Engine::has_live_capable_device(const Codelet& codelet) const {
 void Engine::record_fault_event_locked(FaultEvent::Kind kind, double vtime,
                                        TaskId task, DeviceId device,
                                        int attempt, std::string detail) {
-  if (obs::has_event_sink()) {
+  if (obs::metrics_enabled()) count_fault(kind);
+  // A completion closes an attempt chain; it is no fault to report.
+  if (kind != FaultEvent::Kind::kTaskEnd && obs::has_event_sink()) {
     obs::Event event("starvm.fault");
     event.str("kind", to_string(kind))
         .num("vtime", vtime)
@@ -1230,45 +1234,31 @@ void Engine::record_fault_event_locked(FaultEvent::Kind kind, double vtime,
   }
   fault_events_.push_back(
       FaultEvent{kind, vtime, task, device, attempt, std::move(detail)});
-  if (flight_) {
-    // The dedicated fault ring: every caller holds fault_mutex_, so the
-    // SPSC contract holds via mutex hand-off.
-    flight_->ring(devices_.size())
-        .record(kind,
-                static_cast<std::uint32_t>(attempt < 0 ? 0 : attempt),
-                static_cast<std::uint64_t>(task), device, vtime, 0.0, 0.0);
-  }
 }
 
-void Engine::record_attempt_locked(TaskId task, int attempt, DeviceId device,
-                                   TaskAttempt::Outcome outcome, double vtime,
-                                   std::string cause) {
-  attempts_.push_back(
-      TaskAttempt{task, attempt, device, outcome, vtime, std::move(cause)});
+std::uint64_t Engine::fault_count_locked(FaultEvent::Kind kind) const {
+  return static_cast<std::uint64_t>(
+      std::count_if(fault_events_.begin(), fault_events_.end(),
+                    [kind](const FaultEvent& e) { return e.kind == kind; }));
 }
 
 std::string Engine::attempt_chain_locked(TaskId task) const {
   // Digest for aggregated error messages: without it, a task that both
   // retried and was re-routed off a blacklisted device reports only the
   // LAST failure reason, losing which devices the earlier attempts died on.
+  // A task that fails was neither cancelled nor completed: its chain holds
+  // failed attempts and re-routes.
   std::string chain;
-  for (const TaskAttempt& a : attempts_) {
-    if (a.task != task) continue;
+  for (const FaultEvent& e : fault_events_) {
+    const std::optional<TaskAttempt::Outcome> outcome = attempt_outcome(e.kind);
+    if (e.task != task || !outcome) continue;
     chain += chain.empty() ? " [" : "; ";
-    switch (a.outcome) {
-      case TaskAttempt::Outcome::kRerouted:
-        chain += "rerouted off device " + std::to_string(a.device);
-        break;
-      case TaskAttempt::Outcome::kCancelled:
-        chain += "cancelled";
-        break;
-      default:
-        chain += "attempt " + std::to_string(a.attempt) + " on device " +
-                 std::to_string(a.device) + ": " + to_string(a.outcome);
-        if (!a.cause.empty() && a.outcome != TaskAttempt::Outcome::kCompleted) {
-          chain += " (" + a.cause + ")";
-        }
-        break;
+    if (*outcome == TaskAttempt::Outcome::kRerouted) {
+      chain += "rerouted off device " + std::to_string(e.device);
+    } else {
+      chain += "attempt " + std::to_string(e.attempt) + " on device " +
+               std::to_string(e.device) + ": " + to_string(*outcome);
+      if (!e.detail.empty()) chain += " (" + e.detail + ")";
     }
   }
   if (!chain.empty()) chain += "]";
@@ -1283,8 +1273,6 @@ void Engine::fail_task_locked(detail::TaskNode& task, const std::string& reason)
     if (cur == detail::TaskState::kFailed) return;
   } while (!task.state.compare_exchange_weak(cur, detail::TaskState::kFailed));
 
-  task.error = reason;
-  ++failed_tasks_;
   task_errors_.push_back("task " + std::to_string(task.id) + " '" + task.label +
                          "': " + reason + attempt_chain_locked(task.id));
   record_fault_event_locked(FaultEvent::Kind::kTaskFailed,
@@ -1310,14 +1298,9 @@ void Engine::fail_task_locked(detail::TaskNode& task, const std::string& reason)
                                              detail::TaskState::kFailed)) {
       continue;  // already running, done, or cancelled by another cascade
     }
-    succ->error = "cancelled: dependency task " + std::to_string(task.id) +
-                  " failed";
-    ++cancelled_tasks_;
-    record_fault_event_locked(FaultEvent::Kind::kCancelled,
-                              task.ready_vtime.load(), succ->id, -1, 0,
-                              succ->error);
-    record_attempt_locked(succ->id, 0, -1, TaskAttempt::Outcome::kCancelled,
-                          task.ready_vtime.load(), succ->error);
+    record_fault_event_locked(
+        FaultEvent::Kind::kCancelled, task.ready_vtime.load(), succ->id, -1, 0,
+        "cancelled: dependency task " + std::to_string(task.id) + " failed");
     pending_.fetch_sub(1);
     {
       std::lock_guard<std::mutex> edge(succ->edge_mutex);
@@ -1333,7 +1316,6 @@ void Engine::blacklist_device_locked(detail::DeviceState& device) {
   classes_[class_of_[static_cast<std::size_t>(device.id)]]
       .live_members.fetch_sub(1, std::memory_order_relaxed);
   ++blacklists_;
-  if (obs::metrics_enabled()) device_blacklists_counter().inc();
   record_fault_event_locked(
       FaultEvent::Kind::kBlacklist, device.avail_vtime.load(), 0, device.id, 0,
       device.spec.name + " blacklisted after " +
@@ -1349,15 +1331,10 @@ void Engine::blacklist_device_locked(detail::DeviceState& device) {
       scheduler_->drain_device(device.id);
   for (detail::TaskNode* task : drained) {
     if (has_live_capable_device(*task->codelet)) {
-      ++reroutes_;
       record_fault_event_locked(FaultEvent::Kind::kReroute,
                                 device.avail_vtime.load(), task->id, device.id,
                                 task->attempts,
                                 "requeued off blacklisted " + device.spec.name);
-      record_attempt_locked(task->id, task->attempts, device.id,
-                            TaskAttempt::Outcome::kRerouted,
-                            device.avail_vtime.load(),
-                            "requeued off blacklisted " + device.spec.name);
       if (oracle_ != nullptr) {
         oracle_->note(ChoiceKind::kReroute, task->id, device.id);
       }
@@ -1381,25 +1358,14 @@ void Engine::handle_task_failure(detail::TaskNode& task,
   const double attempt_finish = task.start_vtime + transfer + exec;
   detail::vtime_raise(device.avail_vtime, attempt_finish);
   device.transfer_seconds += transfer;
-  ++device.failures;
   ++device.consecutive_failures;
 
   bool retry = false;
   {
     std::lock_guard<std::mutex> fault(fault_mutex_);
-    ++task_failures_;
-    if (is_timeout) ++timeouts_;
-    if (obs::metrics_enabled()) {
-      task_failures_counter().inc();
-      if (is_timeout) task_timeouts_counter().inc();
-    }
     record_fault_event_locked(
         is_timeout ? FaultEvent::Kind::kTimeout : FaultEvent::Kind::kFailure,
         attempt_finish, task.id, device.id, task.attempts, reason);
-    record_attempt_locked(task.id, task.attempts, device.id,
-                          is_timeout ? TaskAttempt::Outcome::kTimeout
-                                     : TaskAttempt::Outcome::kFailed,
-                          attempt_finish, reason);
 
     const int threshold = config_.fault_tolerance.blacklist_after;
     if (threshold > 0 && !device.blacklisted.load() &&
@@ -1409,8 +1375,6 @@ void Engine::handle_task_failure(detail::TaskNode& task,
 
     if (task.attempts <= retry_budget(device) &&
         has_live_capable_device(*task.codelet)) {
-      ++retries_;
-      if (obs::metrics_enabled()) task_retries_counter().inc();
       // Exponential backoff on the virtual clock: the retry may not start
       // before attempt_finish + base * multiplier^(attempt-1).
       const double backoff_seconds =
@@ -1771,25 +1735,57 @@ double Engine::modeled_split_makespan(const Codelet& codelet, double flops,
 
 // --- Flight recorder ------------------------------------------------------------
 
+std::pair<std::uint64_t, std::uint64_t> Engine::flight_totals_locked() const {
+  if (!flight_) return {};
+  const std::uint64_t faults =
+      fault_events_.size() - fault_count_locked(FaultEvent::Kind::kTaskEnd);
+  const std::uint64_t kept = config_.flight_records_per_device;
+  return {flight_->produced() + faults,
+          flight_->overwritten() + (faults > kept ? faults - kept : 0)};
+}
+
 std::vector<obs::FlightEvent> Engine::flight_snapshot() const {
   if (!flight_) return {};
-  return flight_->snapshot();
+  std::vector<obs::FlightEvent> events;
+  flight_->snapshot_into(events, 0);
+  for (obs::FlightEvent& e : events) e.ring = static_cast<std::uint32_t>(e.device);
+  // The fault lane: the log's fault entries, numbered in log order, of which the
+  // newest flight_records_per_device stay resident as a ring's would. Copied and
+  // released before anything else is locked: wiring takes submit_mutex_ first.
+  {
+    std::lock_guard<std::mutex> fault(fault_mutex_);
+    std::uint64_t seq =
+        fault_events_.size() - fault_count_locked(FaultEvent::Kind::kTaskEnd);
+    std::size_t left = config_.flight_records_per_device;
+    for (auto e = fault_events_.rbegin(); e != fault_events_.rend() && left > 0; ++e) {
+      if (e->kind == FaultEvent::Kind::kTaskEnd) continue;
+      --left;
+      events.push_back({--seq, static_cast<std::uint32_t>(devices_.size()), e->kind,
+                        static_cast<std::uint32_t>(e->attempt), e->task, e->device,
+                        e->vtime});
+    }
+  }
+  std::sort(events.begin(), events.end(), [](const auto& a, const auto& b) {
+    return std::tie(a.t0, a.ring, a.seq) < std::tie(b.t0, b.ring, b.seq);
+  });
+  return events;
 }
 
 bool Engine::dump_flight_recorder(const std::string& prefix,
                                   const std::string& reason) const {
   if (!flight_ || prefix.empty()) return false;
-  const std::vector<obs::FlightEvent> events = flight_->snapshot();
+  const std::vector<obs::FlightEvent> events = flight_snapshot();
+  std::pair<std::uint64_t, std::uint64_t> totals;
+  {
+    std::lock_guard<std::mutex> fault(fault_mutex_);
+    totals = flight_totals_locked();
+  }
   // Resolve task labels up front: ids are dense from 1, and the label of a
   // wired task is immutable, so one pass under submit_mutex_ suffices.
-  std::vector<std::string> labels;
+  std::vector<std::string> labels(1);  // task id i at index i
   {
     std::lock_guard<std::mutex> lock(submit_mutex_);
-    labels.resize(static_cast<std::size_t>(next_task_id_));
-    for (TaskId id = 1; id < next_task_id_; ++id) {
-      labels[static_cast<std::size_t>(id)] =
-          tasks_[static_cast<std::size_t>(id - 1)].label;
-    }
+    for (std::size_t i = 0; i < tasks_.size(); ++i) labels.push_back(tasks_[i].label);
   }
   const obs::FlightLabelFn label = [&labels](std::uint64_t task) {
     return task < labels.size() ? labels[static_cast<std::size_t>(task)]
@@ -1798,8 +1794,8 @@ bool Engine::dump_flight_recorder(const std::string& prefix,
   bool ok = true;
   {
     std::ofstream out(prefix + ".jsonl", std::ios::binary);
-    out << obs::flight_events_jsonl(events, reason, flight_->produced(),
-                                    flight_->overwritten(), label);
+    out << obs::flight_events_jsonl(events, reason, totals.first,
+                                    totals.second, label);
     ok = static_cast<bool>(out) && ok;
   }
   {
@@ -1829,7 +1825,6 @@ EngineStats Engine::stats() const {
       ds.tasks_run = device.tasks_run;
       ds.busy_seconds = device.busy_seconds;
       ds.transfer_seconds = device.transfer_seconds;
-      ds.failures = device.failures;
       ds.blacklisted = device.blacklisted.load();
       ds.mtbf_hours = device.spec.mtbf_hours;
       ds.declared_gflops = device.spec.sustained_gflops;
@@ -1857,22 +1852,30 @@ EngineStats Engine::stats() const {
   s.link_spec_misses = link_spec_misses_.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> fault(fault_mutex_);
-    s.task_failures = task_failures_;
-    s.retries = retries_;
-    s.timeouts = timeouts_;
-    s.reroutes = reroutes_;
+    s.timeouts = fault_count_locked(FaultEvent::Kind::kTimeout);
+    s.task_failures = fault_count_locked(FaultEvent::Kind::kFailure) + s.timeouts;
+    s.retries = fault_count_locked(FaultEvent::Kind::kRetry);
+    s.reroutes = fault_count_locked(FaultEvent::Kind::kReroute);
     s.devices_blacklisted = blacklists_;
-    s.failed_tasks = failed_tasks_;
-    s.cancelled_tasks = cancelled_tasks_;
+    s.failed_tasks = fault_count_locked(FaultEvent::Kind::kTaskFailed);
+    s.cancelled_tasks = fault_count_locked(FaultEvent::Kind::kCancelled);
     s.errors = task_errors_;
-    s.fault_events = fault_events_;
-    s.attempts = attempts_;
+    for (const FaultEvent& e : fault_events_) {
+      if (e.kind == FaultEvent::Kind::kFailure || e.kind == FaultEvent::Kind::kTimeout) {
+        ++s.devices[static_cast<std::size_t>(e.device)].failures;
+      }
+      if (const auto outcome = attempt_outcome(e.kind)) {
+        s.attempts.push_back({e.task, e.attempt, e.device, *outcome, e.vtime, e.detail});
+      }
+      if (e.kind != FaultEvent::Kind::kTaskEnd) s.fault_events.push_back(e);
+    }
+    std::tie(s.flight_records, s.flight_overwritten) = flight_totals_locked();
   }
   s.scheduler = config_.scheduler;
   s.task_overhead_us = config_.task_overhead_us;
   {
     std::lock_guard<std::mutex> lock(submit_mutex_);
-    s.tasks_submitted = tasks_submitted_;
+    s.tasks_submitted = tasks_.size();
     s.perf_model_seeds = perf_model_seeds_;
     // One row per finished task, read off its node: loading kDone orders
     // these reads after finalize_task's writes, a threaded worker's included.
@@ -1895,10 +1898,6 @@ EngineStats Engine::stats() const {
   // Immutable after construction; no lock needed.
   s.perf_store_entries = perf_store_entries_;
   s.perf_store_rejected = perf_store_rejected_;
-  if (flight_) {
-    s.flight_records = flight_->produced();
-    s.flight_overwritten = flight_->overwritten();
-  }
   const double first = first_submit_wall_.load();
   const double drained = drain_wall_.load();
   if (first >= 0.0 && drained > first) {

@@ -31,6 +31,13 @@
 // release goes through per-task edge mutexes; replica bookkeeping has its
 // own memory_mutex_ (skipped entirely on single-node platforms); fault
 // handling has fault_mutex_.
+//
+// Records (docs/OBSERVABILITY.md): each lifecycle edge is written once.
+// A lane edge (queue depth, task start, task end, transfer) goes into the
+// one flight ring all lanes share, under mutex_; a fault edge goes into
+// the fault log, under fault_mutex_. The trace is read off the task
+// nodes; the fault counters, attempt chains and the flight dump's fault
+// lane are read off the fault log.
 #pragma once
 
 #include <array>
@@ -44,6 +51,7 @@
 #include <span>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "obs/flight_recorder.hpp"
@@ -191,12 +199,15 @@ class Engine {
 
   // --- Flight recorder ---------------------------------------------------------
 
-  /// The always-on flight recorder; nullptr when disabled
-  /// (EngineConfig::flight_records_per_device == 0).
-  const obs::FlightRecorder* flight_recorder() const { return flight_.get(); }
+  /// The always-on lane ring (flight_records_per_device x devices slots);
+  /// nullptr when disabled (EngineConfig::flight_records_per_device == 0).
+  const obs::FlightRing* flight_ring() const { return flight_.get(); }
 
-  /// Merged, time-ordered snapshot of every flight ring. Safe at any time,
-  /// including while workers are running (torn records are dropped).
+  /// Every resident record of the lane ring, each on its device's lane,
+  /// and the fault lane read off the fault log (lane device_count(), its
+  /// newest flight_records_per_device entries), ordered by (t0, lane,
+  /// seq). Safe at any time, including while workers are running (torn
+  /// records are dropped); takes fault_mutex_ briefly.
   std::vector<obs::FlightEvent> flight_snapshot() const;
 
   /// Explicit post-mortem dump: write <prefix>.jsonl (one record per line)
@@ -219,7 +230,7 @@ class Engine {
 
   /// Start an attempt of `task` on `device` (mutex_ held): mark it running,
   /// count the attempt, record the decision, charge the transfers, publish
-  /// the ready-queue depth to the gauge and the flight ring with the
+  /// the ready-queue depth to the gauge and the lane ring with the
   /// task-start record, and return the fault plan's verdict.
   FaultPlan::Injection begin_attempt(detail::TaskNode& task,
                                      detail::DeviceState& device);
@@ -323,9 +334,18 @@ class Engine {
 
   bool has_live_capable_device(const Codelet& codelet) const;
 
+  /// Append to the fault log and, for a fault event, emit its sink line
+  /// (fault_mutex_ held). The one writer of fault edges.
   void record_fault_event_locked(FaultEvent::Kind kind, double vtime,
                                  TaskId task, DeviceId device, int attempt,
                                  std::string detail);
+
+  /// Entries of `kind` in the fault log (fault_mutex_ held).
+  std::uint64_t fault_count_locked(FaultEvent::Kind kind) const;
+
+  /// Flight records produced and lost to wraparound, lane ring and fault
+  /// lane together; none when the recorder is off (fault_mutex_ held).
+  std::pair<std::uint64_t, std::uint64_t> flight_totals_locked() const;
 
   /// Status summarizing permanent failures so far; Ok when none
   /// (fault_mutex_ held).
@@ -462,7 +482,8 @@ class Engine {
   /// per completed task.
   std::atomic<int> waiters_{0};
 
-  detail::TaskArena tasks_;  ///< submit_mutex_
+  /// Every submitted task, task id i at index i - 1 (submit_mutex_).
+  detail::TaskArena tasks_;
   /// A codelet's resolved calibration rows: its own row plus the per-kind
   /// variant alias rows (Codelet::calibration_alias), so the per-task
   /// wiring path never takes the perf-model mutex.
@@ -472,7 +493,6 @@ class Engine {
   };
   std::unordered_map<const Codelet*, ModelRows> model_rows_;  ///< submit_mutex_
   detail::Arena<DataHandle> handles_;  ///< submit_mutex_
-  TaskId next_task_id_ = 1;  ///< submit_mutex_
 
   /// Memory accounting per node (index = MemoryNodeId; host unbounded).
   struct NodeState {
@@ -494,42 +514,30 @@ class Engine {
   std::atomic<double> drain_wall_{0.0};
   std::vector<SchedulerDecision> decisions_;  ///< mutex_
 
-  // Fault-tolerance statistics (guarded by fault_mutex_).
-  std::uint64_t task_failures_ = 0;
-  std::uint64_t retries_ = 0;
-  std::uint64_t timeouts_ = 0;
-  std::uint64_t reroutes_ = 0;
-  /// Also read under mutex_ alone: a device is blacklisted only inside
-  /// end_attempt, which holds mutex_ too.
+  // Fault tolerance (guarded by fault_mutex_).
+  /// Devices blacklisted. Also read under mutex_ alone, by dispatch_ready
+  /// as a guard: a device is blacklisted only inside end_attempt, which
+  /// holds mutex_ too.
   std::uint64_t blacklists_ = 0;
-  std::uint64_t failed_tasks_ = 0;
-  std::uint64_t cancelled_tasks_ = 0;
   std::vector<std::string> task_errors_;   ///< one entry per failed task
+  /// The fault log: every fault edge once, in the order it happened, plus
+  /// a kTaskEnd entry for each task that completed after a failed attempt.
+  /// EngineStats' fault counters, fault_events and attempts, the drain
+  /// status and the flight dump's fault lane are all read off it.
   std::vector<FaultEvent> fault_events_;
-  /// Full per-task attempt chains (device, attempt #, cause): failures,
-  /// timeouts, reroutes, cancellations always; completions whenever the
-  /// task needed more than one attempt. Surfaced as EngineStats::attempts.
-  std::vector<TaskAttempt> attempts_;
-
-  /// Append to attempts_ (fault_mutex_ held).
-  void record_attempt_locked(TaskId task, int attempt, DeviceId device,
-                             TaskAttempt::Outcome outcome, double vtime,
-                             std::string cause);
 
   /// One-line digest of `task`'s attempt chain for error messages
   /// (fault_mutex_ held); empty when the chain is empty.
   std::string attempt_chain_locked(TaskId task) const;
 
-  // Flight recorder (docs/OBSERVABILITY.md). Ring i belongs to lane i and
-  // is written only under mutex_, so it has one producer at a time; the
-  // extra ring at index devices_.size() takes the fault-path events, whose
-  // producers are serialized by fault_mutex_. Null when disabled.
-  std::unique_ptr<obs::FlightRecorder> flight_;
+  // Flight recorder (docs/OBSERVABILITY.md): one ring for every lane,
+  // written only under mutex_, so it has one producer at a time. Null
+  // when disabled.
+  std::unique_ptr<obs::FlightRing> flight_;
   /// Ensures the automatic post-mortem dump fires at most once per engine.
   mutable std::atomic<bool> flight_dumped_{false};
   /// Auto-dump prefix (config or $PDL_FLIGHT_DUMP); empty = no auto dump.
   std::string flight_dump_prefix_;
-  std::uint64_t tasks_submitted_ = 0;  ///< submit_mutex_
 
   /// Persisted perf store (docs/RUNTIME.md "Persisted performance models"
   /// at config_.perf_store_path): the descriptor hash the store is keyed

@@ -113,7 +113,7 @@ std::vector<TaskGraph::Edge> TaskGraph::edges(bool include_inferred) const {
     const GraphTask& task = tasks_[t];
     first_of_task = result.size();
     // Backward declared deps become edges; forward/unknown ids are dropped,
-    // matching Engine::submit (ids >= next_task_id_ are "satisfied").
+    // matching Engine::submit (ids not yet submitted are "satisfied").
     for (int dep : task.declared_deps) {
       if (dep >= 0 && dep < t) {
         add_edge(dep, t, Edge::kExplicit, -1);

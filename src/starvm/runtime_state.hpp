@@ -75,8 +75,7 @@ struct TaskNode {
   DeviceId ran_on = -1;
 
   // --- fault tolerance ---
-  int attempts = 0;   ///< execution attempts started so far
-  std::string error;  ///< why the task failed (kFailed only)
+  int attempts = 0;  ///< execution attempts started so far
 
   /// Link in the engine's inbox of submitted ready tasks.
   TaskNode* next_ready = nullptr;
@@ -110,7 +109,6 @@ struct DeviceState {
   // --- fault tolerance ---
   std::atomic<bool> blacklisted{false};  ///< no longer receives work
   int consecutive_failures = 0;  ///< reset on every successful attempt
-  std::uint64_t failures = 0;    ///< failed attempts over the device's life
 };
 
 /// Devices that are interchangeable for placement, grouped once at engine

@@ -3,6 +3,11 @@
 // The modeled (virtual-clock) makespan is the quantity Figure-5 style
 // benches report; wall_seconds is the real elapsed time, meaningful for
 // CPU-only configurations in hybrid mode.
+//
+// Every field is read off one record of each lifecycle edge: the trace
+// off the task nodes, the fault counters, fault events and attempt chains
+// off the engine's fault log, the flight totals off the lane ring and
+// that log.
 #pragma once
 
 #include <cstdint>
@@ -63,8 +68,12 @@ struct DeviceStats {
   double declared_gflops = 0.0;
 };
 
-/// One fault-tolerance decision, in virtual-clock order. Rendered as
-/// instant events in the Chrome trace and emitted on the obs event sink.
+/// One fault-tolerance decision, in the order the engine made them.
+/// Rendered as instant events in the Chrome trace and emitted on the obs
+/// event sink. The engine's fault log holds these plus one kTaskEnd entry
+/// per task that completed after a failed attempt; those entries close
+/// attempt chains and appear in neither EngineStats::fault_events nor the
+/// sink.
 struct FaultEvent {
   /// The flight record's kind; a fault event is one of kRetry through
   /// kCancelled, and obs::to_string names it.
@@ -77,12 +86,13 @@ struct FaultEvent {
   std::string detail;
 };
 
-/// One execution attempt in a task's fault-tolerance history. Every attempt
-/// that ends (success, failure, timeout) and every forced move (reroute off
-/// a blacklisted device, cancellation) appends an entry, so the full chain
-/// — which device, which attempt number, why it ended — survives aggregation
-/// into wait_all()'s one-line status. The explorer's A603/A604 oracles and
-/// EngineStats::errors both read this.
+/// One execution attempt in a task's fault-tolerance history, read off the
+/// fault log: every failed or timed-out attempt, the completion of a task
+/// that needed more than one attempt and every forced move (reroute off a
+/// blacklisted device, cancellation, at submission too) is one entry, so
+/// the full chain — which device, which attempt number, why it ended —
+/// survives aggregation into wait_all()'s one-line status. The explorer's
+/// A603/A604 oracles and EngineStats::errors both read this.
 struct TaskAttempt {
   enum class Outcome {
     kCompleted,  ///< the attempt finished successfully
@@ -157,7 +167,7 @@ struct EngineStats {
   /// wiring — the shared warm/cold code path for pre-history estimates.
   std::uint64_t perf_model_seeds = 0;
 
-  // --- fault tolerance ---
+  // --- fault tolerance (counted off the fault log) ---
   std::uint64_t task_failures = 0;        ///< failed attempts (incl. timeouts)
   std::uint64_t retries = 0;              ///< attempts re-queued after failure
   std::uint64_t timeouts = 0;             ///< attempts rejected by the watchdog
@@ -173,8 +183,11 @@ struct EngineStats {
   std::vector<TaskAttempt> attempts;
 
   // --- flight recorder ---
-  std::uint64_t flight_records = 0;      ///< records produced across all rings
-  std::uint64_t flight_overwritten = 0;  ///< records lost to ring wraparound
+  /// Records produced: the lane ring's plus the fault lane's.
+  std::uint64_t flight_records = 0;
+  /// Records lost to wraparound: the lane ring's plus the fault log entries
+  /// older than the fault lane's newest flight_records_per_device.
+  std::uint64_t flight_overwritten = 0;
 
   SchedulerKind scheduler = SchedulerKind::kHeft;
   std::vector<DeviceStats> devices;

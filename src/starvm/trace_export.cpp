@@ -132,9 +132,9 @@ std::string flight_chrome_trace(const std::vector<obs::FlightEvent>& events,
   os << "[{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << kPid
      << ",\"args\":{\"name\":\"flight recorder\"}}";
 
-  // One tid per ring. Ring index == device for the per-device rings; the
-  // highest ring index present is assumed to be the fault ring only when
-  // it carries fault-kind records (it does, by construction).
+  // One tid per lane. A lane record's lane is its device; the highest lane
+  // present is taken for the fault lane only when it carries fault-kind
+  // records (it does, by construction).
   std::uint32_t max_ring = 0;
   for (const auto& e : events) max_ring = std::max(max_ring, e.ring);
   for (std::uint32_t r = 0; r <= max_ring; ++r) {

@@ -41,8 +41,8 @@ std::string to_ascii_gantt(const EngineStats& stats, int width = 72);
 /// schedule lanes. Records with an end timestamp become "X" complete
 /// events; records without one (a task that started but never finished —
 /// exactly what a post-mortem wants to show — and point events like
-/// retries) become "i" instant events. One tid per ring; the fault-path
-/// ring renders as tid = device count, named "faults".
+/// retries) become "i" instant events. One tid per lane; the fault lane
+/// renders as tid = device count, named "faults".
 std::string flight_chrome_trace(const std::vector<obs::FlightEvent>& events,
                                 const obs::FlightLabelFn& label = {});
 

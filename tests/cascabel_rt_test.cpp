@@ -82,6 +82,42 @@ TEST(Context, DgemmRowBandedMatchesReference) {
   EXPECT_LT(kernels::max_abs_diff(c.data(), ref.data(), n * n), 1e-9);
 }
 
+TEST(Partition, FirstSplitOfUnusedHandlesDrainsNothing) {
+  // The simulation modes run tasks only inside wait_all. No task has used
+  // the DGEMM's handles yet, so splitting them must not run the vecadd
+  // that the program has not waited for.
+  Options options;
+  options.mode = starvm::ExecutionMode::kDeterministic;
+  Context ctx(paper_platform_starpu_2gpu(), builtin_repo(), options);
+  const std::size_t n = 1000;
+  std::vector<double> a(n, 1.0), b(n, 2.0);
+  const std::size_t m = 64;
+  kernels::Matrix ma(m, m), mb(m, m), mc(m, m), ref(m, m);
+  ma.fill_random(11);
+  mb.fill_random(12);
+  ASSERT_TRUE(ctx.execute("Ivecadd", "",
+                          {arg(a.data(), n, AccessMode::kReadWrite,
+                               DistributionKind::kBlock),
+                           arg(b.data(), n, AccessMode::kRead,
+                               DistributionKind::kBlock)})
+                  .ok());
+  ASSERT_TRUE(ctx.execute("Idgemm", "",
+                          {arg_matrix(mc.data(), m, m, AccessMode::kReadWrite,
+                                      DistributionKind::kBlock),
+                           arg_matrix(ma.data(), m, m, AccessMode::kRead,
+                                      DistributionKind::kBlock),
+                           arg_matrix(mb.data(), m, m, AccessMode::kRead,
+                                      DistributionKind::kNone)})
+                  .ok());
+  EXPECT_EQ(ctx.stats().tasks_submitted, 5u);  // 1 vecadd + 4 DGEMM blocks
+  EXPECT_EQ(ctx.stats().tasks_completed, 0u);
+  ASSERT_TRUE(ctx.wait().ok());
+  EXPECT_EQ(ctx.stats().tasks_completed, 5u);
+  for (double v : a) EXPECT_EQ(v, 3.0);
+  kernels::dgemm_naive(m, m, m, ma.data(), mb.data(), ref.data());
+  EXPECT_LT(kernels::max_abs_diff(mc.data(), ref.data(), m * m), 1e-9);
+}
+
 TEST(Context, GpuPlatformUsesAccelerators) {
   Options options;
   options.mode = starvm::ExecutionMode::kHybrid;

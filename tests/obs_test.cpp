@@ -408,25 +408,14 @@ TEST(Flight, RingWraparoundKeepsNewestRecords) {
   }
 }
 
-TEST(Flight, RecorderMergesRingsByTime) {
-  FlightRecorder recorder(2, 8);
-  recorder.ring(0).record(FlightKind::kTaskStart, 0, 1, 0, 2.0, 0.0, 0.0);
-  recorder.ring(1).record(FlightKind::kTaskStart, 0, 2, 1, 1.0, 0.0, 0.0);
-  const std::vector<FlightEvent> events = recorder.snapshot();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].task, 2u);  // earlier t0 first, regardless of ring
-  EXPECT_EQ(events[1].task, 1u);
-  EXPECT_EQ(recorder.produced(), 2u);
-  EXPECT_GT(recorder.memory_bytes(), 0u);
-}
-
 TEST(Flight, EventsJsonlHeaderAndLabels) {
-  FlightRecorder recorder(1, 8);
-  recorder.ring(0).record(FlightKind::kTaskStart, 1, 7, 0, 0.5, 0.0, 0.0);
-  recorder.ring(0).record(FlightKind::kFailure, 2, 7, 0, 0.9, 0.0, 0.0);
+  FlightRing ring(8);
+  ring.record(FlightKind::kTaskStart, 1, 7, 0, 0.5, 0.0, 0.0);
+  ring.record(FlightKind::kFailure, 2, 7, 0, 0.9, 0.0, 0.0);
+  std::vector<FlightEvent> events;
+  ring.snapshot_into(events, 0);
   const std::string jsonl = flight_events_jsonl(
-      recorder.snapshot(), "unit_test", recorder.produced(),
-      recorder.overwritten(),
+      events, "unit_test", ring.produced(), ring.overwritten(),
       [](std::uint64_t task) { return task == 7 ? "dgemm[7]" : ""; });
 
   // One JSON object per line; the header line carries the dump reason.
@@ -439,7 +428,9 @@ TEST(Flight, EventsJsonlHeaderAndLabels) {
     ++count;
   }
   EXPECT_EQ(count, 3);
-  EXPECT_NE(jsonl.find("\"reason\":\"unit_test\""), std::string::npos);
+  EXPECT_NE(jsonl.find("\"reason\":\"unit_test\",\"records\":2,\"produced\":2,"
+                       "\"overwritten\":0"),
+            std::string::npos);
   EXPECT_NE(jsonl.find("task_start"), std::string::npos);
   EXPECT_NE(jsonl.find("failure"), std::string::npos);
   EXPECT_NE(jsonl.find("dgemm[7]"), std::string::npos);

@@ -191,19 +191,24 @@ TEST(AllocBudget, EngineSetUpAllocatesFewPerDevice) {
   auto config =
       engine_config_from_platform(pdl::discovery::manycore_platform(kDevices), bridge);
   ASSERT_TRUE(config.ok());
-  EngineConfig engine_config = std::move(config).value();
-  engine_config.flight_records_per_device = 0;
-  ASSERT_EQ(engine_config.devices.size(), static_cast<std::size_t>(kDevices));
+  ASSERT_EQ(config.value().devices.size(), static_cast<std::size_t>(kDevices));
 
-  const std::uint64_t allocations = allocations_during(
-      [&] { Engine engine(std::move(engine_config)); });
-  RecordProperty("allocations", static_cast<int>(allocations));
-  // Per device: only its share of the device deque. The scheduler's device
-  // orders are flat arrays, not a tree node per device, and a ready queue
-  // built up front (a std::deque allocates a map and a node when
-  // constructed) would add two per device.
-  EXPECT_LT(allocations, 1u * kDevices)
-      << "engine set-up allocates per device again";
+  for (const bool recorder : {false, true}) {
+    EngineConfig engine_config = config.value();
+    if (!recorder) engine_config.flight_records_per_device = 0;
+    const std::uint64_t allocations = allocations_during(
+        [&] { Engine engine(std::move(engine_config)); });
+    RecordProperty(recorder ? "allocations_recorder_on" : "allocations",
+                   static_cast<int>(allocations));
+    // Per device: only its share of the device deque. The scheduler's
+    // device orders are flat arrays, not a tree node per device, and a
+    // ready queue built up front (a std::deque allocates a map and a node
+    // when constructed) would add two per device. The flight recorder is
+    // one ring for every lane, not a ring (two allocations) per device.
+    EXPECT_LT(allocations, 1u * kDevices)
+        << "engine set-up allocates per device again (recorder "
+        << (recorder ? "on" : "off") << ")";
+  }
 }
 
 TEST(AllocBudget, ContextSetUpAllocatesFewPerPu) {
@@ -230,11 +235,13 @@ TEST(AllocBudget, ContextSetUpAllocatesFewPerPu) {
   RecordProperty("allocations", static_cast<int>(allocations));
   ASSERT_EQ(ctx->engine().device_count(), 1000u);
   EXPECT_FALSE(pdl::has_errors(ctx->diagnostics()));
-  // Per PU: the two allocations of its device's flight ring, its share of
-  // the engine's device deque and of pre-selection. The context reads the
-  // description and keeps no copy of it, which would add about five per PU
-  // (the PU, its descriptor and group vectors, long property strings).
-  EXPECT_LT(allocations, 4 * pus) << "context set-up allocates per PU again";
+  // Less than one per PU: its share of the device specs, of the engine's
+  // device deque and of pre-selection. The flight recorder is one ring
+  // for every lane; a ring per device would add two per PU. The context
+  // reads the description and keeps no copy of it, which would add about
+  // five per PU (the PU, its descriptor and group vectors, long property
+  // strings).
+  EXPECT_LT(allocations, pus) << "context set-up allocates per PU again";
 }
 
 TEST(AllocBudget, DrainOf1000DevicesAllocatesNoTraceRows) {

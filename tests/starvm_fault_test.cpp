@@ -179,6 +179,37 @@ TEST(FaultTolerance, BudgetExhaustionFailsTaskAndCancelsSuccessors) {
   EXPECT_EQ(engine.stats().cancelled_tasks, 2u);
 }
 
+// A reader submitted after its writer failed is cancelled at submission;
+// its attempt chain holds that one cancellation, as a cascade-cancelled
+// task's does.
+TEST(FaultTolerance, TaskCancelledAtSubmissionHasOneCancelledAttempt) {
+  EngineConfig config = EngineConfig::cpus(1);
+  config.fault_plan = plan("fail:task=1,attempts=99");
+  config.fault_tolerance.blacklist_after = 0;
+  Engine engine(std::move(config));
+
+  std::vector<double> data(4, 0.0);
+  DataHandle* h = engine.register_vector(data.data(), data.size());
+  Codelet w = make_codelet("w", [](const ExecContext&) {});
+  engine.submit(TaskDesc{&w, {{h, Access::kReadWrite}}, "writer"});
+  ASSERT_FALSE(engine.wait_all().ok());
+  const TaskId reader = engine.submit(TaskDesc{&w, {{h, Access::kRead}}, "reader"});
+  EXPECT_FALSE(engine.wait_all().ok());
+
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.cancelled_tasks, 1u);
+  std::vector<TaskAttempt> chain;
+  for (const TaskAttempt& a : stats.attempts) {
+    if (a.task == reader) chain.push_back(a);
+  }
+  ASSERT_EQ(chain.size(), 1u);
+  EXPECT_EQ(chain[0].outcome, TaskAttempt::Outcome::kCancelled);
+  EXPECT_EQ(chain[0].attempt, 0);
+  EXPECT_EQ(chain[0].device, -1);
+  EXPECT_NE(chain[0].cause.find("before submission"), std::string::npos)
+      << chain[0].cause;
+}
+
 TEST(FaultTolerance, ExecContextFailReportsThroughStatus) {
   Engine engine(EngineConfig::cpus(1));  // no injection: organic failure
   std::vector<double> data(4, 0.0);

@@ -1,19 +1,22 @@
-// Flight-recorder tests: the engine's always-on ring hooks (task
-// lifecycle records, submission accounting), explicit and post-mortem
-// dumps, rings built over reused uninitialized memory, and concurrent
-// stress runs that hammer snapshot() while the producer fills the ring
-// and while it laps it. The CI TSan job runs every *Flight* and *Stress*
-// test of this file.
+// Flight-recorder tests: the engine's always-on lane ring (task lifecycle
+// records, submission accounting), the fault lane read off the fault log
+// and the snapshot order, explicit and post-mortem dumps, a ring built over
+// reused uninitialized memory, and concurrent stress runs that hammer
+// snapshots while the producer fills the ring, while it laps it and while
+// a threaded engine retries and blacklists. The CI TSan job runs every
+// *Flight* and *Stress* test of this file.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <latch>
 #include <map>
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "json_checker.hpp"
@@ -58,7 +61,7 @@ TEST(EngineFlight, SnapshotCarriesTaskLifecycle) {
   }
   ASSERT_TRUE(engine.wait_all().ok());
 
-  ASSERT_NE(engine.flight_recorder(), nullptr);
+  ASSERT_NE(engine.flight_ring(), nullptr);
   const std::vector<obs::FlightEvent> events = engine.flight_snapshot();
   EXPECT_EQ(count_kind(events, obs::FlightKind::kTaskStart), 4u);
   EXPECT_EQ(count_kind(events, obs::FlightKind::kTaskEnd), 4u);
@@ -85,7 +88,7 @@ TEST(EngineFlight, DisabledWhenConfiguredToZero) {
   engine.submit(TaskDesc{&noop, {{h, Access::kReadWrite}}});
   ASSERT_TRUE(engine.wait_all().ok());
 
-  EXPECT_EQ(engine.flight_recorder(), nullptr);
+  EXPECT_EQ(engine.flight_ring(), nullptr);
   EXPECT_TRUE(engine.flight_snapshot().empty());
   EXPECT_FALSE(engine.dump_flight_recorder(temp_prefix("disabled")));
   const EngineStats stats = engine.stats();
@@ -173,6 +176,124 @@ TEST(EngineFlight, PostMortemDumpOnPermanentFailure) {
   std::remove((prefix + ".trace.json").c_str());
 }
 
+bool snapshot_order(const obs::FlightEvent& a, const obs::FlightEvent& b) {
+  return std::tie(a.t0, a.ring, a.seq) < std::tie(b.t0, b.ring, b.seq);
+}
+
+// One ring serves every lane, so its seq runs across lanes; the snapshot
+// orders records by (t0, lane, seq). On two CPUs, Z (long) runs on device
+// 0 and W (short) on device 1; Z's end releases the readers X and Y at
+// once. Device 1 is free first and starts X; device 0 then starts Y at
+// the same virtual time. Y's records are written after X's, yet device
+// 0's lane comes first.
+TEST(EngineFlight, SnapshotOrdersByTimeLaneAndSeq) {
+  EngineConfig config = EngineConfig::cpus(2);
+  config.mode = ExecutionMode::kDeterministic;
+  config.scheduler = SchedulerKind::kEager;
+  Engine engine(std::move(config));
+  Codelet slow = make_codelet("slow", [](const ExecContext&) {});
+  slow.flops = [](const std::vector<BufferView>&) { return 5e6; };
+  Codelet fast = make_codelet("fast", [](const ExecContext&) {});
+  fast.flops = [](const std::vector<BufferView>&) { return 5e3; };
+  std::vector<double> h_data(1), w_data(1);
+  DataHandle* h = engine.register_vector(h_data.data(), 1);
+  DataHandle* w = engine.register_vector(w_data.data(), 1);
+  engine.submit(TaskDesc{&slow, {{h, Access::kReadWrite}}, "Z"});
+  engine.submit(TaskDesc{&fast, {{w, Access::kReadWrite}}, "W"});
+  const TaskId x = engine.submit(TaskDesc{&fast, {{h, Access::kRead}}, "X"});
+  const TaskId y = engine.submit(TaskDesc{&fast, {{h, Access::kRead}}, "Y"});
+  ASSERT_TRUE(engine.wait_all().ok());
+
+  const std::vector<obs::FlightEvent> events = engine.flight_snapshot();
+  EXPECT_TRUE(std::is_sorted(events.begin(), events.end(), snapshot_order));
+  std::set<std::uint64_t> seqs;
+  const obs::FlightEvent* x_start = nullptr;
+  const obs::FlightEvent* y_start = nullptr;
+  for (const obs::FlightEvent& e : events) {
+    EXPECT_EQ(e.ring, static_cast<std::uint32_t>(e.device)) << "a lane is its device";
+    EXPECT_TRUE(seqs.insert(e.seq).second) << "seq " << e.seq << " is ring-wide";
+    if (e.kind != obs::FlightKind::kTaskStart) continue;
+    if (e.task == x) x_start = &e;
+    if (e.task == y) y_start = &e;
+  }
+  ASSERT_NE(x_start, nullptr);
+  ASSERT_NE(y_start, nullptr);
+  EXPECT_EQ(x_start->device, 1);
+  EXPECT_EQ(y_start->device, 0);
+  EXPECT_EQ(x_start->t0, y_start->t0);
+  EXPECT_GT(y_start->seq, x_start->seq) << "Y is written after X";
+  EXPECT_LT(y_start, x_start) << "device 0's lane comes first";
+}
+
+// The fault lane is read off the fault log and bounded like a ring of
+// flight_records_per_device slots: it keeps the newest fault events, the
+// older ones count as overwritten, and the log's one non-fault entry (a
+// completion after a retry) is neither shown nor counted.
+TEST(EngineFlight, FaultLaneKeepsTheNewestFaultEvents) {
+  EngineConfig config = EngineConfig::cpus(4);
+  config.mode = ExecutionMode::kDeterministic;
+  config.flight_records_per_device = 8;
+  config.fault_tolerance.max_retries = 10;
+  config.fault_tolerance.blacklist_after = 0;
+  auto plan = FaultPlan::parse("fail:task=1,attempts=99;fail:task=2,attempts=1");
+  ASSERT_TRUE(plan.ok()) << plan.error().str();
+  config.fault_plan = std::make_shared<const FaultPlan>(std::move(plan).value());
+  Engine engine(std::move(config));
+  Codelet noop = make_codelet("noop", [](const ExecContext&) {});
+  std::vector<std::vector<double>> buffers(2, std::vector<double>(1));
+  for (auto& buf : buffers) {
+    DataHandle* h = engine.register_vector(buf.data(), 1);
+    engine.submit(TaskDesc{&noop, {{h, Access::kReadWrite}}});
+  }
+  EXPECT_FALSE(engine.wait_all().ok());
+
+  // Task 1: 11 failures, 10 retries, 1 permanent failure; task 2: one
+  // failure and one retry before it completes.
+  const EngineStats stats = engine.stats();
+  constexpr std::uint64_t kFaults = 24;
+  constexpr std::uint64_t kKept = 8;
+  ASSERT_EQ(stats.fault_events.size(), kFaults);
+  ASSERT_EQ(stats.attempts.size(), 13u);  // 12 failed attempts, 1 completion
+  const obs::FlightRing& lanes = *engine.flight_ring();
+  EXPECT_EQ(lanes.capacity(), 32u);  // 8 per device, one ring
+  EXPECT_EQ(stats.flight_records, lanes.produced() + kFaults);
+  EXPECT_EQ(stats.flight_overwritten, lanes.overwritten() + kFaults - kKept);
+
+  std::vector<obs::FlightEvent> fault_lane;
+  for (const obs::FlightEvent& e : engine.flight_snapshot()) {
+    if (e.ring == engine.device_count()) fault_lane.push_back(e);
+  }
+  ASSERT_EQ(fault_lane.size(), kKept);
+  std::sort(fault_lane.begin(), fault_lane.end(),
+            [](const obs::FlightEvent& a, const obs::FlightEvent& b) {
+              return a.seq < b.seq;
+            });
+  for (std::size_t i = 0; i < kKept; ++i) {
+    const obs::FlightEvent& r = fault_lane[i];
+    const FaultEvent& f = stats.fault_events[kFaults - kKept + i];
+    EXPECT_EQ(r.seq, kFaults - kKept + i);
+    EXPECT_EQ(r.kind, f.kind);
+    EXPECT_EQ(r.task, f.task);
+    EXPECT_EQ(r.device, f.device);
+    EXPECT_EQ(r.aux, static_cast<std::uint32_t>(f.attempt));
+    EXPECT_EQ(r.t0, f.vtime);
+    EXPECT_FALSE(r.has_end());
+  }
+
+  // The dump's header carries the same totals.
+  const std::string prefix = temp_prefix("fault_lane");
+  ASSERT_TRUE(engine.dump_flight_recorder(prefix, "bound"));
+  const auto jsonl = pdl::util::read_file(prefix + ".jsonl");
+  ASSERT_TRUE(jsonl.has_value());
+  EXPECT_NE(jsonl->find("\"produced\":" + std::to_string(stats.flight_records) +
+                        ",\"overwritten\":" +
+                        std::to_string(stats.flight_overwritten) + "}"),
+            std::string::npos)
+      << jsonl->substr(0, jsonl->find('\n'));
+  std::remove((prefix + ".jsonl").c_str());
+  std::remove((prefix + ".trace.json").c_str());
+}
+
 // Real threads: every finished task is one trace row, and the row carries
 // the device, interval and costs of the task's one kTaskEnd flight record,
 // the retried task included. The golden views only cover the simulation
@@ -237,28 +358,28 @@ TEST(EngineFlight, HybridTraceRowsMatchTaskEndRecords) {
 
 // --- Rings over uninitialized memory ----------------------------------------
 
-// Slots are never zeroed: a fresh recorder placed over the freed slots of a
-// full one (the allocator hands the same chunks back, as in an engine
-// rebuilt per program) must still read as empty.
-TEST(Flight, FreshRecorderOverReusedMemoryIsEmpty) {
-  constexpr std::size_t kRings = 1001;
-  constexpr std::size_t kRecords = 1024;
-  {
-    obs::FlightRecorder full(kRings, kRecords);
-    for (std::size_t r = 0; r < kRings; ++r) {
-      for (std::uint64_t i = 0; i < kRecords; ++i) {
-        full.ring(r).record(obs::FlightKind::kTaskEnd, 1, i + 1,
-                            static_cast<std::int64_t>(r),
-                            static_cast<double>(i), static_cast<double>(i + 1),
-                            1.0);
+// Slots are never zeroed: a fresh ring placed over the freed slots of a
+// full one (the allocator hands the same chunk back, as in an engine
+// rebuilt per program) must still read as empty. The sizes cover a
+// thread-cache chunk, a heap chunk and one the allocator maps.
+TEST(Flight, FreshRingOverReusedMemoryIsEmpty) {
+  for (const std::size_t records : {8u, 1024u, 16384u}) {
+    {
+      obs::FlightRing full(records);
+      for (std::uint64_t i = 0; i < full.capacity() + 3; ++i) {
+        full.record(obs::FlightKind::kTaskEnd, 1, i + 1,
+                    static_cast<std::int64_t>(i % 1000), static_cast<double>(i),
+                    static_cast<double>(i + 1), 1.0);
       }
+      ASSERT_EQ(full.overwritten(), 3u);
     }
-    ASSERT_EQ(full.produced(), kRings * kRecords);
+    const obs::FlightRing fresh(records);
+    EXPECT_EQ(fresh.produced(), 0u) << records;
+    EXPECT_EQ(fresh.overwritten(), 0u) << records;
+    std::vector<obs::FlightEvent> events;
+    fresh.snapshot_into(events, 0);
+    EXPECT_TRUE(events.empty()) << records;
   }
-  const obs::FlightRecorder fresh(kRings, kRecords);
-  EXPECT_EQ(fresh.produced(), 0u);
-  EXPECT_EQ(fresh.overwritten(), 0u);
-  EXPECT_TRUE(fresh.snapshot().empty());
 }
 
 // --- Concurrent readers (run under the CI TSan filter) ----------------------
@@ -348,6 +469,69 @@ TEST(FlightRecorderStress, SnapshotsStayConsistentWhileProducerWraps) {
   ring.snapshot_into(events, 0);
   ASSERT_EQ(events.size(), ring.capacity());
   EXPECT_EQ(events.back().seq, kRecords - 1);
+}
+
+// A second thread snapshots and dumps while a threaded engine retries a
+// failed task, blacklists a dying device and re-routes its queue: the lane
+// ring is read lock-free while workers write it under the engine lock, and
+// the fault lane is copied off the fault log while it grows.
+TEST(EngineFlightStress, SnapshotsAndDumpsWhileAThreadedRunRecovers) {
+  EngineConfig config = EngineConfig::cpus(4);
+  ASSERT_EQ(config.mode, ExecutionMode::kHybrid);
+  auto plan = FaultPlan::parse("fail:task=3,attempts=1;kill:device=1,after=4");
+  ASSERT_TRUE(plan.ok()) << plan.error().str();
+  config.fault_plan = std::make_shared<const FaultPlan>(std::move(plan).value());
+  Engine engine(std::move(config));
+  Codelet work = make_codelet("work", [](const ExecContext& ctx) {
+    static_cast<double*>((*ctx.buffers)[0].handle->ptr())[0] += 1.0;
+  });
+
+  const std::string prefix = temp_prefix("flight_stress");
+  std::atomic<bool> done{false};
+  std::uint64_t snapshots = 0;
+  // Submission starts after the first snapshot, so the reader overlaps
+  // the run however fast it drains.
+  std::latch reading(1);
+  std::thread reader([&] {
+    while (!done.load()) {
+      const std::vector<obs::FlightEvent> events = engine.flight_snapshot();
+      EXPECT_TRUE(std::is_sorted(events.begin(), events.end(), snapshot_order));
+      for (const obs::FlightEvent& e : events) {
+        const bool fault = e.kind >= obs::FlightKind::kRetry;
+        EXPECT_EQ(e.ring, fault ? engine.device_count()
+                                : static_cast<std::size_t>(e.device));
+      }
+      if (++snapshots % 8 == 0) {
+        EXPECT_TRUE(engine.dump_flight_recorder(prefix));
+      }
+      if (snapshots == 1) reading.count_down();
+    }
+  });
+  reading.wait();
+
+  constexpr std::size_t kTasks = 512;
+  std::vector<std::vector<double>> buffers(kTasks, std::vector<double>(1, 0.0));
+  for (auto& buf : buffers) {
+    DataHandle* h = engine.register_vector(buf.data(), 1);
+    engine.submit(TaskDesc{&work, {{h, Access::kReadWrite}}});
+  }
+  (void)engine.wait_all();
+  done.store(true);
+  reader.join();
+  std::remove((prefix + ".jsonl").c_str());
+  std::remove((prefix + ".trace.json").c_str());
+
+  const EngineStats stats = engine.stats();
+  EXPECT_GT(snapshots, 0u);
+  EXPECT_GE(stats.retries, 1u);
+  EXPECT_EQ(stats.devices_blacklisted, 1u);
+  EXPECT_EQ(stats.tasks_completed + stats.failed_tasks, kTasks);
+  EXPECT_EQ(stats.flight_overwritten, 0u);
+  std::uint64_t ends = 0;
+  for (const obs::FlightEvent& e : engine.flight_snapshot()) {
+    if (e.kind == obs::FlightKind::kTaskEnd) ++ends;
+  }
+  EXPECT_EQ(ends, stats.tasks_completed);
 }
 
 }  // namespace

@@ -18,6 +18,10 @@ fresh results, so they hold on any machine:
     engine, which drains the same 1000 tasks, is the price of set-up for
     1000 devices; it is printed, not gated (too noisy in short runs), with
     and without the recorder;
+  * BM_EngineSetUp: a 1000-device engine built and torn down with no task
+    costs at most MAX_RECORDER_RATIO times as much with the flight recorder
+    as without it, so the recorder's fixed cost cannot hide behind the
+    cost of running tasks;
   * BM_VariantSelection: the warm-store round beats the cold one;
   * bm_dgemm_kernels (--kernels): dgemm_tiled at n = 256 reaches at least
     MIN_TILED_SPEEDUP times the GFLOPS of dgemm_blocked. Its share of the
@@ -40,7 +44,7 @@ import sys
 
 TOLERANCE = 1.20  # shared-runner noise allowance on absolute real_time
 MAX_SCALE_RATIO = 3.0  # 1000-device vs 4-device per-task submit/drain cost
-MAX_RECORDER_RATIO = 2.0  # 1000-device engine lifecycle, recorder on vs off
+MAX_RECORDER_RATIO = 2.0  # 1000-device engine, recorder on vs off
 MIN_TILED_SPEEDUP = 2.0  # dgemm_tiled vs dgemm_blocked GFLOPS at n = 256
 MAX_PDL_SCALE_RATIO = 2.0  # PDL parse per byte / serialize per PU, 4096 vs 128 PUs
 MAX_ANALYSIS_SCALE_RATIO = 30.0  # A5xx analysis, 10,000 vs 1,000 tasks
@@ -135,6 +139,12 @@ def main():
     check(on / off <= MAX_RECORDER_RATIO,
           f"1000-device engine lifecycle, flight recorder on vs off: "
           f"x{on / off:.2f} (limit x{MAX_RECORDER_RATIO:.1f})")
+    set_up = (real_time(dag, path, "BM_EngineSetUp/1000/real_time") /
+              real_time(dag, path, "BM_EngineSetUpRecorderOff/1000/real_time"))
+    check(set_up <= MAX_RECORDER_RATIO,
+          f"1000-device engine set-up and teardown with no task, flight "
+          f"recorder on vs off: x{set_up:.2f} "
+          f"(limit x{MAX_RECORDER_RATIO:.1f})")
     four = real_time(dag, path, "BM_EngineLifecycle/4/real_time")
     print(f"info  engine lifecycle, 1000 vs 4 devices (same 1000 tasks): "
           f"x{on / four:.2f}")
