@@ -184,11 +184,11 @@ void BM_VariantSelectionWarmStore(benchmark::State& state) {
   const std::string path = "/tmp/pdl_bm_autotune_warm.perfstore";
   auto engine_config = starvm::engine_config_from_platform(platform);
   if (!engine_config.ok()) state_abort(engine_config.error().str());
+  // Keyed by the class of device 0: every core of the platform.
+  const std::uint64_t cores = starvm::class_key(engine_config.value().devices[0]);
   starvm::perf_store::Store store;
-  store.descriptor_hash =
-      starvm::perf_store::descriptor_hash(engine_config.value().devices);
-  store.entries = {{"bench_slow", 0, 1e-3, 5, 1.0},
-                   {"bench_fast", 0, 1e-4, 5, 10.0}};
+  store.entries = {{"bench_slow", cores, 1e-3, 5, 1.0},
+                   {"bench_fast", cores, 1e-4, 5, 10.0}};
   kernels::Matrix a(kAutotuneN, kAutotuneN), b(kAutotuneN, kAutotuneN),
       c(kAutotuneN, kAutotuneN);
   a.fill_random(1);

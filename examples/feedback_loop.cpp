@@ -7,8 +7,10 @@
 // The testbed descriptor claims 9.8 GFLOPS per CPU core (GotoBLAS2 on a
 // Xeon X5550); the machine this example runs on is whatever it is. Round 1
 // executes the case-study DGEMM in hybrid mode — CPU costs are *measured*
-// — and the feedback pass instantiates the observed rate. Round 2 shows
-// how the modeled schedule shifts once the descriptor tells the truth.
+// — and persists the learned per-(variant, device class) rates to a perf
+// store; the feedback pass instantiates each PU's class rate from that
+// store. Round 2 shows how the modeled schedule shifts once the descriptor
+// tells the truth; round 3 warms a fresh runtime from the same store.
 //
 //   $ ./feedback_loop
 #include <cstdio>
@@ -86,12 +88,18 @@ int main() {
   print_rates(target, "=== descriptor before feedback (datasheet rates) ===");
 
   std::printf("=== round 1: real execution (hybrid), DGEMM N=512 ===\n");
+  const std::string store_path = "feedback_loop.perfstore";
+  std::remove(store_path.c_str());
   const starvm::EngineStats observed =
-      run_dgemm(target, 512, starvm::ExecutionMode::kHybrid);
+      run_dgemm(target, 512, starvm::ExecutionMode::kHybrid, store_path);
   std::printf("%s\n", starvm::to_ascii_gantt(observed).c_str());
 
+  // The engine saved what it measured on shutdown; the feedback pass reads
+  // each PU's class rate from that store.
+  const starvm::perf_store::LoadResult learned = starvm::perf_store::load(store_path);
   cascabel::RefineReport report;
-  pdl::Platform refined = cascabel::refine_platform(target, observed, &report);
+  pdl::Platform refined =
+      cascabel::refine_platform(target, learned.store, &report);
   std::printf("feedback: %d PU(s) annotated, %d unfixed SUSTAINED_GFLOPS "
               "re-instantiated\n\n",
               report.pus_updated, report.sustained_updated);
@@ -107,14 +115,10 @@ int main() {
   std::printf("\nthe refined descriptor predicts with this machine's real CPU "
               "rate\ninstead of the 2011 testbed's — the §VI loop is closed.\n");
 
-  // Round 3: the loop closed *inside* the runtime. The warm-up run persists
-  // its learned per-(variant, device) rates to a store on engine shutdown; a
-  // fresh context pointed at the same store starts with warm HEFT estimates
-  // and ranks variants by measured rate instead of declared specificity.
+  // Round 3: the loop closed *inside* the runtime. A fresh context pointed
+  // at round 1's store starts with warm HEFT estimates and ranks variants
+  // by measured rate instead of declared specificity.
   std::printf("\n=== round 3: persisted perf store drives variant selection ===\n");
-  const std::string store_path = "feedback_loop.perfstore";
-  std::remove(store_path.c_str());
-  (void)run_dgemm(target, 512, starvm::ExecutionMode::kHybrid, store_path);
 
   {
     cascabel::TaskRepository repo = cascabel::TaskRepository::with_defaults();

@@ -192,11 +192,13 @@ RunProfile profile_run(const starvm::EngineStats& stats) {
   return profile;
 }
 
-void apply_store_rates(RunProfile& profile,
+void apply_store_rates(RunProfile& profile, const starvm::EngineStats& stats,
                        const starvm::perf_store::Store& store) {
   for (RateDrift& d : profile.drift) {
+    const std::uint64_t key =
+        stats.devices[static_cast<std::size_t>(d.device)].class_key;
     for (const starvm::perf_store::Entry& entry : store.entries) {
-      if (entry.codelet == d.label && entry.device == d.device &&
+      if (entry.codelet == d.label && entry.class_key == key &&
           entry.ema_gflops > 0.0) {
         d.store_gflops = entry.ema_gflops;
         if (d.measured_gflops > 0.0) {
@@ -248,9 +250,12 @@ pdl::util::Result<starvm::EngineStats> run_graph_on_platform(
     codelet.impls = {{starvm::DeviceKind::kCpu, {}},
                      {starvm::DeviceKind::kAccelerator, {}}};
     const double flops = task.flops;
-    codelet.flops = [flops](const std::vector<starvm::BufferView>&) {
-      return flops;
-    };
+    // A graph task's flops of 0 means unknown work (GraphTask::flops).
+    if (flops > 0.0) {
+      codelet.flops = [flops](const std::vector<starvm::BufferView>&) {
+        return flops;
+      };
+    }
   }
   starvm::submit_graph(*engine, graph, handles, codelets);
   // A failed drain still yields a profile-worthy trace; the stats carry the

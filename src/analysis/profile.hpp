@@ -71,7 +71,7 @@ struct RateDrift {
   /// platform description told the truth.
   double drift_ratio = 0.0;
   /// Learned EMA rate from a persisted perf store (apply_store_rates);
-  /// 0 = the store holds no entry for this (label, device).
+  /// 0 = the store holds no entry for this label on the device's class.
   double store_gflops = 0.0;
   /// measured / store-learned; a ratio far from 1.0 flags a decayed store
   /// entry (the machine, or the kernel, changed since it was learned).
@@ -99,16 +99,16 @@ RunProfile profile_run(const starvm::EngineStats& stats);
 /// Annotate the drift table with the learned rates of a persisted perf
 /// store (RateDrift::store_gflops / store_drift_ratio): the third column of
 /// the feedback loop — declared (PDL), learned (store), measured (this
-/// run). The caller is responsible for having matched the store's
-/// descriptor hash to the platform.
-void apply_store_rates(RunProfile& profile,
+/// run). A drift row reads the entry of its label and its device's class
+/// (DeviceStats::class_key of the run `stats` the profile came from).
+void apply_store_rates(RunProfile& profile, const starvm::EngineStats& stats,
                        const starvm::perf_store::Store& store);
 
 /// Execute a recorded graph on a platform: a pure-sim engine the bridge
 /// builds over every PU, one synthetic codelet per task, deterministic and
 /// fault-free.
-/// `store`, when given, is preloaded into the run's perf model (the caller
-/// has matched its descriptor hash); `origins` receives the PU of each
+/// `store`, when given, is preloaded into the run's perf model (entries of
+/// the platform's device classes); `origins` receives the PU of each
 /// device. Fails, naming the reason, when the bridge or the engine refuses
 /// the platform.
 pdl::util::Result<starvm::EngineStats> run_graph_on_platform(

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
-#include <set>
+#include <optional>
 #include <utility>
 
 #include "analysis/profile.hpp"
@@ -189,24 +189,18 @@ SchedulePlan simulate_schedule(const starvm::TaskGraph& graph,
 
   // --- Critical path on the fastest device (the makespan lower bound) -------
   // Priced like the engine's estimates (learned rate, else declared rate),
-  // on one device per declared rate plus every device the store names.
-  starvm::PerfModel rates;
-  std::set<int> stored;
-  if (store != nullptr) {
-    starvm::perf_store::preload(*store, rates);
-    for (const starvm::perf_store::Entry& e : store->entries) {
-      stored.insert(e.device);
+  // on one device per device class.
+  std::vector<std::uint64_t> class_keys;
+  std::vector<double> class_gflops;
+  for (const starvm::DeviceStats& d : stats.devices) {
+    if (std::find(class_keys.begin(), class_keys.end(), d.class_key) ==
+        class_keys.end()) {
+      class_keys.push_back(d.class_key);
+      class_gflops.push_back(d.declared_gflops);
     }
   }
-  std::vector<int> probes;
-  std::set<double> seen_rates;
-  for (int d = 0; d < static_cast<int>(stats.devices.size()); ++d) {
-    const double gflops =
-        stats.devices[static_cast<std::size_t>(d)].declared_gflops;
-    if (seen_rates.insert(gflops).second || stored.count(d) > 0) {
-      probes.push_back(d);
-    }
-  }
+  starvm::PerfModel rates(class_keys);
+  if (store != nullptr) starvm::perf_store::preload(*store, rates);
   const int n = static_cast<int>(tasks.size());
   std::vector<std::vector<int>> preds(tasks.size());
   for (const auto& e : graph.edges()) {
@@ -218,13 +212,13 @@ SchedulePlan simulate_schedule(const starvm::TaskGraph& graph,
   std::vector<int> via(tasks.size(), -1);
   int tail = -1;
   for (int t = 0; t < n; ++t) {  // submission order is topological
+    // A graph task's flops of 0 means unknown work (GraphTask::flops).
+    const std::optional<double> work =
+        tasks[t].flops > 0.0 ? std::optional<double>(tasks[t].flops) : std::nullopt;
     double fastest = 0.0;
-    for (std::size_t i = 0; i < probes.size(); ++i) {
-      const int d = probes[i];
-      const double est = rates.estimate(
-          tasks[t].name, d, tasks[t].flops,
-          stats.devices[static_cast<std::size_t>(d)].declared_gflops);
-      if (i == 0 || est < fastest) fastest = est;
+    for (std::size_t c = 0; c < class_keys.size(); ++c) {
+      const double est = rates.estimate(tasks[t].name, c, work, class_gflops[c]);
+      if (c == 0 || est < fastest) fastest = est;
     }
     double longest = 0.0;
     for (int p : preds[t]) {

@@ -86,8 +86,8 @@ struct SchedulePlan {
 };
 
 /// Run `graph` on `platform` (run_graph_on_platform) and read the plan off
-/// the run. `store`, when given, must match the platform's descriptor hash;
-/// its learned rates price compute in the run and in the lower bound.
+/// the run. `store`, when given, prices compute in the run and in the lower
+/// bound at the learned rates of the platform's device classes.
 /// Platforms without any executing PU fall back to the Master as a single
 /// CPU device, like the starvm bridge.
 SchedulePlan simulate_schedule(const starvm::TaskGraph& graph,

@@ -1,77 +1,54 @@
 #include "cascabel/feedback.hpp"
 
-#include <map>
+#include <set>
 
-#include "pdl/query.hpp"
 #include "pdl/well_known.hpp"
-#include "util/string_util.hpp"
+#include "starvm/bridge.hpp"
 
 namespace cascabel {
 
-namespace {
-
-/// "cpu_cores#3" -> "cpu_cores"; "master:0" -> "0"; "gpu1" -> "gpu1".
-std::string pu_id_of_device(const std::string& device_name) {
-  std::string name = device_name;
-  if (pdl::util::starts_with(name, "master:")) name = name.substr(7);
-  const auto hash = name.find('#');
-  if (hash != std::string::npos) name = name.substr(0, hash);
-  return name;
-}
-
-struct Observed {
-  double flops = 0.0;
-  double busy_seconds = 0.0;
-};
-
-}  // namespace
-
 pdl::Platform refine_platform(const pdl::Platform& platform,
-                              const starvm::EngineStats& stats,
+                              const starvm::perf_store::Store& store,
                               RefineReport* report) {
   pdl::Platform refined = platform.clone();
-
-  // Aggregate observed work per PU id across that PU's devices.
-  std::map<std::string, Observed> per_pu;
-  std::vector<double> device_busy(stats.devices.size(), 0.0);
-  std::vector<double> device_flops(stats.devices.size(), 0.0);
-  for (const auto& t : stats.trace) {
-    if (t.device < 0 || static_cast<std::size_t>(t.device) >= stats.devices.size()) {
-      continue;
-    }
-    device_busy[static_cast<std::size_t>(t.device)] += t.exec_seconds;
-    device_flops[static_cast<std::size_t>(t.device)] += t.flops;
-  }
-  for (std::size_t d = 0; d < stats.devices.size(); ++d) {
-    if (device_flops[d] <= 0.0 || device_busy[d] <= 0.0) continue;
-    Observed& o = per_pu[pu_id_of_device(stats.devices[d].name)];
-    o.flops += device_flops[d];
-    o.busy_seconds += device_busy[d];
-  }
-
+  // Every PU, none set aside as a driver; origins point into the clone.
+  starvm::BridgeOptions every_pu;
+  every_pu.dedicate_driver_cores = false;
+  std::vector<const pdl::ProcessingUnit*> origins;
+  auto config = starvm::engine_config_from_platform(refined, every_pu, &origins);
   RefineReport local;
-  for (const auto& [pu_id, observed] : per_pu) {
-    // find_pu returns const; we own the clone, so the cast is sound.
-    auto* pu = const_cast<pdl::ProcessingUnit*>(pdl::find_pu(refined, pu_id));
-    if (pu == nullptr) continue;
-    const double gflops = observed.flops / observed.busy_seconds / 1e9;
-    const std::string value = std::to_string(gflops);
+  std::set<const pdl::ProcessingUnit*> seen;
+  for (std::size_t d = 0; config.ok() && d < origins.size(); ++d) {
+    if (!seen.insert(origins[d]).second) continue;  // one PU, one class
+    const std::uint64_t key = starvm::class_key(config.value().devices[d]);
+    double work = 0.0;
+    double time = 0.0;
+    for (const starvm::perf_store::Entry& e : store.entries) {
+      if (e.class_key != key || e.ema_gflops <= 0.0) continue;
+      const double weight = static_cast<double>(e.count) * e.ema_seconds;
+      work += weight * e.ema_gflops;
+      time += weight;
+    }
+    if (time <= 0.0) continue;
+    const std::string value = std::to_string(work / time);
 
-    pdl::Property measured;
-    measured.name = pdl::props::kMeasuredGflops;
-    measured.value = value;
-    measured.fixed = false;  // runtime-instantiated, editable downstream
-    if (pdl::Property* existing = pu->descriptor().find(pdl::props::kMeasuredGflops)) {
+    // We own the clone, so the cast is sound.
+    pdl::Descriptor& descriptor =
+        const_cast<pdl::ProcessingUnit*>(origins[d])->descriptor();
+    if (pdl::Property* existing = descriptor.find(pdl::props::kMeasuredGflops)) {
       existing->value = value;
     } else {
-      pu->descriptor().add(std::move(measured));
+      pdl::Property measured;
+      measured.name = pdl::props::kMeasuredGflops;
+      measured.value = value;
+      measured.fixed = false;  // runtime-instantiated, editable downstream
+      descriptor.add(std::move(measured));
     }
     ++local.pus_updated;
 
     // Re-instantiate SUSTAINED_GFLOPS only when the descriptor marked it
     // unfixed (paper §III-B: fixed values are authoritative).
-    if (pdl::Property* sustained =
-            pu->descriptor().find(pdl::props::kSustainedGflops);
+    if (pdl::Property* sustained = descriptor.find(pdl::props::kSustainedGflops);
         sustained != nullptr && !sustained->fixed) {
       sustained->value = value;
       ++local.sustained_updated;

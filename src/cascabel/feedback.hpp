@@ -7,20 +7,18 @@
 //
 // The PDL already provides the mechanism: *unfixed* properties are
 // "marked to be editable by other tools or users ... with later
-// instantiation by a runtime" (§III-B). This module closes that loop: the
-// rates a starvm execution actually observed per device are written back
-// into a clone of the platform description as unfixed MEASURED_GFLOPS
-// properties, and any *unfixed* SUSTAINED_GFLOPS is re-instantiated with
-// the observed value — so the next translation/scheduling round runs on
-// measured rather than datasheet numbers.
-//
-// Device -> PU mapping: the starvm bridge names devices after the Worker
-// PU they came from ("cpu_cores#3", "gpu1", "master:0"); refine_platform
-// inverts that naming.
+// instantiation by a runtime" (§III-B). This module closes that loop as a
+// view over the persisted perf store (perf_store.hpp): each PU gets the
+// rate the store learned for its device class, written into a clone of the
+// platform description as an unfixed MEASURED_GFLOPS property, and any
+// *unfixed* SUSTAINED_GFLOPS is re-instantiated with it — so the next
+// translation/scheduling round runs on measured rather than datasheet
+// numbers. The bridge prefers MEASURED_GFLOPS, so a refined PU forms a new
+// device class.
 #pragma once
 
 #include "pdl/model.hpp"
-#include "starvm/stats.hpp"
+#include "starvm/perf_store.hpp"
 
 namespace cascabel {
 
@@ -29,12 +27,12 @@ struct RefineReport {
   int sustained_updated = 0;  ///< unfixed SUSTAINED_GFLOPS re-instantiated
 };
 
-/// Clone `platform` and instantiate measurement feedback from `stats`
-/// (per-device observed GFLOPS = sum of task FLOPs / busy seconds; devices
-/// expanded from one PU with quantity>1 are averaged). Devices without
-/// FLOPs-modeled tasks are skipped. `report` (optional) receives counts.
+/// Clone `platform` and instantiate the rates `store` learned: a PU's rate
+/// is its class's entries' work over their time (each entry weighs
+/// ema_gflops by count x ema_seconds). PUs whose class has no entry with a
+/// rate are skipped. `report` (optional) receives counts.
 pdl::Platform refine_platform(const pdl::Platform& platform,
-                              const starvm::EngineStats& stats,
+                              const starvm::perf_store::Store& store,
                               RefineReport* report = nullptr);
 
 }  // namespace cascabel

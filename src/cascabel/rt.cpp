@@ -72,9 +72,9 @@ Context::Context(const pdl::Platform& target, TaskRepository repository,
     : repository_(std::move(repository)),
       options_(options),
       groups_(pdl::logic_groups(target)) {
-  // Engine config first: the perf store is keyed by the hash of the device
-  // descriptors the bridge derives, so pre-selection can only trust the
-  // store after that hash has been checked.
+  // Engine config first: the perf store is keyed by the device classes the
+  // bridge derives, so pre-selection reads only the entries of this
+  // engine's classes.
   starvm::BridgeOptions bridge = options_.bridge;
   bridge.scheduler = options_.scheduler;
   bridge.mode = options_.mode;
@@ -99,9 +99,10 @@ Context::Context(const pdl::Platform& target, TaskRepository repository,
                                       : options_.perf_store_path;
 
   // Load the same store the engine will preload, so static pre-selection
-  // ranks variants by measured rate (paper §IV-C step 2, but from learned
-  // history instead of declared properties). Any rejection degrades to
-  // declared-rate selection — the engine counts it in EngineStats too.
+  // ranks variants by the measured rates of this platform's device classes
+  // (paper §IV-C step 2, but from learned history instead of declared
+  // properties). Any rejection degrades to declared-rate selection — the
+  // engine counts it in EngineStats too.
   const std::string& store_path = engine_config.perf_store_path;
   SelectionOptions sel_options;
   sel_options.min_samples = options_.perf_min_samples;
@@ -109,16 +110,11 @@ Context::Context(const pdl::Platform& target, TaskRepository repository,
   if (!store_path.empty()) {
     auto loaded = starvm::perf_store::load(store_path);
     if (loaded.status == starvm::perf_store::LoadStatus::kLoaded) {
-      if (loaded.store.descriptor_hash ==
-          starvm::perf_store::descriptor_hash(engine_config.devices)) {
-        perf_store_ = std::move(loaded.store);
-        perf_store_loaded_ = true;
-        sel_options.perf_store = &perf_store_;
-      } else {
-        pdl::add_info(diags_, "perf store '" + store_path +
-                                  "' ignored: descriptor hash mismatch "
-                                  "(stale store from another platform)");
-      }
+      perf_store_ = std::move(loaded.store);
+      perf_store_.entries.resize(
+          starvm::perf_store::applicable(perf_store_, engine_config.devices));
+      perf_store_loaded_ = true;
+      sel_options.perf_store = &perf_store_;
     } else if (loaded.status != starvm::perf_store::LoadStatus::kMissing) {
       pdl::add_info(diags_,
                     "perf store '" + store_path + "' ignored: " + loaded.detail);

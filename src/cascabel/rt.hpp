@@ -134,8 +134,9 @@ class Context {
   starvm::Engine& engine() { return *engine_; }
   starvm::EngineStats stats() const { return engine_->stats(); }
   const SelectionResult& selection() const { return selection_; }
-  /// The perf store pre-selection consumed, or null when none was loaded
-  /// (no path configured, missing file, or a rejected/stale store).
+  /// The entries of the perf store that apply to this engine's device
+  /// classes, which pre-selection consumed, or null when none was loaded
+  /// (no path configured, missing file, or a rejected store).
   const starvm::perf_store::Store* perf_store() const {
     return perf_store_loaded_ ? &perf_store_ : nullptr;
   }
@@ -175,8 +176,8 @@ class Context {
   pdl::Diagnostics diags_;
   SelectionResult selection_;
   std::unique_ptr<starvm::Engine> engine_;
-  /// Perf store loaded at construction (descriptor hash already verified
-  /// against the engine config); kept alive for selection() introspection.
+  /// The entries of the engine's device classes of the perf store loaded at
+  /// construction; kept alive for selection() introspection.
   starvm::perf_store::Store perf_store_;
   bool perf_store_loaded_ = false;
 

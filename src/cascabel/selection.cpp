@@ -133,8 +133,8 @@ SelectionResult preselect(const TaskRepository& repository,
       // Measured-rate annotation: the engine records each variant's
       // observations under its own name (Codelet::calibration_alias), so a
       // store entry keyed by the variant name is this variant's learned
-      // rate. The best sufficiently-sampled device rate stands for the
-      // variant; entries below the sample threshold stay advisory-only.
+      // rate. The best sufficiently-sampled device-class rate stands for
+      // the variant; entries below the sample threshold stay advisory-only.
       if (options.perf_store != nullptr) {
         for (const auto& entry : options.perf_store->entries) {
           if (entry.codelet == variant.pragma.variant_name &&

@@ -80,8 +80,8 @@ struct AccuracyGuard {
 /// Measurement input for pre-selection: the persisted perf store of the
 /// target platform (docs/RUNTIME.md "Persisted performance models").
 struct SelectionOptions {
-  /// Store whose descriptor hash already matched the target; non-owning,
-  /// may be null (pure declared-rate selection).
+  /// The store entries of the target's device classes; non-owning, may be
+  /// null (pure declared-rate selection).
   const starvm::perf_store::Store* perf_store = nullptr;
   /// Confidence threshold: entries with fewer recorded observations do not
   /// override declared rates (a single noisy sample must not flip a

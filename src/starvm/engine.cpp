@@ -9,11 +9,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
-#include <map>
 #include <optional>
 #include <span>
 #include <stdexcept>
-#include <tuple>
 
 #include "obs/event_sink.hpp"
 #include "obs/metrics.hpp"
@@ -127,6 +125,11 @@ bool run_attempt(const Implementation& impl, const detail::TaskNode& task,
   return true;
 }
 
+/// A task's FLOPs when its codelet has a flops model, else unknown work.
+std::optional<double> known_work(const detail::TaskNode& task) {
+  return task.codelet->flops ? std::optional<double>(task.flops) : std::nullopt;
+}
+
 }  // namespace
 
 EngineConfig EngineConfig::cpus(int n, double sustained_gflops) {
@@ -178,7 +181,10 @@ const char* to_string(TaskAttempt::Outcome outcome) {
   return "?";
 }
 
-Engine::Engine(EngineConfig config) : config_(std::move(config)) {
+Engine::Engine(EngineConfig config)
+    : config_(std::move(config)),
+      device_classes_(device_classes(config_.devices)),
+      perf_model_(device_classes_.keys) {
   if (config_.devices.empty()) {
     throw std::invalid_argument("starvm::Engine needs at least one device");
   }
@@ -189,6 +195,7 @@ Engine::Engine(EngineConfig config) : config_(std::move(config)) {
     detail::DeviceState& state = devices_.emplace_back();
     state.spec = config_.devices[i];
     state.id = static_cast<DeviceId>(i);
+    state.device_class = device_classes_.of[i];
     state.node =
         state.spec.kind == DeviceKind::kAccelerator ? next_node++ : kHostNode;
   }
@@ -224,7 +231,7 @@ Engine::Engine(EngineConfig config) : config_(std::move(config)) {
       [this](const detail::TaskNode& task, double* out) {
         estimated_cost_class_row(task, out);
       },
-      oracle_);
+      oracle_, hybrid());
   if (config_.wrap_scheduler) {
     scheduler_ = config_.wrap_scheduler(std::move(scheduler_));
   }
@@ -246,21 +253,19 @@ Engine::Engine(EngineConfig config) : config_(std::move(config)) {
     }
   }
 
-  // Persisted perf store: preload previously learned rates so HEFT
-  // estimates are warm from the very first task. A missing file is a clean
-  // cold start; a wrong-version, corrupt or descriptor-mismatched store is
-  // rejected (counted in perf_store_rejected) and the run proceeds from
-  // declared rates. Done before the workers spawn: preload races nothing.
+  // Persisted perf store: preload the learned rates of this engine's
+  // device classes so HEFT estimates are warm from the very first task,
+  // and keep the other entries for the save. A missing file is a clean
+  // cold start; a wrong-version or corrupt store is rejected (counted in
+  // perf_store_rejected) and the run proceeds from declared rates. Done
+  // before the workers spawn: preload races nothing.
   if (!config_.perf_store_path.empty()) {
-    descriptor_hash_ = perf_store::descriptor_hash(config_.devices);
     perf_store::LoadResult loaded = perf_store::load(config_.perf_store_path);
     if (loaded.status == perf_store::LoadStatus::kLoaded) {
-      if (loaded.store.descriptor_hash == descriptor_hash_) {
-        perf_store::preload(loaded.store, perf_model_);
-        perf_store_entries_ = loaded.store.entries.size();
-      } else {
-        ++perf_store_rejected_;  // stale store from a different platform
-      }
+      const auto& entries = loaded.store.entries;
+      perf_store_entries_ = perf_store::applicable(loaded.store, config_.devices);
+      for (std::size_t i = 0; i < perf_store_entries_; ++i) perf_model_.preload(entries[i]);
+      foreign_perf_entries_.assign(entries.begin() + perf_store_entries_, entries.end());
     } else if (loaded.status != perf_store::LoadStatus::kMissing) {
       ++perf_store_rejected_;
     }
@@ -286,26 +291,21 @@ Engine::Engine(EngineConfig config) : config_(std::move(config)) {
 
 void Engine::build_placement_classes() {
   class_of_.resize(devices_.size());
-  // Full-spec key (not just the cost-model inputs): merging only devices
-  // that also share the fault-tolerance knobs keeps retry budgets and
-  // per-device overrides trivially uniform within a class.
-  using Flavor =
-      std::tuple<int, double, double, double, std::uint64_t, int, double>;
-  std::map<Flavor, std::size_t> flavors;
+  // Host-node devices of one device class (the full spec, not just the
+  // cost-model inputs: merging only devices that also share the
+  // fault-tolerance knobs keeps retry budgets and per-device overrides
+  // trivially uniform within a class) share a placement class.
+  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+  std::vector<std::size_t> shared(device_classes_.keys.size(), kNone);
   for (const auto& device : devices_) {
     std::size_t cls = classes_.size();
     // Accelerators own private memory nodes — their replica state (and so
     // their transfer estimate) differs per device — so they stay singleton
-    // classes even when spec-identical. Host-node devices group by flavor.
+    // classes even when spec-identical.
     if (config_.placement_classes && device.node == kHostNode) {
-      const Flavor key{static_cast<int>(device.spec.kind),
-                       device.spec.sustained_gflops,
-                       device.spec.link_bandwidth_gbs,
-                       device.spec.link_latency_us,
-                       static_cast<std::uint64_t>(device.spec.memory_bytes),
-                       device.spec.max_retries,
-                       device.spec.mtbf_hours};
-      cls = flavors.emplace(key, cls).first->second;
+      std::size_t& placed = shared[device.device_class];
+      if (placed == kNone) placed = cls;
+      cls = placed;
     }
     if (cls == classes_.size()) {
       // Devices arrive in id order, so classes are created in order of
@@ -352,9 +352,10 @@ Engine::~Engine() {
   // "observation" is the model's own estimate, and writing those back
   // would overwrite the rates real runs learned.
   if (hybrid() && !config_.perf_store_path.empty()) {
-    (void)perf_store::save(
-        perf_store::from_model(perf_model_, descriptor_hash_),
-        config_.perf_store_path);
+    perf_store::Store store{perf_model_.snapshot()};
+    store.entries.insert(store.entries.end(), foreign_perf_entries_.begin(),
+                         foreign_perf_entries_.end());
+    (void)perf_store::save(store, config_.perf_store_path);
   }
 }
 
@@ -557,26 +558,25 @@ detail::TaskNode& Engine::wire_task_locked(TaskDesc&& desc, double flops) {
   auto [row_it, inserted] = model_rows_.try_emplace(task.codelet);
   if (inserted) {
     ModelRows& rows = row_it->second;
-    rows.main = &perf_model_.row(task.codelet->name);
+    rows.main = perf_model_.row(task.codelet->name);
     for (std::size_t k = 0; k < task.codelet->calibration_alias.size(); ++k) {
       const std::string& alias = task.codelet->calibration_alias[k];
-      if (!alias.empty()) rows.alias[k] = &perf_model_.row(alias);
+      if (!alias.empty()) rows.alias[k] = perf_model_.row(alias);
     }
     // Seed fresh cells from the declared rates: warm (store-preloaded) and
     // cold starts then share one estimate path, and the first observation
     // blends with the declared prior instead of slamming the estimate.
-    // Seeding with the device's own rate keeps pre-history estimates
+    // Seeding with the class's own rate keeps pre-history estimates
     // byte-identical to the analytic fallback. seed_in no-ops on cells
-    // that already have history, so preloaded entries are untouched.
-    const int seedable = static_cast<int>(
-        std::min<std::size_t>(devices_.size(),
-                              static_cast<std::size_t>(PerfModel::kMaxDevices)));
-    for (int d = 0; d < seedable; ++d) {
-      const double rate =
-          devices_[static_cast<std::size_t>(d)].spec.sustained_gflops;
-      if (PerfModel::seed_in(*rows.main, d, rate)) ++perf_model_seeds_;
-      for (PerfModel::Row* alias : rows.alias) {
-        if (alias != nullptr) (void)PerfModel::seed_in(*alias, d, rate);
+    // that already have history, so preloaded entries are untouched. Every
+    // member of a placement class is of its representative's device class.
+    for (const auto& pc : classes_) {
+      const detail::DeviceState& rep =
+          devices_[static_cast<std::size_t>(pc.representative)];
+      const double rate = rep.spec.sustained_gflops;
+      if (PerfModel::seed_in(rows.main, rep.device_class, rate)) ++perf_model_seeds_;
+      for (PerfModel::Cell* alias : rows.alias) {
+        if (alias != nullptr) (void)PerfModel::seed_in(alias, rep.device_class, rate);
       }
     }
   }
@@ -642,8 +642,9 @@ detail::TaskNode& Engine::wire_task_locked(TaskDesc&& desc, double flops) {
   }
   if (!has_live_capable_device(*task.codelet)) {
     std::lock_guard<std::mutex> fault(fault_mutex_);
-    fail_task_locked(task, "no live device can execute codelet '" +
-                               task.codelet->name + "'");
+    fail_task_locked(task, task.ready_vtime.load(),
+                     "no live device can execute codelet '" +
+                         task.codelet->name + "'");
   }
   return task;
 }
@@ -724,8 +725,9 @@ void Engine::dispatch_ready(detail::TaskNode* task) {
   // may have blacklisted the last one since.
   if (blacklists_ > 0 && !has_live_capable_device(*task->codelet)) {
     std::lock_guard<std::mutex> fault(fault_mutex_);
-    fail_task_locked(*task, "no live device can execute codelet '" +
-                                task->codelet->name + "'");
+    fail_task_locked(*task, task->ready_vtime.load(),
+                     "no live device can execute codelet '" +
+                         task->codelet->name + "'");
     return;
   }
   scheduler_->push(task);
@@ -980,9 +982,10 @@ void Engine::run_turns(std::unique_lock<std::mutex>& lock) {
       }
       // A CPU lane is charged its measured time. A simulated accelerator's
       // host run only produced the data: its lane is charged what the
-      // declared rate takes.
-      exec = device.spec.kind == DeviceKind::kAccelerator && task->flops > 0.0
-                 ? task->flops / (device.spec.sustained_gflops * 1e9)
+      // declared rate takes for the task's known work.
+      exec = device.spec.kind == DeviceKind::kAccelerator && task->codelet->flops
+                 ? PerfModel::analytic_estimate(task->flops,
+                                                device.spec.sustained_gflops)
                  : measured;
       watchdog = "watchdog: execution exceeded limit";
       lock.lock();
@@ -1102,14 +1105,18 @@ void Engine::finalize_task(detail::TaskNode& task, detail::DeviceState& device,
   device.transfer_seconds += transfer;
   ++device.tasks_run;
   device.consecutive_failures = 0;  // blacklisting counts *consecutive* only
-  PerfModel::observe_in(*task.model_row, device.id, exec, task.flops);
-  // Variant alias (Codelet::calibration_alias): record the same sample
-  // under the selected variant's name so the persisted store learns
-  // per-variant rates. Every observation is made under mutex_, so each
-  // cell keeps one writer at a time.
-  if (PerfModel::Row* alias =
-          task.alias_rows[static_cast<std::size_t>(device.spec.kind)]) {
-    PerfModel::observe_in(*alias, device.id, exec, task.flops);
+  // Only a threaded run measures anything; in the simulation modes `exec`
+  // is the model's own estimate. The variant alias
+  // (Codelet::calibration_alias) records the same sample under the
+  // selected variant's name so the persisted store learns per-variant
+  // rates. Every observation is made under mutex_, so each cell keeps one
+  // writer at a time.
+  if (hybrid()) {
+    PerfModel::observe_in(task.model_row, device.device_class, exec, task.flops);
+    if (PerfModel::Cell* alias =
+            task.alias_rows[static_cast<std::size_t>(device.spec.kind)]) {
+      PerfModel::observe_in(alias, device.device_class, exec, task.flops);
+    }
   }
   if (task.attempts > 1) {
     // Close the attempt chain in the fault log: this task failed at least once
@@ -1265,7 +1272,8 @@ std::string Engine::attempt_chain_locked(TaskId task) const {
   return chain;
 }
 
-void Engine::fail_task_locked(detail::TaskNode& task, const std::string& reason) {
+void Engine::fail_task_locked(detail::TaskNode& task, double vtime,
+                              const std::string& reason) {
   // CAS into kFailed: a concurrent cascade-cancel (kWaiting -> kFailed) may
   // have beaten us here, in which case all the bookkeeping already happened.
   detail::TaskState cur = task.state.load();
@@ -1275,9 +1283,8 @@ void Engine::fail_task_locked(detail::TaskNode& task, const std::string& reason)
 
   task_errors_.push_back("task " + std::to_string(task.id) + " '" + task.label +
                          "': " + reason + attempt_chain_locked(task.id));
-  record_fault_event_locked(FaultEvent::Kind::kTaskFailed,
-                            task.ready_vtime.load(), task.id, task.ran_on,
-                            task.attempts, reason);
+  record_fault_event_locked(FaultEvent::Kind::kTaskFailed, vtime, task.id,
+                            task.ran_on, task.attempts, reason);
   pending_.fetch_sub(1);
 
   // Cascade: everything transitively waiting on this task can never become
@@ -1299,7 +1306,7 @@ void Engine::fail_task_locked(detail::TaskNode& task, const std::string& reason)
       continue;  // already running, done, or cancelled by another cascade
     }
     record_fault_event_locked(
-        FaultEvent::Kind::kCancelled, task.ready_vtime.load(), succ->id, -1, 0,
+        FaultEvent::Kind::kCancelled, vtime, succ->id, -1, 0,
         "cancelled: dependency task " + std::to_string(task.id) + " failed");
     pending_.fetch_sub(1);
     {
@@ -1340,8 +1347,9 @@ void Engine::blacklist_device_locked(detail::DeviceState& device) {
       }
       scheduler_->push(task);
     } else {
-      fail_task_locked(*task, "no live device can execute codelet '" +
-                                  task->codelet->name + "'");
+      fail_task_locked(*task, device.avail_vtime.load(),
+                       "no live device can execute codelet '" +
+                           task->codelet->name + "'");
     }
   }
 }
@@ -1392,7 +1400,7 @@ void Engine::handle_task_failure(detail::TaskNode& task,
       task.state.store(detail::TaskState::kReady);
       retry = true;
     } else {
-      fail_task_locked(task, reason);
+      fail_task_locked(task, attempt_finish, reason);
     }
   }
   // Re-dispatch outside fault_mutex_: dispatch_ready's failure path takes
@@ -1620,8 +1628,8 @@ double Engine::acquire_buffers(detail::TaskNode& task, MemoryNodeId node) {
 
 double Engine::exec_estimate(const detail::TaskNode& task,
                              const detail::DeviceState& device) const {
-  return PerfModel::estimate_in(*task.model_row, device.id, task.flops,
-                                device.spec.sustained_gflops);
+  return PerfModel::estimate_in(task.model_row, device.device_class,
+                                known_work(task), device.spec.sustained_gflops);
 }
 
 double Engine::estimated_cost(const detail::TaskNode& task,
@@ -1646,11 +1654,10 @@ void Engine::estimated_cost_class_row(const detail::TaskNode& task,
                                       double* out) const {
   const std::size_t nc = classes_.size();
   for (std::size_t c = 0; c < nc; ++c) {
-    // The representative's calibration history stands in for every member:
-    // members are spec-identical, so their analytic estimates match and
-    // their measured histories converge on the same kernels.
-    out[c] = PerfModel::estimate_in(*task.model_row, classes_[c].representative,
-                                    task.flops, class_gflops_[c]);
+    // Members are spec-identical: one device class prices them all.
+    const auto& rep = devices_[static_cast<std::size_t>(classes_[c].representative)];
+    out[c] = PerfModel::estimate_in(task.model_row, rep.device_class,
+                                    known_work(task), class_gflops_[c]);
   }
   if (single_node_) return;  // no replicas to move, nothing to add
   std::lock_guard<std::mutex> lock(memory_mutex_);
@@ -1828,6 +1835,7 @@ EngineStats Engine::stats() const {
       ds.blacklisted = device.blacklisted.load();
       ds.mtbf_hours = device.spec.mtbf_hours;
       ds.declared_gflops = device.spec.sustained_gflops;
+      ds.class_key = device_classes_.keys[device.device_class];
       s.devices.push_back(std::move(ds));
       s.tasks_completed += device.tasks_run;
     }

@@ -316,8 +316,10 @@ class Engine {
                            bool is_timeout);
 
   /// Permanently fail `task` (kFailed) and cascade-cancel every transitive
-  /// successor still waiting on it (fault_mutex_ held).
-  void fail_task_locked(detail::TaskNode& task, const std::string& reason);
+  /// successor still waiting on it, all stamped `vtime`: the time of the
+  /// edge that failed it (fault_mutex_ held).
+  void fail_task_locked(detail::TaskNode& task, double vtime,
+                        const std::string& reason);
 
   /// Stop scheduling onto `device` and re-route its queued tasks onto the
   /// survivors (tasks with no surviving capable device fail permanently)
@@ -404,6 +406,9 @@ class Engine {
   double hop_seconds(std::size_t bytes, MemoryNodeId node) const;
 
   EngineConfig config_;
+  /// The devices grouped by spec (perf_model.hpp): one perf-model cell and
+  /// one store entry per (codelet, class).
+  DeviceClasses device_classes_;
   /// deque, not vector: DeviceState embeds atomics (immovable) and
   /// deque growth never relocates elements.
   mutable std::deque<detail::DeviceState> devices_;
@@ -488,8 +493,8 @@ class Engine {
   /// variant alias rows (Codelet::calibration_alias), so the per-task
   /// wiring path never takes the perf-model mutex.
   struct ModelRows {
-    PerfModel::Row* main = nullptr;
-    std::array<PerfModel::Row*, 2> alias{};
+    PerfModel::Cell* main = nullptr;
+    std::array<PerfModel::Cell*, 2> alias{};
   };
   std::unordered_map<const Codelet*, ModelRows> model_rows_;  ///< submit_mutex_
   detail::Arena<DataHandle> handles_;  ///< submit_mutex_
@@ -540,10 +545,10 @@ class Engine {
   std::string flight_dump_prefix_;
 
   /// Persisted perf store (docs/RUNTIME.md "Persisted performance models"
-  /// at config_.perf_store_path): the descriptor hash the store is keyed
-  /// by. Loaded at construction, written back (tmp + rename) at destruction
-  /// after the workers joined.
-  std::uint64_t descriptor_hash_ = 0;
+  /// at config_.perf_store_path): loaded at construction, written back
+  /// (tmp + rename) at destruction after the workers joined, with the
+  /// loaded entries of classes this engine does not have.
+  std::vector<PerfModel::Sample> foreign_perf_entries_;
   std::uint64_t perf_store_entries_ = 0;   ///< construction only
   std::uint64_t perf_store_rejected_ = 0;  ///< construction only
   std::uint64_t perf_model_seeds_ = 0;     ///< submit_mutex_

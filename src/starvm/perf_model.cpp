@@ -1,6 +1,9 @@
 #include "starvm/perf_model.hpp"
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdio>
+#include <tuple>
 
 namespace starvm {
 
@@ -8,49 +11,88 @@ namespace {
 // Weight of the newest sample; high enough to track phase changes, low
 // enough to smooth scheduler-induced jitter.
 constexpr double kEmaAlpha = 0.25;
-// Estimate when neither history nor a FLOPs model exists.
+// Estimate of work no flops model describes, or at an unknown rate.
 constexpr double kDefaultEstimateSeconds = 1e-3;
 }  // namespace
 
-double PerfModel::analytic_estimate(double flops, double device_gflops) {
-  if (flops > 0.0 && device_gflops > 0.0) {
-    return flops / (device_gflops * 1e9);
+std::uint64_t class_key(const DeviceSpec& spec) {
+  // %.17g round-trips every double, so equal specs render equal text.
+  char canon[256];
+  std::snprintf(canon, sizeof(canon), "%d|%.17g|%.17g|%.17g|%zu|%d|%.17g",
+                static_cast<int>(spec.kind), spec.sustained_gflops,
+                spec.link_bandwidth_gbs, spec.link_latency_us,
+                spec.memory_bytes, spec.max_retries, spec.mtbf_hours);
+  std::uint64_t hash = 14695981039346656037ULL;  // FNV-1a offset basis
+  for (const char* c = canon; *c != '\0'; ++c) {
+    hash ^= static_cast<unsigned char>(*c);
+    hash *= 1099511628211ULL;
   }
+  return hash;
+}
+
+DeviceClasses device_classes(const std::vector<DeviceSpec>& devices) {
+  using Flavor =
+      std::tuple<int, double, double, double, std::size_t, int, double>;
+  std::map<Flavor, std::size_t> flavors;
+  DeviceClasses classes;
+  classes.of.reserve(devices.size());
+  for (const DeviceSpec& spec : devices) {
+    const auto [it, fresh] = flavors.emplace(
+        Flavor{static_cast<int>(spec.kind), spec.sustained_gflops,
+               spec.link_bandwidth_gbs, spec.link_latency_us,
+               spec.memory_bytes, spec.max_retries, spec.mtbf_hours},
+        classes.keys.size());
+    if (fresh) classes.keys.push_back(class_key(spec));
+    classes.of.push_back(it->second);
+  }
+  return classes;
+}
+
+PerfModel::PerfModel(std::vector<std::uint64_t> class_keys)
+    : keys_(std::move(class_keys)) {}
+
+double PerfModel::analytic_estimate(std::optional<double> flops,
+                                    double gflops) {
+  if (flops && *flops <= 0.0) return 0.0;
+  if (flops && gflops > 0.0) return *flops / (gflops * 1e9);
   return kDefaultEstimateSeconds;
 }
 
-PerfModel::Row& PerfModel::row(std::string_view codelet) {
+PerfModel::Cell* PerfModel::row(std::string_view codelet) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = history_.find(codelet);
   if (it == history_.end()) {
-    it = history_.emplace(std::string(codelet), std::make_unique<Row>()).first;
+    it = history_
+             .emplace(std::string(codelet), std::make_unique<Cell[]>(keys_.size()))
+             .first;
   }
-  return *it->second;
+  return it->second.get();
 }
 
-PerfModel::Row* PerfModel::find_row(std::string_view codelet) const {
+PerfModel::Cell* PerfModel::find_row(std::string_view codelet) const {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = history_.find(codelet);
   return it == history_.end() ? nullptr : it->second.get();
 }
 
-double PerfModel::estimate_in(const Row& row, int device, double flops,
-                              double device_gflops) {
-  if (device >= 0 && device < kMaxDevices) {
-    const DeviceHistory& h = row[static_cast<std::size_t>(device)];
-    if (h.count.load(std::memory_order_acquire) > 0) {
-      return h.ema_seconds.load(std::memory_order_relaxed);
-    }
-    if (h.seeded.load(std::memory_order_acquire) != 0) {
-      return analytic_estimate(flops, h.ema_gflops.load(std::memory_order_relaxed));
-    }
+double PerfModel::estimate_in(const Cell* row, std::size_t cls,
+                              std::optional<double> flops, double gflops) {
+  if (flops && *flops <= 0.0) return 0.0;
+  const Cell& h = row[cls];
+  if (h.count.load(std::memory_order_acquire) > 0) {
+    const double rate = h.ema_gflops.load(std::memory_order_relaxed);
+    if (flops && rate > 0.0) return *flops / (rate * 1e9);
+    return h.ema_seconds.load(std::memory_order_relaxed);
   }
-  return analytic_estimate(flops, device_gflops);
+  if (h.seeded.load(std::memory_order_acquire) != 0) {
+    gflops = h.ema_gflops.load(std::memory_order_relaxed);
+  }
+  return analytic_estimate(flops, gflops);
 }
 
-void PerfModel::observe_in(Row& row, int device, double seconds, double flops) {
-  if (device < 0 || device >= kMaxDevices) return;
-  DeviceHistory& h = row[static_cast<std::size_t>(device)];
+void PerfModel::observe_in(Cell* row, std::size_t cls, double seconds,
+                           double flops) {
+  Cell& h = row[cls];
   const std::uint64_t count = h.count.load(std::memory_order_relaxed);
   const double prev_rate = h.ema_gflops.load(std::memory_order_relaxed);
   const bool seeded =
@@ -78,10 +120,9 @@ void PerfModel::observe_in(Row& row, int device, double seconds, double flops) {
   h.count.store(count + 1, std::memory_order_release);
 }
 
-bool PerfModel::seed_in(Row& row, int device, double gflops) {
-  if (device < 0 || device >= kMaxDevices || gflops <= 0.0) return false;
-  DeviceHistory& h = row[static_cast<std::size_t>(device)];
-  if (h.count.load(std::memory_order_relaxed) > 0 ||
+bool PerfModel::seed_in(Cell* row, std::size_t cls, double gflops) {
+  Cell& h = row[cls];
+  if (gflops <= 0.0 || h.count.load(std::memory_order_relaxed) > 0 ||
       h.seeded.load(std::memory_order_relaxed) != 0) {
     return false;
   }
@@ -90,55 +131,29 @@ bool PerfModel::seed_in(Row& row, int device, double gflops) {
   return true;
 }
 
-std::optional<double> PerfModel::measured_gflops_in(const Row& row, int device) {
-  if (device < 0 || device >= kMaxDevices) return std::nullopt;
-  const DeviceHistory& h = row[static_cast<std::size_t>(device)];
-  if (h.count.load(std::memory_order_acquire) == 0) return std::nullopt;
-  const double rate = h.ema_gflops.load(std::memory_order_relaxed);
-  if (rate <= 0.0) return std::nullopt;
-  return rate;
-}
-
-double PerfModel::estimate(std::string_view codelet, int device, double flops,
-                           double device_gflops) const {
-  if (const Row* row = find_row(codelet)) {
-    return estimate_in(*row, device, flops, device_gflops);
+double PerfModel::estimate(std::string_view codelet, std::size_t cls,
+                           std::optional<double> flops, double gflops) const {
+  if (const Cell* row = find_row(codelet)) {
+    return estimate_in(row, cls, flops, gflops);
   }
-  return analytic_estimate(flops, device_gflops);
+  return analytic_estimate(flops, gflops);
 }
 
-std::optional<double> PerfModel::history_estimate(std::string_view codelet,
-                                                  int device) const {
-  if (device < 0 || device >= kMaxDevices) return std::nullopt;
-  const Row* row = find_row(codelet);
-  if (row == nullptr) return std::nullopt;
-  const DeviceHistory& h = (*row)[static_cast<std::size_t>(device)];
-  if (h.count.load(std::memory_order_acquire) == 0) return std::nullopt;
-  return h.ema_seconds.load(std::memory_order_relaxed);
-}
-
-void PerfModel::observe(std::string_view codelet, int device, double seconds) {
-  if (device < 0 || device >= kMaxDevices) return;
-  observe_in(row(codelet), device, seconds);
-}
-
-std::uint64_t PerfModel::samples(std::string_view codelet, int device) const {
-  if (device < 0 || device >= kMaxDevices) return 0;
-  const Row* row = find_row(codelet);
-  if (row == nullptr) return 0;
-  return (*row)[static_cast<std::size_t>(device)].count.load(
-      std::memory_order_acquire);
+std::uint64_t PerfModel::samples(std::string_view codelet,
+                                 std::size_t cls) const {
+  const Cell* row = find_row(codelet);
+  return row == nullptr ? 0 : row[cls].count.load(std::memory_order_acquire);
 }
 
 std::vector<PerfModel::Sample> PerfModel::snapshot() const {
   std::vector<Sample> samples;
   std::lock_guard<std::mutex> lock(mutex_);
   for (const auto& [codelet, row] : history_) {
-    for (int device = 0; device < kMaxDevices; ++device) {
-      const DeviceHistory& h = (*row)[static_cast<std::size_t>(device)];
+    for (std::size_t cls = 0; cls < keys_.size(); ++cls) {
+      const Cell& h = row[cls];
       const std::uint64_t count = h.count.load(std::memory_order_acquire);
       if (count == 0) continue;
-      samples.push_back(Sample{codelet, device,
+      samples.push_back(Sample{codelet, keys_[cls],
                                h.ema_seconds.load(std::memory_order_relaxed),
                                count,
                                h.ema_gflops.load(std::memory_order_relaxed)});
@@ -147,14 +162,14 @@ std::vector<PerfModel::Sample> PerfModel::snapshot() const {
   return samples;
 }
 
-void PerfModel::preload(std::string_view codelet, int device,
-                        double ema_seconds, std::uint64_t count,
-                        double ema_gflops) {
-  if (device < 0 || device >= kMaxDevices || count == 0) return;
-  DeviceHistory& h = row(codelet)[static_cast<std::size_t>(device)];
-  h.ema_seconds.store(ema_seconds, std::memory_order_relaxed);
-  h.ema_gflops.store(ema_gflops, std::memory_order_relaxed);
-  h.count.store(count, std::memory_order_release);
+bool PerfModel::preload(const Sample& sample) {
+  const auto key = std::find(keys_.begin(), keys_.end(), sample.class_key);
+  if (key == keys_.end() || sample.count == 0) return false;
+  Cell& h = row(sample.codelet)[key - keys_.begin()];
+  h.ema_seconds.store(sample.ema_seconds, std::memory_order_relaxed);
+  h.ema_gflops.store(sample.ema_gflops, std::memory_order_relaxed);
+  h.count.store(sample.count, std::memory_order_release);
+  return true;
 }
 
 double transfer_seconds(std::size_t bytes, double bandwidth_gbs, double latency_us) {

@@ -1,6 +1,7 @@
 #include "starvm/perf_store.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -12,47 +13,23 @@ namespace {
 
 constexpr char kHeaderPrefix[] = "# starvm perf-store v";
 
-/// %.17g round-trips every double exactly; the canonical spelling keeps
-/// both the descriptor hash and save() output byte-stable across runs.
+/// %.17g round-trips every double exactly, which keeps save() output
+/// byte-stable across runs.
 std::string fmt_double(double value) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", value);
   return buf;
 }
 
-std::uint64_t fnv1a(std::uint64_t hash, const std::string& text) {
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;
-  }
-  return hash;
+/// A class key: 1 to 16 hex digits, nothing else.
+bool parse_key(const std::string& hex, std::uint64_t& key) {
+  if (hex.empty() || hex.size() > 16) return false;
+  char* end = nullptr;
+  key = std::strtoull(hex.c_str(), &end, 16);
+  return *end == '\0' && std::isxdigit(static_cast<unsigned char>(hex[0]));
 }
 
 }  // namespace
-
-std::uint64_t descriptor_hash(const std::vector<DeviceSpec>& devices) {
-  std::uint64_t hash = 14695981039346656037ULL;  // FNV-1a offset basis
-  for (const DeviceSpec& spec : devices) {
-    std::string canon = spec.name;
-    canon += '|';
-    canon += std::to_string(static_cast<int>(spec.kind));
-    canon += '|';
-    canon += fmt_double(spec.sustained_gflops);
-    canon += '|';
-    canon += fmt_double(spec.link_bandwidth_gbs);
-    canon += '|';
-    canon += fmt_double(spec.link_latency_us);
-    canon += '|';
-    canon += std::to_string(spec.memory_bytes);
-    canon += '|';
-    canon += std::to_string(spec.max_retries);
-    canon += '|';
-    canon += fmt_double(spec.mtbf_hours);
-    canon += '\n';
-    hash = fnv1a(hash, canon);
-  }
-  return hash;
-}
 
 LoadResult load(const std::string& path) {
   LoadResult result;
@@ -63,12 +40,7 @@ LoadResult load(const std::string& path) {
     return result;
   }
   std::string line;
-  if (!std::getline(in, line)) {
-    result.status = LoadStatus::kCorrupt;
-    result.detail = "empty file";
-    return result;
-  }
-  if (line.rfind(kHeaderPrefix, 0) != 0) {
+  if (!std::getline(in, line) || line.rfind(kHeaderPrefix, 0) != 0) {
     result.status = LoadStatus::kCorrupt;
     result.detail = "not a perf store (bad header)";
     return result;
@@ -78,48 +50,27 @@ LoadResult load(const std::string& path) {
     result.detail = "unsupported store version ('" + line + "')";
     return result;
   }
-  bool saw_platform = false;
   while (std::getline(in, line)) {
     if (line.empty() || line[0] == '#') continue;
     std::istringstream fields(line);
     std::string kind;
+    std::string key;
+    Entry entry;
     fields >> kind;
-    if (kind == "platform") {
-      std::string hex;
-      if (!(fields >> hex) || hex.empty()) {
-        result.status = LoadStatus::kCorrupt;
-        result.detail = "malformed platform line";
-        return result;
-      }
-      char* end = nullptr;
-      result.store.descriptor_hash = std::strtoull(hex.c_str(), &end, 16);
-      if (end == nullptr || *end != '\0') {
-        result.status = LoadStatus::kCorrupt;
-        result.detail = "malformed platform hash '" + hex + "'";
-        return result;
-      }
-      saw_platform = true;
-    } else if (kind == "rate") {
-      Entry entry;
-      if (!(fields >> entry.codelet >> entry.device >> entry.ema_seconds >>
-            entry.count >> entry.ema_gflops) ||
-          entry.device < 0 || entry.device >= PerfModel::kMaxDevices ||
-          entry.count == 0 || !(entry.ema_seconds > 0.0)) {
-        result.status = LoadStatus::kCorrupt;
-        result.detail = "malformed rate line '" + line + "'";
-        return result;
-      }
-      result.store.entries.push_back(std::move(entry));
-    } else {
+    if (kind != "rate") {
       result.status = LoadStatus::kCorrupt;
       result.detail = "unknown record '" + kind + "'";
       return result;
     }
-  }
-  if (!saw_platform) {
-    result.status = LoadStatus::kCorrupt;
-    result.detail = "missing platform line (truncated store?)";
-    return result;
+    if (!(fields >> entry.codelet >> key >> entry.ema_seconds >> entry.count >>
+          entry.ema_gflops) ||
+        !parse_key(key, entry.class_key) || entry.count == 0 ||
+        !(entry.ema_seconds > 0.0)) {
+      result.status = LoadStatus::kCorrupt;
+      result.detail = "malformed rate line '" + line + "'";
+      return result;
+    }
+    result.store.entries.push_back(std::move(entry));
   }
   result.status = LoadStatus::kLoaded;
   result.detail.clear();
@@ -129,26 +80,21 @@ LoadResult load(const std::string& path) {
 std::string render_text(const Store& store) {
   std::string text = std::string(kHeaderPrefix) +
                      std::to_string(kFormatVersion) + "\n";
-  char hex[32];
-  std::snprintf(hex, sizeof(hex), "%016llx",
-                static_cast<unsigned long long>(store.descriptor_hash));
-  text += "platform ";
-  text += hex;
-  text += '\n';
   std::vector<const Entry*> ordered;
   ordered.reserve(store.entries.size());
   for (const Entry& entry : store.entries) ordered.push_back(&entry);
   std::stable_sort(ordered.begin(), ordered.end(),
                    [](const Entry* a, const Entry* b) {
                      if (a->codelet != b->codelet) return a->codelet < b->codelet;
-                     return a->device < b->device;
+                     return a->class_key < b->class_key;
                    });
   for (const Entry* entry : ordered) {
+    char key[32];
+    std::snprintf(key, sizeof(key), " %016llx ",
+                  static_cast<unsigned long long>(entry->class_key));
     text += "rate ";
     text += entry->codelet;
-    text += ' ';
-    text += std::to_string(entry->device);
-    text += ' ';
+    text += key;
     text += fmt_double(entry->ema_seconds);
     text += ' ';
     text += std::to_string(entry->count);
@@ -175,22 +121,19 @@ bool save(const Store& store, const std::string& path) {
   return true;
 }
 
-Store from_model(const PerfModel& model, std::uint64_t hash) {
-  Store store;
-  store.descriptor_hash = hash;
-  for (const PerfModel::Sample& sample : model.snapshot()) {
-    store.entries.push_back(Entry{sample.codelet, sample.device,
-                                  sample.ema_seconds, sample.count,
-                                  sample.ema_gflops});
-  }
-  return store;
+std::size_t applicable(Store& store, const std::vector<DeviceSpec>& devices) {
+  const std::vector<std::uint64_t> keys = device_classes(devices).keys;
+  const auto foreign = std::stable_partition(
+      store.entries.begin(), store.entries.end(), [&](const Entry& entry) {
+        return std::find(keys.begin(), keys.end(), entry.class_key) != keys.end();
+      });
+  return static_cast<std::size_t>(foreign - store.entries.begin());
 }
 
-void preload(const Store& store, PerfModel& model) {
-  for (const Entry& entry : store.entries) {
-    model.preload(entry.codelet, entry.device, entry.ema_seconds, entry.count,
-                  entry.ema_gflops);
-  }
+std::size_t preload(const Store& store, PerfModel& model) {
+  return static_cast<std::size_t>(
+      std::count_if(store.entries.begin(), store.entries.end(),
+                    [&](const Entry& entry) { return model.preload(entry); }));
 }
 
 std::string env_store_path() {

@@ -1,13 +1,14 @@
-// Persisted per-(codelet, device) performance models.
+// Persisted per-(codelet, device class) performance models.
 //
 // The engine's EMA calibration cells (perf_model.hpp) evaporate at process
 // exit, so every run re-learns what the last one already measured and the
 // static layers (cascabel pre-selection, the A5xx capacity analyzer) keep
 // reasoning from datasheet GFLOPS. The perf store closes that loop: a
-// versioned plain-text snapshot of every calibrated cell, keyed by a hash
-// of the PDL-derived device descriptors so a store learned on one platform
-// is never applied to another, written atomically (tmp + rename, like the
-// Prometheus sink) on engine shutdown and preloaded at engine start.
+// versioned plain-text snapshot of every calibrated cell, each keyed by its
+// device class (class_key), written atomically (tmp + rename, like the
+// Prometheus sink) on engine shutdown and preloaded at engine start. An
+// entry applies to every device of its class on any platform, so adding a
+// core keeps what was learned about the others.
 //
 // The store changes *estimates*, never ordering invariants: deterministic
 // replay and starmc exploration stay byte-stable for a fixed store, and a
@@ -25,33 +26,19 @@ namespace starvm::perf_store {
 
 /// Bumped whenever the on-disk grammar changes; a mismatch rejects the
 /// whole file (fall back to declared rates) rather than guessing.
-constexpr int kFormatVersion = 1;
+constexpr int kFormatVersion = 2;
 
-/// One calibrated (codelet, device) cell, exactly as persisted.
-struct Entry {
-  std::string codelet;
-  int device = 0;
-  double ema_seconds = 0.0;   ///< smoothed per-task execution time
-  std::uint64_t count = 0;    ///< observations behind the EMA
-  double ema_gflops = 0.0;    ///< smoothed achieved rate; 0 = never known
-};
+/// One calibrated (codelet, class) cell, exactly as persisted.
+using Entry = PerfModel::Sample;
 
 struct Store {
-  /// FNV-1a hash of the canonical device-spec rendering (descriptor_hash).
-  /// Rates measured against one set of descriptors are meaningless against
-  /// another; loads refuse a store whose hash differs from the engine's.
-  std::uint64_t descriptor_hash = 0;
-  /// Sorted by (codelet, device) — save() output is byte-stable.
+  /// Sorted by (codelet, class key) in the text form — save() output is
+  /// byte-stable.
   std::vector<Entry> entries;
 };
 
-/// Canonical hash over every property of every device spec that feeds the
-/// cost model (name, kind, rates, link, memory, reliability). Same
-/// platform -> same hash, any edit to a descriptor -> a cold start.
-std::uint64_t descriptor_hash(const std::vector<DeviceSpec>& devices);
-
 enum class LoadStatus {
-  kLoaded,      ///< parsed cleanly (hash matching is the caller's decision)
+  kLoaded,      ///< parsed cleanly (which entries apply is the caller's call)
   kMissing,     ///< no file — a clean cold start, not a rejection
   kBadVersion,  ///< recognizably a perf store, but a different format version
   kCorrupt,     ///< truncated / malformed / not a perf store at all
@@ -73,11 +60,13 @@ std::string render_text(const Store& store);
 /// a reader never sees a torn file. False on I/O failure (tmp removed).
 bool save(const Store& store, const std::string& path);
 
-/// Snapshot a model's calibrated cells into a store stamped with `hash`.
-Store from_model(const PerfModel& model, std::uint64_t hash);
+/// Which entries apply to a device list: reorders `store` so the entries
+/// whose class some device of `devices` belongs to come first, keeping the
+/// order within both parts, and returns how many do.
+std::size_t applicable(Store& store, const std::vector<DeviceSpec>& devices);
 
-/// Install every entry into the model (overwrites matching cells).
-void preload(const Store& store, PerfModel& model);
+/// Install every entry whose class the model has; returns how many.
+std::size_t preload(const Store& store, PerfModel& model);
 
 /// The PDL_PERF_STORE environment variable, or "" when unset / "0"
 /// (disabled). The engine never reads it: rt::Context (when its

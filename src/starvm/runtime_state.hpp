@@ -43,14 +43,15 @@ struct TaskNode {
   std::string label;
   double flops = 0.0;
   int priority = 0;
-  /// Cached calibration row for `codelet` (set at wiring): lets workers and
-  /// placement estimate/observe without the perf-model mutex or map lookup.
-  PerfModel::Row* model_row = nullptr;
+  /// Cached calibration cells for `codelet`, one per device class (set at
+  /// wiring): lets workers and placement estimate/observe without the
+  /// perf-model mutex or map lookup.
+  PerfModel::Cell* model_row = nullptr;
   /// Per-device-kind variant calibration rows (Codelet::calibration_alias,
   /// indexed by DeviceKind; null when no alias is set). Resolved at wiring
   /// like model_row; finalize additionally records observations here so the
   /// persisted perf store learns per-variant rates.
-  std::array<PerfModel::Row*, 2> alias_rows{};
+  std::array<PerfModel::Cell*, 2> alias_rows{};
 
   // --- dependency tracking ---
   std::atomic<TaskState> state{TaskState::kWaiting};
@@ -92,6 +93,7 @@ struct DeviceState {
   DeviceSpec spec;
   DeviceId id = -1;
   MemoryNodeId node = kHostNode;
+  std::size_t device_class = 0;  ///< its perf-model cell (DeviceClasses)
 
   /// Virtual time when the device next becomes free (raised when an
   /// attempt ends; read by schedulers and decision recording).
@@ -123,7 +125,7 @@ struct DeviceState {
 struct PlacementClass {
   DeviceKind kind = DeviceKind::kCpu;
   MemoryNodeId node = kHostNode;
-  /// Lowest member id; its perf-model history row stands in for the class.
+  /// Lowest member id; its device class prices the placement class.
   DeviceId representative = -1;
   std::vector<DeviceId> members;  ///< ascending device ids
   /// Members not blacklisted; decremented by the engine's blacklist path.

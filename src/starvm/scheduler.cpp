@@ -335,16 +335,21 @@ class HeftScheduler final : public Scheduler {
  public:
   HeftScheduler(const std::deque<DeviceState>* devices,
                 const PlacementClassSet* classes, CostClassFn cost_fn,
-                DecisionOracle* oracle)
+                DecisionOracle* oracle, bool threaded)
       : devices_(devices),
         classes_(classes),
         cost_fn_(std::move(cost_fn)),
         queues_(devices->size()),
         members_(devices->size(), member_counts(*classes)),
+        class_of_(devices->size()),
         ready_(devices->size()),
-        oracle_(oracle) {
+        oracle_(oracle),
+        threaded_(threaded) {
     for (std::size_t c = 0; c < classes->size(); ++c) {
-      for (const DeviceId m : (*classes)[c].members) members_.set(m, 0.0, c);
+      for (const DeviceId m : (*classes)[c].members) {
+        members_.set(m, 0.0, c);
+        class_of_[static_cast<std::size_t>(m)] = c;
+      }
     }
   }
 
@@ -431,9 +436,20 @@ class HeftScheduler final : public Scheduler {
     // ready_ holds exactly the devices with queued work, keyed by their
     // virtual clock, so its first live entry is the device the old sorted
     // scan would have reached first. Blacklisted devices were drained out.
-    return pop_in_avail_order(
-        ready_, *devices_, [this](DeviceId d) { return pop(d); }, device);
+    TaskNode* task = nullptr;
+    ready_.walk([&](const DeviceHeap::Entry& e) {
+      const DeviceId d = e.device;  // pop(d) may move entries of ready_
+      const DeviceId runner = runner_for(d);
+      if (runner < 0) return true;
+      task = pop(d);
+      if (task != nullptr) *device = runner;
+      if (task != nullptr && runner != d) ++steals_;
+      return task == nullptr;
+    });
+    return task;
   }
+
+  std::uint64_t steals() const override { return steals_; }
 
   void on_device_time_advanced(DeviceId device) override {
     ready_.rekey(device, device_avail(*devices_, device));
@@ -463,6 +479,24 @@ class HeftScheduler final : public Scheduler {
     return counts;
   }
 
+  /// The free lane that runs `device`'s next task, or -1: `device`, or in
+  /// the threaded mode the interchangeable class member with nothing queued
+  /// and the earliest clock. The threaded mode placed queues at estimates
+  /// made before the kernel was measured (a default 1 ms against measured
+  /// microseconds), which can leave one lane holding the class's work.
+  DeviceId runner_for(DeviceId device) const {
+    DeviceId best = free_lane(*devices_, device) ? device : -1;
+    if (!threaded_) return best;
+    for (const DeviceId m :
+         (*classes_)[class_of_[static_cast<std::size_t>(device)]].members) {
+      if (free_lane(*devices_, m) && queues_[static_cast<std::size_t>(m)].empty() &&
+          (best < 0 || device_avail(*devices_, m) < device_avail(*devices_, best))) {
+        best = m;
+      }
+    }
+    return best;
+  }
+
   const std::deque<DeviceState>* devices_;
   const PlacementClassSet* classes_;
   CostClassFn cost_fn_;
@@ -471,10 +505,13 @@ class HeftScheduler final : public Scheduler {
   /// backlog; top(c) is the class candidate HEFT compares against the
   /// other classes.
   DeviceHeap members_;
+  std::vector<std::size_t> class_of_;  ///< device -> placement class
+  std::uint64_t steals_ = 0;  ///< tasks run by a member other than their lane
   DeviceHeap ready_;  ///< devices with queued work, keyed by virtual clock
   std::size_t total_ = 0;
   std::vector<double> costs_;  ///< scratch row (engine mutex held)
   DecisionOracle* oracle_ = nullptr;  ///< member-tie resolution; nullable
+  bool threaded_ = false;  ///< the engine's threaded mode (runner_for)
 };
 
 }  // namespace
@@ -483,7 +520,8 @@ std::unique_ptr<Scheduler> make_scheduler(SchedulerKind kind,
                                           const std::deque<DeviceState>* devices,
                                           const PlacementClassSet* classes,
                                           CostClassFn cost_fn,
-                                          DecisionOracle* oracle) {
+                                          DecisionOracle* oracle,
+                                          bool threaded) {
   switch (kind) {
     case SchedulerKind::kEager:
       return std::make_unique<EagerScheduler>(devices);
@@ -491,7 +529,7 @@ std::unique_ptr<Scheduler> make_scheduler(SchedulerKind kind,
       return std::make_unique<WorkStealingScheduler>(devices);
     case SchedulerKind::kHeft:
       return std::make_unique<HeftScheduler>(devices, classes,
-                                             std::move(cost_fn), oracle);
+                                             std::move(cost_fn), oracle, threaded);
   }
   return std::make_unique<EagerScheduler>(devices);
 }

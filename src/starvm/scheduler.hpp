@@ -81,7 +81,7 @@ class Scheduler {
   /// execute, because survivors still drain the shared queue naturally.
   virtual std::vector<TaskNode*> drain_device(DeviceId device) = 0;
 
-  /// Tasks a lane took from another lane's queue (work-stealing only).
+  /// Tasks a lane took from another lane's queue (threaded mode only).
   virtual std::uint64_t steals() const { return 0; }
 };
 
@@ -89,11 +89,14 @@ class Scheduler {
 /// used by kHeft and produces one estimate per placement class. `oracle`
 /// (nullable, non-owning) resolves placement-class member ties in kHeft —
 /// alternative 0 is the canonical lowest-id member, so a null oracle and a
-/// CanonicalOracle behave identically.
+/// CanonicalOracle behave identically. `threaded` (the engine's threaded
+/// mode) lets kHeft run a queued task on the placement-class member that
+/// can start it first.
 std::unique_ptr<Scheduler> make_scheduler(SchedulerKind kind,
                                           const std::deque<DeviceState>* devices,
                                           const PlacementClassSet* classes,
                                           CostClassFn cost_fn,
-                                          DecisionOracle* oracle = nullptr);
+                                          DecisionOracle* oracle = nullptr,
+                                          bool threaded = false);
 
 }  // namespace starvm::detail

@@ -66,6 +66,9 @@ struct DeviceStats {
   /// Declared sustained rate (DeviceSpec::sustained_gflops): the baseline
   /// the profiler's measured-rate drift is computed against.
   double declared_gflops = 0.0;
+  /// Store key of the device's class (perf_model.hpp class_key): where the
+  /// profiler and the A5xx plan look up its learned rates.
+  std::uint64_t class_key = 0;
 };
 
 /// One fault-tolerance decision, in the order the engine made them.
@@ -146,7 +149,9 @@ struct EngineStats {
   /// (EngineConfig::task_overhead_us), echoed for the profiler.
   double task_overhead_us = 0.0;
   /// Tasks a lane took from another lane's queue instead of its own
-  /// (work-stealing policy, threaded mode; 0 in the simulation modes).
+  /// (threaded mode: the work-stealing policy, and HEFT's runs of a queued
+  /// task on an idle member of its placement class; 0 in the simulation
+  /// modes).
   std::uint64_t steals = 0;
   std::uint64_t transfers = 0;
   std::uint64_t transfer_bytes = 0;
@@ -160,11 +165,11 @@ struct EngineStats {
   // --- persisted perf models (docs/RUNTIME.md) ---
   /// Calibration cells preloaded from the perf store at construction.
   std::uint64_t perf_store_entries = 0;
-  /// Stores refused at construction (version mismatch, corrupt file, or
-  /// descriptor-hash mismatch); the run fell back to declared rates.
+  /// Stores refused at construction (version mismatch or corrupt file);
+  /// the run fell back to declared rates.
   std::uint64_t perf_store_rejected = 0;
-  /// (codelet, device) cells seeded from declared SUSTAINED_GFLOPS at task
-  /// wiring — the shared warm/cold code path for pre-history estimates.
+  /// (codelet, device class) cells seeded from declared SUSTAINED_GFLOPS at
+  /// task wiring — the shared warm/cold code path for pre-history estimates.
   std::uint64_t perf_model_seeds = 0;
 
   // --- fault tolerance (counted off the fault log) ---

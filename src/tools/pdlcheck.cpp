@@ -21,9 +21,9 @@
 //                      the plan
 //   --perf-store <file>
 //                      feed measured rates from a persisted perf store into
-//                      the --plan run; the store must carry the
-//                      platform's descriptor hash, otherwise declared rates
-//                      are used (with a warning)
+//                      the --plan run: each entry prices the devices of
+//                      its class; a platform with none of the store's
+//                      classes uses declared rates (with a warning)
 //   --explore          model-check the graph(s) with the starmc explorer
 //                      (A6xx): exhaustively run every reduced interleaving
 //                      of the deterministic engine and report invariant
@@ -221,10 +221,10 @@ int main(int argc, char** argv) {
     parsed_paths.push_back(path);
   }
 
-  // --perf-store: measured rates for the A5xx schedule run. The store is
-  // bound to one platform by its descriptor hash; platforms whose hash
-  // differs fall back to declared rates (with a warning) rather than
-  // running with another machine's measurements.
+  // --perf-store: measured rates for the A5xx schedule run. An entry prices
+  // every device of its class, on whichever platform declares one; a
+  // platform with none of the store's classes falls back to declared rates
+  // (with a warning).
   std::vector<const starvm::perf_store::Store*> platform_stores(
       platforms.size(), nullptr);
   starvm::perf_store::LoadResult loaded;
@@ -233,17 +233,17 @@ int main(int argc, char** argv) {
     switch (loaded.status) {
       case starvm::perf_store::LoadStatus::kLoaded:
         for (std::size_t p = 0; p < platforms.size(); ++p) {
-          auto config = starvm::engine_config_from_platform(platforms[p]);
+          // Every PU: the A5xx run sets no cores aside as drivers.
+          starvm::BridgeOptions every_pu;
+          every_pu.dedicate_driver_cores = false;
+          auto config = starvm::engine_config_from_platform(platforms[p], every_pu);
           if (!config.ok()) continue;
-          const std::uint64_t hash =
-              starvm::perf_store::descriptor_hash(config.value().devices);
-          if (hash != loaded.store.descriptor_hash) {
+          if (starvm::perf_store::applicable(loaded.store,
+                                             config.value().devices) == 0) {
             pdl::add_finding(diags, pdl::Severity::kWarning, {},
                              "perf store '" + perf_store_path +
-                                 "' was learned on a different platform than '" +
-                                 parsed_paths[p] +
-                                 "' (descriptor hash mismatch); using declared "
-                                 "rates",
+                                 "' holds no rate of a device class of '" +
+                                 parsed_paths[p] + "'; using declared rates",
                              pdl::SourceLoc{perf_store_path, 1, 1});
             continue;
           }

@@ -12,8 +12,8 @@
 //                                            path + rate drift
 //   pdltool perf dump <store>                print a persisted perf store
 //   pdltool perf check <store> <platform.xml>
-//                                            verify the store belongs to the
-//                                            platform (descriptor hash)
+//                                            verify every entry prices a
+//                                            device class of the platform
 //   pdltool perf clear <store>               delete a persisted perf store
 //   pdltool query <platform.xml> <what>      what: summary | groups |
 //                                            workers | interconnects
@@ -118,15 +118,24 @@ int cmd_lint(const char* path) {
   return analysis::exit_code(diags, /*werror=*/false);
 }
 
+/// The devices `pdltool plan|profile` run a platform on: every PU, none
+/// set aside as an accelerator driver.
+pdl::util::Result<starvm::EngineConfig> every_pu_config(
+    const pdl::Platform& platform) {
+  starvm::BridgeOptions options;
+  options.dedicate_driver_cores = false;
+  return starvm::engine_config_from_platform(platform, options);
+}
+
 /// Load a perf store for a platform: returns true and fills `store` only
-/// when the file loads cleanly AND its descriptor hash matches the
-/// platform's bridge-derived device list. Every rejection is explained on
-/// stderr; the caller falls back to declared rates.
+/// when the file loads cleanly AND holds a rate of one of the platform's
+/// device classes. Every rejection is explained on stderr; the caller
+/// falls back to declared rates.
 bool load_store_for_platform(const std::string& store_path,
                              const pdl::Platform& platform,
                              starvm::perf_store::Store& store) {
   if (store_path.empty()) return false;
-  const starvm::perf_store::LoadResult loaded = starvm::perf_store::load(store_path);
+  starvm::perf_store::LoadResult loaded = starvm::perf_store::load(store_path);
   if (loaded.status == starvm::perf_store::LoadStatus::kMissing) {
     std::fprintf(stderr, "pdltool: perf store '%s' not found\n", store_path.c_str());
     return false;
@@ -138,17 +147,16 @@ bool load_store_for_platform(const std::string& store_path,
                  store_path.c_str());
     return false;
   }
-  auto config = starvm::engine_config_from_platform(platform);
+  auto config = every_pu_config(platform);
   if (!config.ok()) return false;
-  if (starvm::perf_store::descriptor_hash(config.value().devices) !=
-      loaded.store.descriptor_hash) {
+  if (starvm::perf_store::applicable(loaded.store, config.value().devices) == 0) {
     std::fprintf(stderr,
-                 "pdltool: perf store '%s' was learned on a different platform "
-                 "(descriptor hash mismatch); using declared rates\n",
+                 "pdltool: perf store '%s' holds no rate of this platform's "
+                 "device classes; using declared rates\n",
                  store_path.c_str());
     return false;
   }
-  store = loaded.store;
+  store = std::move(loaded.store);
   return true;
 }
 
@@ -204,7 +212,7 @@ int cmd_profile(const char* platform_path, const char* graph_path,
   analysis::RunProfile profile = analysis::profile_run(stats.value());
   // Third drift column: measured vs the store's learned rate, flagging
   // decayed entries.
-  if (have_store) analysis::apply_store_rates(profile, store);
+  if (have_store) analysis::apply_store_rates(profile, stats.value(), store);
   std::printf("%s", analysis::render_profile_text(profile).c_str());
   for (const auto& error : stats.value().errors) {
     std::fprintf(stderr, "pdltool: %s\n", error.c_str());
@@ -229,7 +237,7 @@ int cmd_perf(const std::string& action, const char* store_path,
     return 0;
   }
 
-  const starvm::perf_store::LoadResult loaded = starvm::perf_store::load(store_path);
+  starvm::perf_store::LoadResult loaded = starvm::perf_store::load(store_path);
   switch (loaded.status) {
     case starvm::perf_store::LoadStatus::kMissing:
       std::fprintf(stderr, "pdltool: perf store '%s' not found\n", store_path);
@@ -245,18 +253,19 @@ int cmd_perf(const std::string& action, const char* store_path,
       break;
   }
 
+  const auto print_entry = [](const char* mark,
+                               const starvm::perf_store::Entry& e) {
+    std::printf("%s%s @ class %016llx: ema %.3g s over %llu sample(s)", mark,
+                e.codelet.c_str(), static_cast<unsigned long long>(e.class_key),
+                e.ema_seconds, static_cast<unsigned long long>(e.count));
+    if (e.ema_gflops > 0.0) std::printf(", %.2f GFLOPS", e.ema_gflops);
+    std::printf("\n");
+  };
+  const std::vector<starvm::perf_store::Entry>& entries = loaded.store.entries;
   if (action == "dump") {
-    std::printf("perf store '%s': platform %016llx, %zu entr%s\n", store_path,
-                static_cast<unsigned long long>(loaded.store.descriptor_hash),
-                loaded.store.entries.size(),
-                loaded.store.entries.size() == 1 ? "y" : "ies");
-    for (const starvm::perf_store::Entry& e : loaded.store.entries) {
-      std::printf("  %s @ device %d: ema %.3g s over %llu sample(s)",
-                  e.codelet.c_str(), e.device,
-                  e.ema_seconds, static_cast<unsigned long long>(e.count));
-      if (e.ema_gflops > 0.0) std::printf(", %.2f GFLOPS", e.ema_gflops);
-      std::printf("\n");
-    }
+    std::printf("perf store '%s': %zu entr%s\n", store_path, entries.size(),
+                entries.size() == 1 ? "y" : "ies");
+    for (const starvm::perf_store::Entry& e : entries) print_entry("  ", e);
     return 0;
   }
 
@@ -267,23 +276,24 @@ int cmd_perf(const std::string& action, const char* store_path,
     }
     pdl::Platform platform;
     if (load(platform_path, platform) != 0) return 1;
-    auto config = starvm::engine_config_from_platform(platform);
+    auto config = every_pu_config(platform);
     if (!config.ok()) {
       std::fprintf(stderr, "pdltool: %s\n", config.error().str().c_str());
       return 1;
     }
-    const std::uint64_t hash =
-        starvm::perf_store::descriptor_hash(config.value().devices);
-    if (hash == loaded.store.descriptor_hash) {
-      std::printf("MATCH: store '%s' belongs to platform '%s' (%016llx)\n",
-                  store_path, platform.name().c_str(),
-                  static_cast<unsigned long long>(hash));
-      return 0;
+    // Every entry prices the devices of its class; one of a class the
+    // platform lacks prices nothing there.
+    const std::size_t matched =
+        starvm::perf_store::applicable(loaded.store, config.value().devices);
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      print_entry(i < matched ? "  MATCH " : "  NO CLASS ", entries[i]);
     }
-    std::printf("MISMATCH: store hash %016llx, platform hash %016llx\n",
-                static_cast<unsigned long long>(loaded.store.descriptor_hash),
-                static_cast<unsigned long long>(hash));
-    return 1;
+    std::printf("%s: %zu of %zu entr%s of store '%s' price a device class of "
+                "platform '%s'\n",
+                matched == entries.size() ? "MATCH" : "MISMATCH", matched,
+                entries.size(), entries.size() == 1 ? "y" : "ies", store_path,
+                platform.name().c_str());
+    return matched == entries.size() ? 0 : 1;
   }
 
   std::fprintf(stderr, "pdltool: unknown perf action '%s' (dump|check|clear)\n",

@@ -115,13 +115,15 @@ TEST(Profile, DriftAggregatesInstancesPerCodeletAndDevice) {
 }
 
 TEST(Profile, StoreRatesAnnotateMatchingDriftRows) {
-  RunProfile profile = profile_run(sample_stats());
+  starvm::EngineStats stats = sample_stats();
+  stats.devices[0].class_key = 0xa;
+  stats.devices[1].class_key = 0xb;
+  RunProfile profile = profile_run(stats);
   starvm::perf_store::Store store;
-  store.descriptor_hash = 1;
-  // Matches the "gemm @ device 0" row only; "gemm @ device 1" and
-  // "reduce" have no learned cell and must stay unannotated.
-  store.entries = {{"gemm", 0, 1e-3, 6, 5.0}};
-  apply_store_rates(profile, store);
+  // Matches the "gemm @ device 0" row only, by device 0's class; "gemm @
+  // device 1" and "reduce" have no learned cell and must stay unannotated.
+  store.entries = {{"gemm", 0xa, 1e-3, 6, 5.0}};
+  apply_store_rates(profile, stats, store);
 
   ASSERT_EQ(profile.drift.size(), 3u);
   EXPECT_NEAR(profile.drift[0].store_gflops, 5.0, 1e-12);

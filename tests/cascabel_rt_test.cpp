@@ -206,8 +206,7 @@ TEST(Context, WarmPerfStoreFlipsVariantSelection) {
   const pdl::Platform platform = paper_platform_starpu_cpu();
   auto engine_config = starvm::engine_config_from_platform(platform);
   ASSERT_TRUE(engine_config.ok());
-  const std::uint64_t hash =
-      starvm::perf_store::descriptor_hash(engine_config.value().devices);
+  const std::uint64_t cores = starvm::class_key(engine_config.value().devices[0]);
 
   std::atomic<int> slow_runs{0}, fast_runs{0};
   const auto make_repo = [&]() {
@@ -254,9 +253,8 @@ TEST(Context, WarmPerfStoreFlipsVariantSelection) {
   const std::string path =
       std::string(::testing::TempDir()) + "rt_flip.perfstore";
   starvm::perf_store::Store store;
-  store.descriptor_hash = hash;
-  store.entries = {{"bench_slow", 0, 1e-3, 5, 5.0},
-                   {"bench_fast", 0, 1e-4, 5, 50.0}};
+  store.entries = {{"bench_slow", cores, 1e-3, 5, 5.0},
+                   {"bench_fast", cores, 1e-4, 5, 50.0}};
   ASSERT_TRUE(starvm::perf_store::save(store, path));
   slow_runs = 0;
   fast_runs = 0;
@@ -267,8 +265,8 @@ TEST(Context, WarmPerfStoreFlipsVariantSelection) {
   EXPECT_GT(fast_runs.load(), 0);
 
   // Below the sample threshold the measurement stays advisory-only.
-  store.entries = {{"bench_slow", 0, 1e-3, 1, 5.0},
-                   {"bench_fast", 0, 1e-4, 1, 50.0}};
+  store.entries = {{"bench_slow", cores, 1e-3, 1, 5.0},
+                   {"bench_fast", cores, 1e-4, 1, 50.0}};
   ASSERT_TRUE(starvm::perf_store::save(store, path));
   slow_runs = 0;
   fast_runs = 0;
@@ -285,9 +283,8 @@ TEST(Context, ResolvesTheEnvironmentOnceForItsEngine) {
   auto engine_config = starvm::engine_config_from_platform(platform);
   ASSERT_TRUE(engine_config.ok());
   starvm::perf_store::Store store;
-  store.descriptor_hash =
-      starvm::perf_store::descriptor_hash(engine_config.value().devices);
-  store.entries = {{"Ivecadd", 0, 1e-4, 5, 5.0}};
+  store.entries = {
+      {"Ivecadd", starvm::class_key(engine_config.value().devices[0]), 1e-4, 5, 5.0}};
   const std::string path =
       std::string(::testing::TempDir()) + "rt_env.perfstore";
   ASSERT_TRUE(starvm::perf_store::save(store, path));
@@ -333,8 +330,7 @@ TEST(Context, AccuracyGuardVetoesFasterButLooserVariant) {
   const pdl::Platform platform = paper_platform_starpu_cpu();
   auto engine_config = starvm::engine_config_from_platform(platform);
   ASSERT_TRUE(engine_config.ok());
-  const std::uint64_t hash =
-      starvm::perf_store::descriptor_hash(engine_config.value().devices);
+  const std::uint64_t cores = starvm::class_key(engine_config.value().devices[0]);
 
   std::atomic<int> accurate_runs{0}, loose_runs{0};
   const auto make_repo = [&]() {
@@ -366,9 +362,8 @@ TEST(Context, AccuracyGuardVetoesFasterButLooserVariant) {
   const std::string path =
       std::string(::testing::TempDir()) + "rt_veto.perfstore";
   starvm::perf_store::Store store;
-  store.descriptor_hash = hash;
-  store.entries = {{"bench_accurate", 0, 1e-3, 5, 5.0},
-                   {"bench_loose", 0, 1e-4, 5, 50.0}};
+  store.entries = {{"bench_accurate", cores, 1e-3, 5, 5.0},
+                   {"bench_loose", cores, 1e-4, 5, 50.0}};
   ASSERT_TRUE(starvm::perf_store::save(store, path));
 
   std::vector<double> data(8, 0.0);
@@ -460,6 +455,34 @@ TEST(Context, CalibrationAliasPersistsVariantKeyedRates) {
   EXPECT_TRUE(has_row_key);
   EXPECT_TRUE(has_variant_key);
   std::remove(path.c_str());
+}
+
+TEST(Context, CommittedFixturePreloadsItsGpuRateOnTheRuntimesDeviceList) {
+  // The runtime's list sets one driver core aside per GPU, so gpu1 is not
+  // the device it is in the every-PU list the plan uses; the fixture's gpu1
+  // entries are keyed by its class and reach it all the same.
+  const std::string root = PDL_SOURCE_DIR;
+  auto platform =
+      pdl::parse_platform_file(root + "/platforms/testbed-starpu-2gpu.pdl.xml");
+  ASSERT_TRUE(platform.ok()) << platform.error().str();
+  Options options;
+  options.mode = starvm::ExecutionMode::kPureSim;
+  options.perf_store_path = root + "/tests/fixtures/testbed-starpu-2gpu.perfstore";
+  Context ctx(platform.value(), builtin_repo(), options);
+  const starvm::EngineStats stats = ctx.stats();
+  EXPECT_EQ(stats.perf_store_rejected, 0u);
+  EXPECT_EQ(stats.perf_store_entries, 6u);
+  const std::vector<starvm::DeviceSpec>& devices = ctx.engine().config().devices;
+  const auto gpu1 = std::find_if(devices.begin(), devices.end(),
+                                 [](const auto& d) { return d.name == "gpu1"; });
+  ASSERT_NE(gpu1, devices.end());
+  const std::size_t cls =
+      starvm::device_classes(devices).of[static_cast<std::size_t>(gpu1 - devices.begin())];
+  EXPECT_EQ(ctx.engine().perf_model().samples("dgemm_cuda", cls), 6u);
+  EXPECT_DOUBLE_EQ(
+      ctx.engine().perf_model().estimate("dgemm_cuda", cls, 153.40e9, 1.0), 1.0);
+  ASSERT_NE(ctx.perf_store(), nullptr);
+  EXPECT_EQ(ctx.perf_store()->entries.size(), 6u);
 }
 
 TEST(Context, UnknownInterfaceFails) {

@@ -5,6 +5,7 @@
 #include "pdl/diff.hpp"
 #include "pdl/query.hpp"
 #include "pdl/well_known.hpp"
+#include "starvm/bridge.hpp"
 
 namespace pdl {
 namespace {
@@ -95,11 +96,12 @@ TEST(Diff, FeedbackRefinementIsVisibleInDiff) {
   // The intended workflow: refine_platform + diff shows exactly what the
   // runtime learned.
   Platform target = discovery::paper_platform_starpu_cpu();
-  starvm::EngineStats stats;
-  stats.devices.push_back(
-      starvm::DeviceStats{"cpu_cores#0", starvm::DeviceKind::kCpu, 1, 1.0, 0.0});
-  stats.trace.push_back(starvm::TaskTrace{1, "t", 0, 0.0, 1.0, 0.0, 1.0, 5e9});
-  const Platform refined = cascabel::refine_platform(target, stats);
+  auto config = starvm::engine_config_from_platform(target);
+  ASSERT_TRUE(config.ok());
+  starvm::perf_store::Store store;
+  store.entries.push_back(
+      {"t", starvm::class_key(config.value().devices[0]), 1.0, 1, 5.0});
+  const Platform refined = cascabel::refine_platform(target, store);
 
   const auto entries = diff(target, refined);
   ASSERT_EQ(entries.size(), 1u);

@@ -179,6 +179,49 @@ TEST(FaultTolerance, BudgetExhaustionFailsTaskAndCancelsSuccessors) {
   EXPECT_EQ(engine.stats().cancelled_tasks, 2u);
 }
 
+// The permanent failure and its cascade happen when the last attempt ends,
+// not when the task first became ready: the fault log stays in
+// virtual-clock order.
+TEST(FaultTolerance, PermanentFailureIsStampedNoEarlierThanItsLastAttempt) {
+  for (const ExecutionMode mode :
+       {ExecutionMode::kPureSim, ExecutionMode::kDeterministic}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    EngineConfig config = EngineConfig::cpus(2);
+    config.mode = mode;
+    config.fault_plan = plan("fail:task=1,attempts=99");
+    config.fault_tolerance.max_retries = 2;
+    config.fault_tolerance.blacklist_after = 0;
+    Engine engine(std::move(config));
+    std::vector<double> data(4, 0.0);
+    DataHandle* h = engine.register_vector(data.data(), data.size());
+    Codelet w = make_codelet("w", [](const ExecContext&) {});
+    engine.submit(TaskDesc{&w, {{h, Access::kReadWrite}}, "writer"});
+    engine.submit(TaskDesc{&w, {{h, Access::kReadWrite}}, "dependent"});
+    engine.submit(TaskDesc{&w, {{h, Access::kRead}}, "reader"});
+    ASSERT_FALSE(engine.wait_all().ok());
+
+    const EngineStats stats = engine.stats();
+    double last_failure = -1.0;
+    int permanent = 0;
+    int cancelled = 0;
+    for (const FaultEvent& e : stats.fault_events) {
+      if (e.kind == FaultEvent::Kind::kFailure) last_failure = e.vtime;
+      if (e.kind == FaultEvent::Kind::kTaskFailed) ++permanent;
+      if (e.kind == FaultEvent::Kind::kCancelled) ++cancelled;
+      if (e.kind == FaultEvent::Kind::kTaskFailed ||
+          e.kind == FaultEvent::Kind::kCancelled) {
+        EXPECT_GE(e.vtime, last_failure) << to_string(e.kind);
+      }
+    }
+    EXPECT_EQ(permanent, 1);
+    EXPECT_EQ(cancelled, 2);
+    EXPECT_GT(last_failure, 0.0);
+    for (std::size_t i = 1; i < stats.fault_events.size(); ++i) {
+      EXPECT_GE(stats.fault_events[i].vtime, stats.fault_events[i - 1].vtime) << i;
+    }
+  }
+}
+
 // A reader submitted after its writer failed is cancelled at submission;
 // its attempt chain holds that one cancellation, as a cascade-cancelled
 // task's does.

@@ -615,6 +615,42 @@ TEST_F(ToolsTest, SimulatedRunsLeaveThePersistedPerfStoreUntouched) {
   EXPECT_EQ(pdl::util::read_file(store), fixture);
 }
 
+TEST_F(ToolsTest, CommittedPerfStorePricesGpu1InTheEveryPuPlan) {
+  // The plan schedules every PU, so gpu1 is device 8 there and device 6 in
+  // the runtime's list; the fixture keys its rates by gpu1's class, which
+  // prices it in both. 1.534 GFLOP at the learned 153.4 GFLOPS is 10 ms;
+  // the declared 104.16 GFLOPS would take 14.727 ms.
+  const std::string root = PDL_SOURCE_DIR;
+  const std::string store = root + "/tests/fixtures/testbed-starpu-2gpu.perfstore";
+  const std::string platform = root + "/platforms/testbed-starpu-2gpu.pdl.xml";
+  const std::string graph = temp_path("gpu1.graph");
+  ASSERT_TRUE(pdl::util::write_file(
+      graph, "buffer x 1MB\ntask dgemm_cuda write=x flops=1.534e9\n"));
+  std::string output;
+  EXPECT_EQ(run(kPdlcheck + " --plan --graph " + graph + " --perf-store " + store +
+                    " " + platform,
+                &output),
+            0)
+      << output;
+  EXPECT_NE(output.find("critical-path lower bound: 10.000 ms"), std::string::npos)
+      << output;
+  EXPECT_NE(output.find("device gpu1: busy 10.010 ms"), std::string::npos) << output;
+  EXPECT_EQ(run(kPdlcheck + " --plan --graph " + graph + " " + platform, &output), 0);
+  EXPECT_NE(output.find("critical-path lower bound: 14.727 ms"), std::string::npos)
+      << output;
+
+  // `perf check` passes only when every entry prices a class of the
+  // platform: the single-core testbed has no GPU class.
+  EXPECT_EQ(run(kPdltool + " perf check " + store + " " + platform, &output), 0)
+      << output;
+  EXPECT_NE(output.find("MATCH: 6 of 6 entries"), std::string::npos) << output;
+  EXPECT_EQ(run(kPdltool + " perf check " + store + " " + root +
+                    "/platforms/testbed-single.pdl.xml",
+                &output),
+            1);
+  EXPECT_NE(output.find("NO CLASS dgemm_cuda"), std::string::npos) << output;
+}
+
 TEST_F(ToolsTest, PdlcheckPlanReportsAPlatformTheRuntimeRefuses) {
   // 64 GPU instances need 65 memory nodes; the engine tracks 64. The A5xx
   // pass reports why instead of letting the engine's exception escape.
@@ -678,10 +714,8 @@ TEST_F(ToolsTest, PdlcheckPlanIgnoresThePerfStoreEnvironment) {
   auto config = starvm::engine_config_from_platform(parsed.value(), bridge);
   ASSERT_TRUE(config.ok());
   starvm::perf_store::Store store;
-  store.descriptor_hash =
-      starvm::perf_store::descriptor_hash(config.value().devices);
-  for (std::size_t d = 0; d < config.value().devices.size(); ++d) {
-    store.entries.push_back({"t", static_cast<int>(d), 0.5, 100, 2.0});
+  for (const std::uint64_t key : starvm::device_classes(config.value().devices).keys) {
+    store.entries.push_back({"t", key, 0.5, 100, 2.0});
   }
   const std::string store_path = temp_path("matching.perfstore");
   ASSERT_TRUE(starvm::perf_store::save(store, store_path));
