@@ -62,8 +62,8 @@ struct EngineConfig {
   double task_overhead_us = 10.0;
 
   /// Record a SchedulerDecision (candidate devices + modeled finish times)
-  /// for every task placement. Also implied by an active obs tracer or
-  /// event sink; off by default to keep the hot path free of the cost.
+  /// for every task placement. Also implied by an active obs tracer; off
+  /// by default to keep the hot path free of the cost.
   bool record_decisions = false;
 
   /// Group interchangeable host-node devices into placement classes so
@@ -74,10 +74,11 @@ struct EngineConfig {
   bool placement_classes = true;
 
   /// Flight recorder (docs/OBSERVABILITY.md "Flight recorder & profiling"):
-  /// ring capacity in records per device (rounded up to a power of two;
-  /// 64 bytes per record), plus one ring for the fault path. Always on by
-  /// default — recording is a handful of relaxed atomic stores per task —
-  /// with bounded memory (oldest records are overwritten). 0 disables it.
+  /// records kept per device in the one ring all lanes share (rounded up
+  /// to a power of two; 64 bytes per record); the fault lane keeps as many
+  /// of the fault log's newest entries. Always on by default — recording
+  /// is a handful of relaxed atomic stores per task — with bounded memory
+  /// (oldest records are overwritten). 0 disables it.
   std::size_t flight_records_per_device = 1024;
 
   /// Path prefix for automatic post-mortem flight dumps: on a watchdog
@@ -92,8 +93,9 @@ struct EngineConfig {
   /// engine construction — so HEFT estimates are warm from the first task
   /// — and, by a kHybrid engine only, atomically rewritten with the merged
   /// history at destruction (the simulation modes observe nothing but the
-  /// model's own estimates). The store is keyed by a hash of the device
-  /// descriptors; a mismatched, corrupt, or wrong-version store is rejected
+  /// model's own estimates). Each entry is keyed by its device class
+  /// (perf_store.hpp, format v2): entries of classes this engine lacks are
+  /// kept for the rewrite. A corrupt or wrong-version store is rejected
   /// (counted in EngineStats::perf_store_rejected) and the run proceeds
   /// from declared rates. Empty = no store. The engine reads no
   /// environment for it; rt::Context forwards PDL_PERF_STORE here.

@@ -13,7 +13,6 @@
 #include <span>
 #include <stdexcept>
 
-#include "obs/event_sink.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "starvm/perf_store.hpp"
@@ -633,7 +632,7 @@ detail::TaskNode& Engine::wire_task_locked(TaskDesc&& desc, double flops) {
       {
         std::lock_guard<std::mutex> fault(fault_mutex_);
         record_fault_event_locked(
-            FaultEvent::Kind::kCancelled, task.ready_vtime.load(), task.id, -1,
+            FaultEvent::Kind::kCancelled, task.ready_vtime.load(), &task, -1,
             0, "cancelled: a dependency failed before submission");
       }
       notify_drain();
@@ -1122,7 +1121,7 @@ void Engine::finalize_task(detail::TaskNode& task, detail::DeviceState& device,
     // Close the attempt chain in the fault log: this task failed at least once
     // before succeeding. Cold path only: first successes never take fault_mutex_.
     std::lock_guard<std::mutex> fault(fault_mutex_);
-    record_fault_event_locked(FaultEvent::Kind::kTaskEnd, task.finish_vtime, task.id,
+    record_fault_event_locked(FaultEvent::Kind::kTaskEnd, task.finish_vtime, &task,
                               device.id, task.attempts, {});
   }
   if (flight_) {
@@ -1225,22 +1224,13 @@ bool Engine::has_live_capable_device(const Codelet& codelet) const {
 }
 
 void Engine::record_fault_event_locked(FaultEvent::Kind kind, double vtime,
-                                       TaskId task, DeviceId device,
+                                       detail::TaskNode* task, DeviceId device,
                                        int attempt, std::string detail) {
   if (obs::metrics_enabled()) count_fault(kind);
-  // A completion closes an attempt chain; it is no fault to report.
-  if (kind != FaultEvent::Kind::kTaskEnd && obs::has_event_sink()) {
-    obs::Event event("starvm.fault");
-    event.str("kind", to_string(kind))
-        .num("vtime", vtime)
-        .num("task_id", static_cast<std::uint64_t>(task))
-        .num("device", static_cast<double>(device))
-        .num("attempt", static_cast<std::uint64_t>(attempt < 0 ? 0 : attempt))
-        .str("detail", detail);
-    obs::emit_event(event);
-  }
-  fault_events_.push_back(
-      FaultEvent{kind, vtime, task, device, attempt, std::move(detail)});
+  fault_links_.push_back(task != nullptr ? task->last_fault : detail::kNoFault);
+  if (task != nullptr) task->last_fault = fault_events_.size();
+  fault_events_.push_back(FaultEvent{kind, vtime, task != nullptr ? task->id : 0,
+                                     device, attempt, std::move(detail)});
 }
 
 std::uint64_t Engine::fault_count_locked(FaultEvent::Kind kind) const {
@@ -1249,16 +1239,22 @@ std::uint64_t Engine::fault_count_locked(FaultEvent::Kind kind) const {
                     [kind](const FaultEvent& e) { return e.kind == kind; }));
 }
 
-std::string Engine::attempt_chain_locked(TaskId task) const {
+std::string Engine::attempt_chain_locked(const detail::TaskNode& task) const {
   // Digest for aggregated error messages: without it, a task that both
   // retried and was re-routed off a blacklisted device reports only the
   // LAST failure reason, losing which devices the earlier attempts died on.
   // A task that fails was neither cancelled nor completed: its chain holds
-  // failed attempts and re-routes.
+  // failed attempts and re-routes. Its entries are found through their
+  // links, newest first, so a storm of failures stays linear in the log.
+  std::vector<const FaultEvent*> entries;
+  for (std::size_t i = task.last_fault; i != detail::kNoFault; i = fault_links_[i]) {
+    entries.push_back(&fault_events_[i]);
+  }
   std::string chain;
-  for (const FaultEvent& e : fault_events_) {
+  for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
+    const FaultEvent& e = **it;
     const std::optional<TaskAttempt::Outcome> outcome = attempt_outcome(e.kind);
-    if (e.task != task || !outcome) continue;
+    if (!outcome) continue;
     chain += chain.empty() ? " [" : "; ";
     if (*outcome == TaskAttempt::Outcome::kRerouted) {
       chain += "rerouted off device " + std::to_string(e.device);
@@ -1282,8 +1278,8 @@ void Engine::fail_task_locked(detail::TaskNode& task, double vtime,
   } while (!task.state.compare_exchange_weak(cur, detail::TaskState::kFailed));
 
   task_errors_.push_back("task " + std::to_string(task.id) + " '" + task.label +
-                         "': " + reason + attempt_chain_locked(task.id));
-  record_fault_event_locked(FaultEvent::Kind::kTaskFailed, vtime, task.id,
+                         "': " + reason + attempt_chain_locked(task));
+  record_fault_event_locked(FaultEvent::Kind::kTaskFailed, vtime, &task,
                             task.ran_on, task.attempts, reason);
   pending_.fetch_sub(1);
 
@@ -1306,7 +1302,7 @@ void Engine::fail_task_locked(detail::TaskNode& task, double vtime,
       continue;  // already running, done, or cancelled by another cascade
     }
     record_fault_event_locked(
-        FaultEvent::Kind::kCancelled, vtime, succ->id, -1, 0,
+        FaultEvent::Kind::kCancelled, vtime, succ, -1, 0,
         "cancelled: dependency task " + std::to_string(task.id) + " failed");
     pending_.fetch_sub(1);
     {
@@ -1324,7 +1320,7 @@ void Engine::blacklist_device_locked(detail::DeviceState& device) {
       .live_members.fetch_sub(1, std::memory_order_relaxed);
   ++blacklists_;
   record_fault_event_locked(
-      FaultEvent::Kind::kBlacklist, device.avail_vtime.load(), 0, device.id, 0,
+      FaultEvent::Kind::kBlacklist, device.avail_vtime.load(), nullptr, device.id, 0,
       device.spec.name + " blacklisted after " +
           std::to_string(device.consecutive_failures) +
           " consecutive failures");
@@ -1339,7 +1335,7 @@ void Engine::blacklist_device_locked(detail::DeviceState& device) {
   for (detail::TaskNode* task : drained) {
     if (has_live_capable_device(*task->codelet)) {
       record_fault_event_locked(FaultEvent::Kind::kReroute,
-                                device.avail_vtime.load(), task->id, device.id,
+                                device.avail_vtime.load(), task, device.id,
                                 task->attempts,
                                 "requeued off blacklisted " + device.spec.name);
       if (oracle_ != nullptr) {
@@ -1373,7 +1369,7 @@ void Engine::handle_task_failure(detail::TaskNode& task,
     std::lock_guard<std::mutex> fault(fault_mutex_);
     record_fault_event_locked(
         is_timeout ? FaultEvent::Kind::kTimeout : FaultEvent::Kind::kFailure,
-        attempt_finish, task.id, device.id, task.attempts, reason);
+        attempt_finish, &task, device.id, task.attempts, reason);
 
     const int threshold = config_.fault_tolerance.blacklist_after;
     if (threshold > 0 && !device.blacklisted.load() &&
@@ -1392,7 +1388,7 @@ void Engine::handle_task_failure(detail::TaskNode& task,
       detail::vtime_raise(task.ready_vtime, attempt_finish + backoff_seconds);
       task.ran_on = -1;
       record_fault_event_locked(FaultEvent::Kind::kRetry,
-                                task.ready_vtime.load(), task.id, device.id,
+                                task.ready_vtime.load(), &task, device.id,
                                 task.attempts,
                                 "retry " + std::to_string(task.attempts) + "/" +
                                     std::to_string(retry_budget(device)) +
@@ -1414,8 +1410,7 @@ void Engine::handle_task_failure(detail::TaskNode& task,
 void Engine::record_decision(const detail::TaskNode& task,
                              const detail::DeviceState& chosen) {
   if (obs::metrics_enabled()) decision_counter_->inc();
-  if (!config_.record_decisions && !obs::tracing_enabled() &&
-      !obs::has_event_sink()) {
+  if (!config_.record_decisions && !obs::tracing_enabled()) {
     return;  // hot path: no candidate vector, no lock
   }
 
@@ -1426,9 +1421,11 @@ void Engine::record_decision(const detail::TaskNode& task,
   decision.decided_vtime =
       std::max(chosen.avail_vtime.load(), task.ready_vtime.load());
   // One candidate per placement class keeps the log exact without a
-  // per-member walk: members share the cost estimate, and the entry for
-  // the winner's class is computed on the winner itself, so the chosen
-  // device always appears with its own numbers.
+  // per-member walk: members share the cost HEFT ranks with, and the entry
+  // for the winner's class is read on the winner itself, so the chosen
+  // device always appears with its own clock.
+  std::vector<double> cost(classes_.size());
+  estimated_cost_class_row(task, cost.data());
   const std::size_t chosen_class = class_of_[static_cast<std::size_t>(chosen.id)];
   for (std::size_t c = 0; c < classes_.size(); ++c) {
     const detail::PlacementClass& pc = classes_[c];
@@ -1442,35 +1439,9 @@ void Engine::record_decision(const detail::TaskNode& task,
     candidate.device_name = device.spec.name;
     candidate.class_size = static_cast<int>(pc.members.size());
     candidate.est_finish_vtime =
-        std::max(device.avail_vtime.load(), task.ready_vtime.load()) +
-        estimated_cost(task, device);
+        std::max(device.avail_vtime.load(), task.ready_vtime.load()) + cost[c];
     decision.candidates.push_back(std::move(candidate));
   }
-
-  if (obs::has_event_sink()) {
-    obs::Event event("starvm.decision");
-    event.str("task", decision.label)
-        .num("task_id", static_cast<std::uint64_t>(decision.task))
-        .num("chosen", static_cast<double>(decision.chosen))
-        .str("chosen_name", chosen.spec.name)
-        .str("policy", to_string(config_.scheduler))
-        .num("decided_vtime", decision.decided_vtime);
-    std::string candidates = "[";
-    for (std::size_t i = 0; i < decision.candidates.size(); ++i) {
-      const DecisionCandidate& c = decision.candidates[i];
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "%.9g", c.est_finish_vtime);
-      if (i > 0) candidates += ",";
-      candidates += "{\"device\":" + std::to_string(c.device) + ",\"name\":\"" +
-                    obs::json_escape(c.device_name) +
-                    "\",\"devices\":" + std::to_string(c.class_size) +
-                    ",\"est_finish_vtime\":" + buf + "}";
-    }
-    candidates += "]";
-    event.raw("candidates", candidates);
-    obs::emit_event(event);
-  }
-
   decisions_.push_back(std::move(decision));
 }
 
@@ -1632,45 +1603,27 @@ double Engine::exec_estimate(const detail::TaskNode& task,
                                 known_work(task), device.spec.sustained_gflops);
 }
 
-double Engine::estimated_cost(const detail::TaskNode& task,
-                              const detail::DeviceState& device) const {
-  double transfer = 0.0;
-  if (!single_node_) {
-    std::lock_guard<std::mutex> lock(memory_mutex_);
-    for (const auto& view : task.buffers) {
-      const DataHandle* h = view.handle;
-      if (reads(view.mode) && !h->valid_on(device.node)) {
-        const MemoryNodeId source = h->first_valid_node();
-        if (source >= 0) {
-          transfer += link_transfer_seconds(h->bytes(), source, device.node);
-        }
-      }
-    }
-  }
-  return transfer + exec_estimate(task, device);
-}
-
 void Engine::estimated_cost_class_row(const detail::TaskNode& task,
                                       double* out) const {
-  const std::size_t nc = classes_.size();
-  for (std::size_t c = 0; c < nc; ++c) {
-    // Members are spec-identical: one device class prices them all.
-    const auto& rep = devices_[static_cast<std::size_t>(classes_[c].representative)];
-    out[c] = PerfModel::estimate_in(task.model_row, rep.device_class,
-                                    known_work(task), class_gflops_[c]);
-  }
-  if (single_node_) return;  // no replicas to move, nothing to add
-  std::lock_guard<std::mutex> lock(memory_mutex_);
-  for (std::size_t c = 0; c < nc; ++c) {
-    const MemoryNodeId node = classes_[c].node;
-    for (const auto& view : task.buffers) {
-      const DataHandle* h = view.handle;
-      if (!reads(view.mode) || h->valid_on(node)) continue;
-      const MemoryNodeId source = h->first_valid_node();
-      if (source >= 0) {
-        out[c] += link_transfer_seconds(h->bytes(), source, node);
+  // Replica state is read once for the whole row; a single-node platform
+  // has none to move.
+  std::unique_lock<std::mutex> lock(memory_mutex_, std::defer_lock);
+  if (!single_node_) lock.lock();
+  for (std::size_t c = 0; c < classes_.size(); ++c) {
+    const detail::PlacementClass& pc = classes_[c];
+    double transfer = 0.0;
+    if (!single_node_) {
+      for (const auto& view : task.buffers) {
+        const DataHandle* h = view.handle;
+        if (!reads(view.mode) || h->valid_on(pc.node)) continue;
+        const MemoryNodeId source = h->first_valid_node();
+        if (source >= 0) transfer += link_transfer_seconds(h->bytes(), source, pc.node);
       }
     }
+    // Members are spec-identical: one device class prices them all.
+    const auto& rep = devices_[static_cast<std::size_t>(pc.representative)];
+    out[c] = transfer + PerfModel::estimate_in(task.model_row, rep.device_class,
+                                               known_work(task), class_gflops_[c]);
   }
 }
 

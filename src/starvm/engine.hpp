@@ -336,11 +336,12 @@ class Engine {
 
   bool has_live_capable_device(const Codelet& codelet) const;
 
-  /// Append to the fault log and, for a fault event, emit its sink line
-  /// (fault_mutex_ held). The one writer of fault edges.
+  /// Append to the fault log and link the entry to `task`'s previous one
+  /// (fault_mutex_ held). The one writer of fault edges; `task` is null
+  /// for an edge that concerns a device only.
   void record_fault_event_locked(FaultEvent::Kind kind, double vtime,
-                                 TaskId task, DeviceId device, int attempt,
-                                 std::string detail);
+                                 detail::TaskNode* task, DeviceId device,
+                                 int attempt, std::string detail);
 
   /// Entries of `kind` in the fault log (fault_mutex_ held).
   std::uint64_t fault_count_locked(FaultEvent::Kind kind) const;
@@ -383,14 +384,11 @@ class Engine {
                               MemoryNodeId from, MemoryNodeId to,
                               double& cost);
 
-  /// Estimate for the HEFT policy: transfers (without mutating state) plus
-  /// execution estimate. Takes memory_mutex_ only on multi-node platforms.
-  double estimated_cost(const detail::TaskNode& task,
-                        const detail::DeviceState& device) const;
-
-  /// Class form for placement: fills out[c] for every placement class,
-  /// taking the perf-model lock once and memory_mutex_ at most once for
-  /// the whole row instead of once per candidate. Member devices of a
+  /// The one placement cost, which HEFT ranks with and a recorded decision
+  /// prices its candidates with: fills out[c] for every placement class
+  /// with the transfers `task` would need there (without mutating replica
+  /// state) plus its execution estimate. Takes memory_mutex_ once for the
+  /// whole row, and only on multi-node platforms. Member devices of a
   /// class share kind, rate, link parameters and memory node, so one
   /// estimate is exact for all of them.
   void estimated_cost_class_row(const detail::TaskNode& task,
@@ -530,10 +528,13 @@ class Engine {
   /// EngineStats' fault counters, fault_events and attempts, the drain
   /// status and the flight dump's fault lane are all read off it.
   std::vector<FaultEvent> fault_events_;
+  /// fault_links_[i]: the index of the previous entry of fault_events_[i]'s
+  /// task, or detail::kNoFault (TaskNode::last_fault is the newest).
+  std::vector<std::size_t> fault_links_;
 
   /// One-line digest of `task`'s attempt chain for error messages
   /// (fault_mutex_ held); empty when the chain is empty.
-  std::string attempt_chain_locked(TaskId task) const;
+  std::string attempt_chain_locked(const detail::TaskNode& task) const;
 
   // Flight recorder (docs/OBSERVABILITY.md): one ring for every lane,
   // written only under mutex_, so it has one producer at a time. Null

@@ -19,6 +19,7 @@
 
 #include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -34,6 +35,9 @@
 namespace starvm::detail {
 
 enum class TaskState { kWaiting, kReady, kRunning, kDone, kFailed };
+
+/// No entry in the engine's fault log.
+inline constexpr std::size_t kNoFault = static_cast<std::size_t>(-1);
 
 struct TaskNode {
   // --- immutable after wiring ---
@@ -77,6 +81,9 @@ struct TaskNode {
 
   // --- fault tolerance ---
   int attempts = 0;  ///< execution attempts started so far
+  /// Index of this task's newest entry in the engine's fault log, or
+  /// kNoFault (fault_mutex_).
+  std::size_t last_fault = kNoFault;
 
   /// Link in the engine's inbox of submitted ready tasks.
   TaskNode* next_ready = nullptr;

@@ -31,10 +31,10 @@
 namespace starvm::detail {
 
 /// Batched cost estimate: fills `out[c]` with the estimated cost (seconds)
-/// of running `task` on a device of placement class c — execution plus
-/// pending data transfers. Class-at-a-time so the engine can take its
-/// memory lock and the perf-model history lock once per task and every
-/// member of a quantity-expanded worker group shares one evaluation.
+/// of running `task` on a device of placement class c — pending data
+/// transfers plus execution. Class-at-a-time so the engine takes its
+/// memory lock once per task and every member of a quantity-expanded
+/// worker group shares one evaluation.
 using CostClassFn = std::function<void(const TaskNode&, double* out)>;
 
 class Scheduler {

@@ -72,11 +72,11 @@ struct DeviceStats {
 };
 
 /// One fault-tolerance decision, in the order the engine made them.
-/// Rendered as instant events in the Chrome trace and emitted on the obs
-/// event sink. The engine's fault log holds these plus one kTaskEnd entry
+/// Rendered as instant events in the Chrome trace and in the flight dump's
+/// fault lane. The engine's fault log holds these plus one kTaskEnd entry
 /// per task that completed after a failed attempt; those entries close
 /// attempt chains and appear in neither EngineStats::fault_events nor the
-/// sink.
+/// fault lane.
 struct FaultEvent {
   /// The flight record's kind; a fault event is one of kRetry through
   /// kCancelled, and obs::to_string names it.
@@ -128,8 +128,8 @@ struct DecisionCandidate {
 };
 
 /// A placement decision: which device won a task and what the alternatives
-/// looked like. Recorded when EngineConfig::record_decisions is set or an
-/// obs trace/event sink is active.
+/// looked like. Recorded when EngineConfig::record_decisions is set or the
+/// obs tracer is on.
 struct SchedulerDecision {
   TaskId task = 0;
   std::string label;

@@ -6,13 +6,11 @@
 
 #include "json_checker.hpp"
 #include "obs/env.hpp"
-#include "obs/event_sink.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "starvm/engine.hpp"
 #include "starvm/trace_export.hpp"
-#include "util/string_util.hpp"
 
 namespace obs {
 namespace {
@@ -139,47 +137,6 @@ TEST(Trace, ChromeTraceOfSpansIsValidJson) {
   EXPECT_TRUE(testjson::contains_string(parsed, "thread_name"));
 }
 
-TEST(Events, MemorySinkReceivesValidJsonLines) {
-  auto sink = std::make_shared<MemorySink>();
-  auto previous = set_event_sink(sink);
-  EXPECT_TRUE(has_event_sink());
-  Event event("unit.test");
-  event.str("key", "value \"x\"").num("n", std::uint64_t{42}).num("f", 1.5);
-  emit_event(event);
-  set_event_sink(previous);
-
-  const auto lines = sink->lines();
-  ASSERT_EQ(lines.size(), 1u);
-  const auto parsed = testjson::parse(lines[0]);
-  ASSERT_TRUE(parsed.ok) << parsed.error << "\n" << lines[0];
-  EXPECT_TRUE(testjson::contains_string(parsed, "unit.test"));
-  EXPECT_TRUE(testjson::contains_string(parsed, "value \"x\""));
-  EXPECT_NE(lines[0].find("\"n\":42"), std::string::npos);
-}
-
-TEST(Events, NoSinkMeansCheapNoOp) {
-  auto previous = set_event_sink(nullptr);
-  EXPECT_FALSE(has_event_sink());
-  emit_event(Event("dropped"));  // must not crash
-  set_event_sink(previous);
-}
-
-TEST(Events, JsonlFileSinkWritesOneLinePerEvent) {
-  const std::string path = testing::TempDir() + "/obs_events.jsonl";
-  {
-    auto sink = std::make_shared<JsonlFileSink>(path);
-    ASSERT_TRUE(sink->ok());
-    auto previous = set_event_sink(sink);
-    emit_event(Event("first"));
-    emit_event(Event("second"));
-    set_event_sink(previous);
-  }
-  const auto text = pdl::util::read_file(path);
-  ASSERT_TRUE(text.has_value());
-  EXPECT_NE(text->find("{\"event\":\"first\"}\n"), std::string::npos);
-  EXPECT_NE(text->find("{\"event\":\"second\"}\n"), std::string::npos);
-}
-
 TEST(Env, TracePathIgnoresBooleanValues) {
   setenv("PDL_TRACE", "0", 1);
   EXPECT_EQ(env_trace_path(), "");
@@ -249,17 +206,15 @@ TEST(Decisions, AppearAsInstantEventsInChromeTrace) {
   EXPECT_NE(json.find("\"candidates\":["), std::string::npos);
 }
 
-TEST(Decisions, ForwardedToEventSink) {
-  auto sink = std::make_shared<MemorySink>();
-  auto previous = set_event_sink(sink);
-  run_sample_engine(false);  // sink alone must activate recording
-  set_event_sink(previous);
-  const auto lines = sink->lines();
-  ASSERT_EQ(lines.size(), 4u);
-  for (const auto& line : lines) {
-    const auto parsed = testjson::parse(line);
-    ASSERT_TRUE(parsed.ok) << parsed.error << "\n" << line;
-    EXPECT_TRUE(testjson::contains_string(parsed, "starvm.decision"));
+TEST(Decisions, RecordedWhileTracing) {
+  Tracer& tracer = Tracer::instance();
+  const bool was_tracing = tracer.enabled();
+  tracer.set_enabled(true);
+  const auto stats = run_sample_engine(false);  // the tracer alone records
+  tracer.set_enabled(was_tracing);
+  ASSERT_EQ(stats.decisions.size(), 4u);
+  for (const auto& decision : stats.decisions) {
+    EXPECT_EQ(decision.candidates.size(), 1u);
   }
 }
 

@@ -4,8 +4,13 @@
 // survivors).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <limits>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "kernels/cholesky.hpp"
@@ -355,6 +360,95 @@ TEST(FaultTolerance, AllDevicesDeadFailsInsteadOfHanging) {
   EXPECT_EQ(stats.tasks_completed, 0u);
   EXPECT_EQ(stats.failed_tasks + stats.cancelled_tasks, 2u);
   EXPECT_EQ(stats.devices_blacklisted, 1u);
+}
+
+TEST(FaultTolerance, FaultStormDrainsInLinearTime) {
+  // An accelerator that is dead from the start is blacklisted, and every
+  // task queued on it then fails for good, each quoting its own attempt
+  // chain. Best of 3 submit-and-drain times per task.
+  const auto seconds_per_task = [](int tasks) {
+    double best = std::numeric_limits<double>::infinity();
+    for (int rep = 0; rep < 3; ++rep) {
+      EngineConfig config = EngineConfig::cpus(1);
+      DeviceSpec accel;
+      accel.name = "gpu";
+      accel.kind = DeviceKind::kAccelerator;
+      config.devices.push_back(accel);
+      config.mode = ExecutionMode::kPureSim;
+      config.fault_plan = plan("kill:device=1");
+      Engine engine(std::move(config));
+      std::vector<double> data(static_cast<std::size_t>(tasks), 1.0);
+      DataHandle* h = engine.register_vector(data.data(), data.size());
+      const std::vector<DataHandle*> blocks = engine.partition_vector(h, tasks);
+      Codelet c = make_codelet("k", [](const ExecContext&) {}, DeviceKind::kAccelerator);
+      const auto start = std::chrono::steady_clock::now();
+      for (DataHandle* b : blocks) engine.submit(TaskDesc{&c, {{b, Access::kReadWrite}}});
+      EXPECT_FALSE(engine.wait_all().ok());
+      const std::chrono::duration<double> took = std::chrono::steady_clock::now() - start;
+      best = std::min(best, took.count());
+    }
+    return best / tasks;
+  };
+  const double small = seconds_per_task(2000);
+  const double large = seconds_per_task(32000);
+  // Linear: about 1x; one scan of the fault log per failed task would make
+  // it about 16x.
+  EXPECT_LT(large / small, 3.0);
+}
+
+/// Sixteen CPU tasks on sixteen blocks on two CPUs under `spec`; returns
+/// wait_all()'s status message and EngineStats::errors.
+std::pair<std::string, std::vector<std::string>> sixteen_under(std::string_view spec) {
+  EngineConfig config = EngineConfig::cpus(2);
+  config.mode = ExecutionMode::kPureSim;
+  config.fault_plan = plan(spec);
+  Engine engine(std::move(config));
+  std::vector<double> data(16, 1.0);
+  DataHandle* h = engine.register_vector(data.data(), data.size());
+  Codelet c = make_codelet("k", [](const ExecContext&) {});
+  for (DataHandle* b : engine.partition_vector(h, 16)) {
+    engine.submit(TaskDesc{&c, {{b, Access::kReadWrite}}});
+  }
+  const pdl::util::Status status = engine.wait_all();
+  return {status.ok() ? std::string() : status.error().message, engine.stats().errors};
+}
+
+TEST(FaultTolerance, FailureDigestQuotesEachTasksAttemptChain) {
+  // Task 14 is re-routed off the dead device, then exhausts its budget on
+  // the survivor: its one error quotes the whole chain in log order.
+  const auto [one, one_errors] = sixteen_under("kill:device=1;fail:task=14,attempts=99");
+  const std::string task14 =
+      "task 14 'k': injected failure (task 14, attempt 3) [rerouted off device 1; "
+      "attempt 1 on device 0: failed (injected failure (task 14, attempt 1)); "
+      "attempt 2 on device 0: failed (injected failure (task 14, attempt 2)); "
+      "attempt 3 on device 0: failed (injected failure (task 14, attempt 3))]";
+  EXPECT_EQ(one_errors, std::vector<std::string>{task14});
+  EXPECT_EQ(one, "1 task(s) failed: " + task14);
+
+  // Every device dead: each task fails with its own chain, in the order
+  // the tasks failed, and the status quotes the first three errors.
+  const auto [all, all_errors] = sixteen_under("kill:device=0;kill:device=1");
+  const auto dead = [](int task, const std::string& chain) {
+    return "task " + std::to_string(task) +
+           " 'k': no live device can execute codelet 'k'" + chain;
+  };
+  const std::string killed0 = "failed (device 0 killed after 0 task(s))";
+  const std::string killed1 = "failed (device 1 killed after 0 task(s))";
+  const std::string off0 = " [rerouted off device 0]";
+  const std::string failed_then_off0 =
+      " [attempt 1 on device 0: " + killed0 + "; rerouted off device 0]";
+  EXPECT_EQ(all_errors,
+            (std::vector<std::string>{
+                dead(8, ""), dead(10, ""), dead(12, ""), dead(14, ""), dead(16, ""),
+                dead(2, " [attempt 1 on device 1: " + killed1 + "]"),
+                dead(4, " [attempt 1 on device 1: " + killed1 + "]"),
+                dead(7, off0), dead(9, off0), dead(11, off0), dead(13, off0),
+                dead(15, off0), dead(1, failed_then_off0), dead(3, failed_then_off0),
+                dead(5, " [attempt 1 on device 0: " + killed0 + "]"),
+                "task 6 'k': device 1 killed after 0 task(s) [attempt 1 on device 1: " +
+                    killed1 + "]"}));
+  EXPECT_EQ(all, "16 task(s) failed: " + dead(8, "") + "; " + dead(10, "") + "; " +
+                     dead(12, "") + "; ... (13 more, see EngineStats::errors)");
 }
 
 // --- acceptance: killed accelerator mid-DAG ----------------------------------

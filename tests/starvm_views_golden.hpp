@@ -8,14 +8,13 @@
 //   * to_chrome_trace() of those stats;
 //   * the flight recorder as Engine::dump_flight_recorder writes it:
 //     obs::flight_events_jsonl with task labels, then flight_chrome_trace;
-//   * every line an obs::MemorySink received (decisions and faults);
 //   * the non-zero `pdl_starvm_*` samples of render_prometheus(), with the
 //     registry reset before the run and hot-path metrics on during it.
 //
-// The programs:
+// The programs, all with record_decisions on:
 //
 //   * the Fig-5 DGEMM (n = 256) on platforms/testbed-starpu-2gpu.pdl.xml
-//     through cascabel::rt::Context, with record_decisions on;
+//     through cascabel::rt::Context;
 //   * twelve tasks on four cores (eight independent, a four-task chain
 //     after the first) under `fail:task=3,attempts=1`: one retry that
 //     succeeds;
@@ -42,7 +41,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/event_sink.hpp"
 #include "obs/metrics.hpp"
 #include "starvm/trace_export.hpp"
 #include "starvm_schedule_golden.hpp"
@@ -146,19 +144,15 @@ inline void render_engine(std::string& out, Engine& engine) {
 }
 
 /// Runs `program` against a reset metrics registry with hot-path metrics
-/// on and a MemorySink installed, then appends every view.
+/// on, then appends every view.
 inline void render_run(std::string& out, const std::string& title,
                        const std::function<void(const ViewFn&)>& program) {
   out += "== " + title + " ==\n";
   obs::Registry::global().reset();
   const bool metrics_were_on = obs::metrics_enabled();
   obs::set_metrics_enabled(true);
-  const auto sink = std::make_shared<obs::MemorySink>();
-  const std::shared_ptr<obs::EventSink> previous = obs::set_event_sink(sink);
   program([&out](Engine& engine) { render_engine(out, engine); });
-  obs::set_event_sink(previous);
   obs::set_metrics_enabled(metrics_were_on);
-  for (const std::string& line : sink->lines()) out += "event " + line + "\n";
   // Only samples, and only non-zero ones: which instruments exist depends
   // on what else the process ran, a zero sample of a new one does not.
   std::istringstream prom(obs::render_prometheus());
@@ -172,6 +166,7 @@ inline void render_run(std::string& out, const std::string& title,
 inline EngineConfig faulted_config(int workers, SchedulerKind scheduler,
                                    ExecutionMode mode, const std::string& plan) {
   EngineConfig config = manycore_config(workers, scheduler, mode, true);
+  config.record_decisions = true;
   config.fault_plan =
       std::make_shared<const FaultPlan>(FaultPlan::parse(plan).value());
   return config;
