@@ -5,7 +5,7 @@ namespace pdl::discovery {
 const std::vector<SimDeviceSpec>& simulated_device_db() {
   // Datasheet parameters for the paper's testbed GPUs plus a few
   // contemporaries, so examples can target platforms the authors mention
-  // (Cell-style accelerators are modeled in presets.cpp instead).
+  // (Cell-style accelerators are described in platforms/cell-be.pdl.xml).
   static const std::vector<SimDeviceSpec> db = {
       {
           // The paper's Listing 2 device and primary GPU (Fermi GF100).

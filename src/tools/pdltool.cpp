@@ -19,7 +19,7 @@
 //                                            workers | interconnects
 //   pdltool match <platform.xml> <pattern>   compact-syntax pattern match
 //   pdltool discover [--gpus]                emit PDL for this host
-//   pdltool presets                          emit the built-in platforms
+//   pdltool presets                          print the shipped platforms/ files
 //
 // The "namespace for reference to architectural properties" usage scenario
 // of paper §II, as a tool.
@@ -364,13 +364,9 @@ int cmd_discover(bool with_gpus) {
 }
 
 int cmd_presets() {
-  for (const auto& preset : {pdl::discovery::paper_platform_single(),
-                             pdl::discovery::paper_platform_starpu_cpu(),
-                             pdl::discovery::paper_platform_starpu_2gpu(),
-                             pdl::discovery::cell_be_platform(),
-                             pdl::discovery::hierarchical_hybrid_platform()}) {
-    std::printf("<!-- preset: %s -->\n%s\n", preset.name().c_str(),
-                pdl::serialize(preset).c_str());
+  for (const auto& [stem, text] : pdl::discovery::preset_files()) {
+    std::printf("<!-- preset: %.*s -->\n", static_cast<int>(stem.size()), stem.data());
+    std::fwrite(text.data(), 1, text.size(), stdout);
   }
   return 0;
 }

@@ -1,15 +1,35 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "discovery/device_db.hpp"
 #include "discovery/discovery.hpp"
 #include "discovery/presets.hpp"
+#include "pdl/diff.hpp"
 #include "pdl/extension.hpp"
+#include "pdl/parser.hpp"
 #include "pdl/query.hpp"
+#include "pdl/serializer.hpp"
 #include "pdl/validate.hpp"
 #include "pdl/well_known.hpp"
 
 namespace pdl::discovery {
 namespace {
+
+/// The paper testbed CPU: dual-socket 2.66 GHz Intel Xeon X5550 (quad-core).
+HostCpuInfo paper_testbed_cpu() {
+  HostCpuInfo cpu;
+  cpu.model_name = "Intel Xeon X5550";
+  cpu.vendor = "GenuineIntel";
+  cpu.sockets = 2;
+  cpu.physical_cores = 8;
+  cpu.logical_cpus = 16;
+  cpu.mhz = 2660.0;
+  return cpu;
+}
 
 TEST(DeviceDb, ContainsPaperGpus) {
   const SimDeviceSpec* gtx480 = find_device("GeForce GTX 480");
@@ -155,6 +175,49 @@ TEST(Presets, PaperTestbedShapes) {
   const ProcessingUnit* gpu1 = find_pu(gpu, "gpu1");
   ASSERT_NE(gpu1, nullptr);
   EXPECT_EQ(gpu1->descriptor().get(props::kModel), "GeForce GTX 480");
+}
+
+Platform shipped_file(const std::string& stem) {
+  auto file = parse_platform_file(std::string(PDL_SOURCE_DIR) + "/platforms/" + stem +
+                                  ".pdl.xml");
+  EXPECT_TRUE(file.ok()) << stem << ": " << file.error().str();
+  return file.ok() ? std::move(file).value() : Platform();
+}
+
+/// `serialize` with the namespace declarations in one order.
+std::string serialize_sorted(Platform& platform) {
+  std::sort(platform.namespaces().begin(), platform.namespaces().end());
+  return serialize(platform);
+}
+
+// Each builder returns exactly the platform its file in platforms/ describes.
+TEST(Presets, BuildersMatchTheShippedFiles) {
+  std::vector<std::pair<std::string, Platform>> presets;
+  presets.emplace_back("testbed-single", paper_platform_single());
+  presets.emplace_back("testbed-starpu", paper_platform_starpu_cpu());
+  presets.emplace_back("testbed-starpu-2gpu", paper_platform_starpu_2gpu());
+  presets.emplace_back("cell-be", cell_be_platform());
+  presets.emplace_back("manycore-1k", manycore_platform());
+  presets.emplace_back("hierarchical", hierarchical_hybrid_platform());
+  for (auto& [stem, built] : presets) {
+    SCOPED_TRACE(stem);
+    Platform file = shipped_file(stem);
+    const std::vector<DiffEntry> entries = diff(file, built);
+    EXPECT_TRUE(entries.empty()) << to_string(entries);
+    EXPECT_EQ(serialize_sorted(built), serialize_sorted(file));
+  }
+
+  // The worker count is the one thing manycore_platform changes.
+  const Platform seven = manycore_platform(7);
+  const ProcessingUnit* minion = find_pu(seven, "minion");
+  ASSERT_NE(minion, nullptr);
+  EXPECT_EQ(minion->quantity(), 7);
+  const std::vector<DiffEntry> entries = diff(shipped_file("manycore-1k"), seven);
+  ASSERT_EQ(entries.size(), 1u) << to_string(entries);
+  EXPECT_EQ(entries[0].kind, DiffKind::kQuantityChanged);
+  EXPECT_EQ(entries[0].pu_path, minion->path());
+  EXPECT_EQ(entries[0].before, "1088");
+  EXPECT_EQ(entries[0].after, "7");
 }
 
 }  // namespace

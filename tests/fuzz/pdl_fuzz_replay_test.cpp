@@ -1,5 +1,5 @@
 // Replay driver for the PDL fuzz entry (pdl_fuzz_target.hpp): runs every
-// document of tests/fixtures/pdl_corpus, then a fixed number of seeded
+// document of the PDL corpus (pdl_corpus.hpp), then a fixed number of seeded
 // mutations of each (byte flips, deletions and splices from other corpus
 // documents), through the same check a fuzzer would run.
 #include <gtest/gtest.h>
@@ -71,9 +71,8 @@ std::string printable(std::string_view input) {
 }
 
 TEST(PdlFuzzReplay, CorpusAndSeededMutationsHoldEveryProperty) {
-  const auto dir = std::filesystem::path(PDL_SOURCE_DIR) / "tests/fixtures/pdl_corpus";
   std::vector<std::string> corpus;
-  for (const auto& path : corpus::documents(dir)) {
+  for (const auto& path : corpus::documents(PDL_SOURCE_DIR)) {
     auto text = util::read_file(path.string());
     ASSERT_TRUE(text.has_value()) << path;
     corpus.push_back(std::move(*text));

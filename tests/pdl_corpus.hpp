@@ -1,11 +1,13 @@
-// Golden rendering of PDL documents for the corpus in
-// tests/fixtures/pdl_corpus. Each `<doc>.xml` there has a `<doc>.xml.golden`
-// next to it holding what `render` prints for it: the parse error, or the
-// diagnostics in the order the parser reported them, the SourceLoc of every
-// processing unit, property, memory region and interconnect, and
+// Golden rendering of the PDL corpus: the edge documents of
+// tests/fixtures/pdl_corpus, the shipped descriptions in platforms/ and the
+// test descriptions in tests/fixtures, each read where it lives. Every
+// document `<name>.xml` has its golden in tests/fixtures/pdl_corpus as
+// `<name>.xml.golden`, holding what `render` prints for it: the parse error,
+// or the diagnostics in the order the parser reported them, the SourceLoc of
+// every processing unit, property, memory region and interconnect, and
 // `pdl::serialize` under all four option combinations.
 //
-// `pdl_corpus_record <dir>` (tests/pdl_corpus_record.cpp) rewrites the
+// `pdl_corpus_record <root>` (tests/pdl_corpus_record.cpp) rewrites the
 // goldens from the code it was built from; `test_pdl` compares against them.
 #pragma once
 
@@ -70,14 +72,24 @@ inline std::string render(std::string_view text, const std::string& source_name)
   return out;
 }
 
-/// The corpus documents (`*.xml`) in `dir`, sorted by name.
-inline std::vector<std::filesystem::path> documents(const std::filesystem::path& dir) {
+/// The corpus documents (`*.xml`) under the source root `root`, sorted by
+/// file name (which names each one's golden).
+inline std::vector<std::filesystem::path> documents(const std::filesystem::path& root) {
   std::vector<std::filesystem::path> out;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().extension() == ".xml") out.push_back(entry.path());
+  for (const char* dir : {"tests/fixtures/pdl_corpus", "platforms", "tests/fixtures"}) {
+    for (const auto& entry : std::filesystem::directory_iterator(root / dir)) {
+      if (entry.path().extension() == ".xml") out.push_back(entry.path());
+    }
   }
-  std::sort(out.begin(), out.end());
+  std::sort(out.begin(), out.end(),
+            [](const auto& a, const auto& b) { return a.filename() < b.filename(); });
   return out;
+}
+
+/// The golden of corpus document `doc`.
+inline std::filesystem::path golden(const std::filesystem::path& root,
+                                    const std::filesystem::path& doc) {
+  return root / "tests/fixtures/pdl_corpus" / (doc.filename().string() + ".golden");
 }
 
 }  // namespace pdl::corpus

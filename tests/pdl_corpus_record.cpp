@@ -1,10 +1,12 @@
-// Rewrites the golden files of a PDL corpus directory:
+// Rewrites the golden files of the PDL corpus (pdl_corpus.hpp) under a
+// source root:
 //
-//     pdl_corpus_record tests/fixtures/pdl_corpus
+//     pdl_corpus_record .
 //
-// writes `<doc>.xml.golden` = pdl::corpus::render(<doc>.xml) for every
-// document in the directory. Record goldens with a build of the code whose
-// behaviour they should pin, then let test_pdl compare later builds.
+// writes tests/fixtures/pdl_corpus/<doc>.xml.golden = pdl::corpus::render(
+// <doc>.xml) for every corpus document. Record goldens with a build of the
+// code whose behaviour they should pin, then let test_pdl compare later
+// builds.
 #include <cstdio>
 #include <fstream>
 
@@ -13,7 +15,7 @@
 
 int main(int argc, char** argv) {
   if (argc != 2) {
-    std::fprintf(stderr, "usage: %s <corpus-dir>\n", argv[0]);
+    std::fprintf(stderr, "usage: %s <source-root>\n", argv[0]);
     return 2;
   }
   int written = 0;
@@ -23,7 +25,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot read %s\n", path.c_str());
       return 1;
     }
-    std::ofstream out(path.string() + ".golden", std::ios::binary);
+    std::ofstream out(pdl::corpus::golden(argv[1], path), std::ios::binary);
     out << pdl::corpus::render(*text, path.filename().string());
     ++written;
   }

@@ -5,7 +5,10 @@
 #include <unistd.h>
 
 #include <cstdlib>
+#include <filesystem>
+#include <map>
 #include <string>
+#include <string_view>
 
 #include "json_checker.hpp"
 #include "pdl/parser.hpp"
@@ -118,6 +121,26 @@ TEST_F(ToolsTest, PdltoolXsdIsWellFormed) {
   EXPECT_EQ(run(kPdltool + " xsd", &output), 0);
   EXPECT_NE(output.find("<xs:schema"), std::string::npos);
   EXPECT_NE(output.find("oclDevicePropertyType"), std::string::npos);
+}
+
+TEST_F(ToolsTest, PdltoolPresetsPrintsEveryShippedFile) {
+  // Each platforms/<stem>.pdl.xml byte for byte, after a line naming it,
+  // in the order of the stems.
+  constexpr std::string_view kSuffix = ".pdl.xml";
+  std::map<std::string, std::string> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(std::string(PDL_SOURCE_DIR) + "/platforms")) {
+    const std::string name = entry.path().filename().string();
+    if (!name.ends_with(kSuffix)) continue;
+    const auto text = pdl::util::read_file(entry.path().string());
+    ASSERT_TRUE(text.has_value()) << name;
+    files[name.substr(0, name.size() - kSuffix.size())] = *text;
+  }
+  std::string expected;
+  for (const auto& [stem, text] : files) expected += "<!-- preset: " + stem + " -->\n" + text;
+  std::string output;
+  EXPECT_EQ(run(kPdltool + " presets", &output), 0);
+  EXPECT_EQ(output, expected);
 }
 
 TEST_F(ToolsTest, PdltoolDiffDetectsChanges) {
