@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <iterator>
 #include <limits>
 #include <mutex>
@@ -65,6 +66,12 @@ pdl::util::Status check_argument_pairs(const std::string& iface,
   return {};
 }
 
+/// PDL_FLIGHT_DUMP's value ("" when unset, empty or "0").
+std::string env_flight_dump_prefix() {
+  const char* env = std::getenv("PDL_FLIGHT_DUMP");
+  return env == nullptr || std::string_view(env) == "0" ? "" : env;
+}
+
 }  // namespace
 
 Context::Context(const pdl::Platform& target, TaskRepository repository,
@@ -97,6 +104,7 @@ Context::Context(const pdl::Platform& target, TaskRepository repository,
   engine_config.perf_store_path = options_.perf_store_path.empty()
                                       ? starvm::perf_store::env_store_path()
                                       : options_.perf_store_path;
+  engine_config.flight_dump_prefix = env_flight_dump_prefix();
 
   // Load the same store the engine will preload, so static pre-selection
   // ranks variants by the measured rates of this platform's device classes

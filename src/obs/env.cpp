@@ -1,13 +1,10 @@
 #include "obs/env.hpp"
 
-#include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <mutex>
 #include <set>
-#include <thread>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -49,8 +46,6 @@ void flush_env_outputs() {
   if (!metrics_path.empty() && !already_written(metrics_path)) {
     write_metrics_file(metrics_path);
   }
-  // Final Prometheus snapshot regardless of the periodic exporter: the
-  // file should hold the process's last word, not a mid-run sample.
   const std::string prom_path = env_metrics_prom_path();
   if (!prom_path.empty()) write_prometheus_file(prom_path);
 }
@@ -89,23 +84,6 @@ bool write_prometheus_file(const std::string& path) {
   return true;
 }
 
-bool start_prometheus_exporter(const std::string& path, unsigned period_ms) {
-  static std::atomic<bool> running{false};
-  bool expected = false;
-  if (!running.compare_exchange_strong(expected, true)) return false;
-  if (period_ms == 0) period_ms = 1000;
-  // Detached on purpose: the exporter lives for the process; joining it at
-  // exit would stall shutdown for up to a period. Writes after static
-  // destruction are impossible — the registry is leaked (Registry::global).
-  std::thread([path, period_ms] {
-    for (;;) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(period_ms));
-      write_prometheus_file(path);
-    }
-  }).detach();
-  return true;
-}
-
 bool init_from_env() {
   const std::string trace = env_value("PDL_TRACE");
   const std::string metrics = env_metrics_path();
@@ -114,14 +92,6 @@ bool init_from_env() {
   if (trace_active) Tracer::instance().set_enabled(true);
   if (trace_active || !metrics.empty() || !prom.empty()) {
     set_metrics_enabled(true);
-    if (!prom.empty()) {
-      unsigned period_ms = 1000;
-      const std::string period = env_value("PDL_METRICS_PROM_PERIOD_MS");
-      if (!period.empty()) {
-        period_ms = static_cast<unsigned>(std::strtoul(period.c_str(), nullptr, 10));
-      }
-      start_prometheus_exporter(prom, period_ms);
-    }
     static std::once_flag atexit_once;
     std::call_once(atexit_once, [] { std::atexit(flush_env_outputs); });
     return true;

@@ -6,9 +6,8 @@
 //   PDL_METRICS=<path>  write a metrics snapshot to <path> at exit
 //   PDL_METRICS_PROM=<path>
 //                       write a Prometheus text-format snapshot to <path>
-//                       at exit AND periodically while the process runs
-//                       (PDL_METRICS_PROM_PERIOD_MS, default 1000), via
-//                       tmp+rename so scrapers never read a torn file
+//                       at exit, via tmp+rename so a scraper never reads a
+//                       torn file
 //
 // Tools call init_from_env() at startup; benches, tests and examples can
 // do the same to opt in without flag plumbing. Programs that produce a
@@ -33,17 +32,11 @@ std::string env_metrics_prom_path();
 /// atomically (tmp file + rename). False on I/O error.
 bool write_prometheus_file(const std::string& path);
 
-/// Start (at most once per process) a detached background thread that
-/// rewrites `path` with a fresh Prometheus snapshot every `period_ms`.
-/// Returns false when an exporter is already running. Used by
-/// init_from_env() for PDL_METRICS_PROM; callable directly by services.
-bool start_prometheus_exporter(const std::string& path,
-                               unsigned period_ms = 1000);
-
 /// Apply the environment: enable the tracer when PDL_TRACE is set (and not
-/// "0"), and register an atexit hook that writes the env-named trace and
+/// "0"), turn metrics collection on when any of the three variables is,
+/// and register an atexit hook that writes the env-named trace and
 /// metrics files not explicitly written earlier. Idempotent; returns true
-/// when either variable is active.
+/// when any variable is active.
 bool init_from_env();
 
 /// Write the global metrics registry snapshot as JSON. False on I/O error.

@@ -125,7 +125,7 @@ class Registry {
   /// bucket list.
   std::string snapshot_json() const;
 
-  /// Prometheus text exposition format (the starvmd scrape surface).
+  /// Prometheus text exposition format (PDL_METRICS_PROM, obs/env.hpp).
   /// Names are prefixed "pdl_" with dots mapped to underscores. Counters
   /// render as `counter`, gauges as `gauge` (plus a `_high_water` gauge),
   /// histograms as `histogram` with cumulative log2 `le` buckets plus
@@ -144,10 +144,10 @@ class Registry {
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
-/// Process-wide switch for *hot-path* instrument updates (the starvm
-/// engine's per-task counters/gauges/histograms). Off by default so an
-/// engine that nobody is observing pays one relaxed load per task instead
-/// of a handful of shared atomic read-modify-writes. Flipped on by
+/// Process-wide switch for metrics collection that someone must ask for:
+/// while it is on, each starvm engine publishes its run's totals to the
+/// registry when it ends (starvm::publish_metrics); off by default, so an
+/// engine nobody observes builds no EngineStats at teardown. Flipped on by
 /// obs::init_from_env() and by the tools when a trace or metrics output
 /// is requested. Direct instrument use (inc()/record() on a cached
 /// reference) is never gated — cold-path instrumentation such as the XML

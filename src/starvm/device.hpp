@@ -84,8 +84,8 @@ struct EngineConfig {
   /// Path prefix for automatic post-mortem flight dumps: on a watchdog
   /// fire or a failed wait_all() the engine writes <prefix>.jsonl and
   /// <prefix>.trace.json once. Empty = no automatic dump (explicit
-  /// Engine::dump_flight_recorder still works); the PDL_FLIGHT_DUMP
-  /// environment variable supplies a default at engine construction.
+  /// Engine::dump_flight_recorder still works). The engine reads no
+  /// environment for it; rt::Context forwards PDL_FLIGHT_DUMP here.
   std::string flight_dump_prefix;
 
   /// Persisted perf-model store (docs/RUNTIME.md "Persisted performance

@@ -6,7 +6,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <optional>
@@ -43,48 +42,6 @@ double now_seconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-// Engine telemetry (obs registry), shared by every engine instance.
-obs::Counter& tasks_completed_counter() {
-  static obs::Counter& c = obs::counter("starvm.tasks_completed");
-  return c;
-}
-obs::Counter& tasks_submitted_counter() {
-  static obs::Counter& c = obs::counter("starvm.tasks_submitted");
-  return c;
-}
-obs::Histogram& submit_batch_histogram() {
-  static obs::Histogram& h = obs::histogram("starvm.submit_batch_tasks");
-  return h;
-}
-obs::Counter& transfers_counter() {
-  static obs::Counter& c = obs::counter("starvm.transfers");
-  return c;
-}
-obs::Counter& evictions_counter() {
-  static obs::Counter& c = obs::counter("starvm.evictions");
-  return c;
-}
-obs::Gauge& ready_queue_gauge() {
-  static obs::Gauge& g = obs::gauge("starvm.ready_queue");
-  return g;
-}
-obs::Histogram& task_exec_us_histogram() {
-  static obs::Histogram& h = obs::histogram("starvm.task_exec_us");
-  return h;
-}
-/// Tick the counters that mirror a fault edge of `kind`.
-void count_fault(FaultEvent::Kind kind) {
-  static obs::Counter& failures = obs::counter("starvm.task_failures");
-  static obs::Counter& timeouts = obs::counter("starvm.task_timeouts");
-  static obs::Counter& retries = obs::counter("starvm.task_retries");
-  static obs::Counter& blacklists = obs::counter("starvm.device_blacklists");
-  using Kind = FaultEvent::Kind;
-  if (kind == Kind::kFailure || kind == Kind::kTimeout) failures.inc();
-  if (kind == Kind::kTimeout) timeouts.inc();
-  if (kind == Kind::kRetry) retries.inc();
-  if (kind == Kind::kBlacklist) blacklists.inc();
 }
 
 /// The attempt a fault-log entry closes or the move it makes, if any:
@@ -234,22 +191,12 @@ Engine::Engine(EngineConfig config)
   if (config_.wrap_scheduler) {
     scheduler_ = config_.wrap_scheduler(std::move(scheduler_));
   }
-  decision_counter_ = &obs::counter("starvm.decisions." +
-                                    std::string(to_string(config_.scheduler)));
 
   // Flight recorder: one ring for every lane (the fault lane is read off the fault
   // log), built before the workers so the very first task is already recorded.
   if (config_.flight_records_per_device > 0) {
     flight_ = std::make_unique<obs::FlightRing>(
         config_.flight_records_per_device * devices_.size());
-  }
-  flight_dump_prefix_ = config_.flight_dump_prefix;
-  if (flight_dump_prefix_.empty()) {
-    const char* env = std::getenv("PDL_FLIGHT_DUMP");
-    if (env != nullptr && env[0] != '\0' &&
-        !(env[0] == '0' && env[1] == '\0')) {
-      flight_dump_prefix_ = env;
-    }
   }
 
   // Persisted perf store: preload the learned rates of this engine's
@@ -356,6 +303,9 @@ Engine::~Engine() {
                          foreign_perf_entries_.end());
     (void)perf_store::save(store, config_.perf_store_path);
   }
+  // The registry's starvm.* samples are this run's totals, read off the
+  // record every other view reads.
+  if (obs::metrics_enabled()) publish_metrics(stats());
 }
 
 // --- Data ----------------------------------------------------------------------
@@ -544,9 +494,6 @@ void Engine::validate_desc(const TaskDesc& desc) const {
 }
 
 detail::TaskNode& Engine::wire_task_locked(TaskDesc&& desc, double flops) {
-  // Counted here — the one place both submit() and submit_batch() funnel
-  // through — so a batch of N adds exactly N, never 1.
-  if (obs::metrics_enabled()) tasks_submitted_counter().inc();
   detail::TaskNode& task = tasks_.emplace_back();
   task.id = tasks_.size();  // ids are dense from 1
   task.codelet = desc.codelet;
@@ -730,9 +677,6 @@ void Engine::dispatch_ready(detail::TaskNode* task) {
     return;
   }
   scheduler_->push(task);
-  if (obs::metrics_enabled()) {
-    ready_queue_gauge().set(static_cast<std::int64_t>(scheduler_->size()));
-  }
 }
 
 TaskId Engine::submit(TaskDesc desc) {
@@ -751,7 +695,6 @@ TaskId Engine::submit(TaskDesc desc) {
 
 std::vector<TaskId> Engine::submit_batch(std::vector<TaskDesc> descs) {
   if (descs.empty()) return {};
-  if (obs::metrics_enabled()) submit_batch_histogram().record(descs.size());
   for (const TaskDesc& desc : descs) validate_desc(desc);
   std::vector<double> flops(descs.size(), 0.0);
   for (std::size_t i = 0; i < descs.size(); ++i) {
@@ -1010,11 +953,6 @@ FaultPlan::Injection Engine::begin_attempt(detail::TaskNode& task,
   task.state.store(detail::TaskState::kRunning);
   task.ran_on = device.id;
   ++task.attempts;
-  // The ready-queue depth at pop, read only when the gauge or the flight
-  // ring records it.
-  const bool gauge = obs::metrics_enabled();
-  const std::size_t queued = gauge || flight_ ? scheduler_->size() : 0;
-  if (gauge) ready_queue_gauge().set(static_cast<std::int64_t>(queued));
   // Before acquire_buffers: candidate costs must see decision-time replica
   // placement.
   record_decision(task, device);
@@ -1023,8 +961,10 @@ FaultPlan::Injection Engine::begin_attempt(detail::TaskNode& task,
       config_.task_overhead_us * 1e-6;
   task.transfer_seconds = acquire_buffers(task, device.node);
   if (flight_) {
+    // The ready-queue depth at pop: neither the decision nor the transfers
+    // touch a queue.
     flight_->record(obs::FlightKind::kQueueDepth, 0, 0, device.id, task.start_vtime, 0.0,
-                    static_cast<double>(queued));
+                    static_cast<double>(scheduler_->size()));
     flight_->record(obs::FlightKind::kTaskStart,
                     static_cast<std::uint32_t>(task.attempts), task.id, device.id,
                     task.start_vtime, 0.0, 0.0);
@@ -1134,11 +1074,6 @@ void Engine::finalize_task(detail::TaskNode& task, detail::DeviceState& device,
                       task.start_vtime + transfer, transfer);
     }
   }
-  if (obs::metrics_enabled()) {
-    tasks_completed_counter().inc();
-    task_exec_us_histogram().record(
-        exec > 0.0 ? static_cast<std::uint64_t>(exec * 1e6) : 0);
-  }
 
   // Release the dependency edges: late subscribers (add_dep) that take
   // edge_mutex after this see released == true and read finish_vtime.
@@ -1226,7 +1161,6 @@ bool Engine::has_live_capable_device(const Codelet& codelet) const {
 void Engine::record_fault_event_locked(FaultEvent::Kind kind, double vtime,
                                        detail::TaskNode* task, DeviceId device,
                                        int attempt, std::string detail) {
-  if (obs::metrics_enabled()) count_fault(kind);
   fault_links_.push_back(task != nullptr ? task->last_fault : detail::kNoFault);
   if (task != nullptr) task->last_fault = fault_events_.size();
   fault_events_.push_back(FaultEvent{kind, vtime, task != nullptr ? task->id : 0,
@@ -1239,7 +1173,8 @@ std::uint64_t Engine::fault_count_locked(FaultEvent::Kind kind) const {
                     [kind](const FaultEvent& e) { return e.kind == kind; }));
 }
 
-std::string Engine::attempt_chain_locked(const detail::TaskNode& task) const {
+std::string Engine::attempt_chain_locked(const detail::TaskNode& task,
+                                         const std::string& reason) const {
   // Digest for aggregated error messages: without it, a task that both
   // retried and was re-routed off a blacklisted device reports only the
   // LAST failure reason, losing which devices the earlier attempts died on.
@@ -1261,7 +1196,9 @@ std::string Engine::attempt_chain_locked(const detail::TaskNode& task) const {
     } else {
       chain += "attempt " + std::to_string(e.attempt) + " on device " +
                std::to_string(e.device) + ": " + to_string(*outcome);
-      if (!e.detail.empty()) chain += " (" + e.detail + ")";
+      // The newest attempt's cause already heads the message as `reason`.
+      const bool heads = &e == entries.front() && e.detail == reason;
+      if (!e.detail.empty() && !heads) chain += " (" + e.detail + ")";
     }
   }
   if (!chain.empty()) chain += "]";
@@ -1278,7 +1215,7 @@ void Engine::fail_task_locked(detail::TaskNode& task, double vtime,
   } while (!task.state.compare_exchange_weak(cur, detail::TaskState::kFailed));
 
   task_errors_.push_back("task " + std::to_string(task.id) + " '" + task.label +
-                         "': " + reason + attempt_chain_locked(task));
+                         "': " + reason + attempt_chain_locked(task, reason));
   record_fault_event_locked(FaultEvent::Kind::kTaskFailed, vtime, &task,
                             task.ran_on, task.attempts, reason);
   pending_.fetch_sub(1);
@@ -1409,7 +1346,6 @@ void Engine::handle_task_failure(detail::TaskNode& task,
 
 void Engine::record_decision(const detail::TaskNode& task,
                              const detail::DeviceState& chosen) {
-  if (obs::metrics_enabled()) decision_counter_->inc();
   if (!config_.record_decisions && !obs::tracing_enabled()) {
     return;  // hot path: no candidate vector, no lock
   }
@@ -1545,7 +1481,6 @@ void Engine::add_replica_locked(DataHandle* handle, MemoryNodeId node,
       }
       drop_replica_locked(victim, node);
       ++evictions_;
-      if (obs::metrics_enabled()) evictions_counter().inc();
     }
     state->lru.push_front(handle);
   }
@@ -1575,7 +1510,6 @@ double Engine::acquire_buffers(detail::TaskNode& task, MemoryNodeId node) {
           charge_transfer_locked(task, h->bytes(), source, node, total);
           ++transfers_;
           transfer_bytes_ += h->bytes();
-          if (obs::metrics_enabled()) transfers_counter().inc();
         }
       }
       // add_replica also refreshes LRU recency for already-valid replicas.
@@ -1767,10 +1701,10 @@ bool Engine::dump_flight_recorder(const std::string& prefix,
 }
 
 void Engine::maybe_auto_dump(const char* reason) const {
-  if (!flight_ || flight_dump_prefix_.empty()) return;
+  if (!flight_ || config_.flight_dump_prefix.empty()) return;
   bool expected = false;
   if (!flight_dumped_.compare_exchange_strong(expected, true)) return;
-  dump_flight_recorder(flight_dump_prefix_, reason);
+  dump_flight_recorder(config_.flight_dump_prefix, reason);
 }
 
 EngineStats Engine::stats() const {

@@ -37,7 +37,9 @@
 // one flight ring all lanes share, under mutex_; a fault edge goes into
 // the fault log, under fault_mutex_. The trace is read off the task
 // nodes; the fault counters, attempt chains and the flight dump's fault
-// lane are read off the fault log.
+// lane are read off the fault log. The engine keeps no registry
+// instrument: when metrics collection is on, the destructor publishes
+// the run's EngineStats (starvm::publish_metrics).
 #pragma once
 
 #include <array>
@@ -64,10 +66,6 @@
 #include "starvm/stats.hpp"
 #include "starvm/types.hpp"
 #include "util/result.hpp"
-
-namespace obs {
-class Counter;
-}
 
 namespace starvm {
 
@@ -229,9 +227,9 @@ class Engine {
   void run_turns(std::unique_lock<std::mutex>& lock);
 
   /// Start an attempt of `task` on `device` (mutex_ held): mark it running,
-  /// count the attempt, record the decision, charge the transfers, publish
-  /// the ready-queue depth to the gauge and the lane ring with the
-  /// task-start record, and return the fault plan's verdict.
+  /// count the attempt, record the decision, charge the transfers, write
+  /// the queue-depth and task-start records to the lane ring, and return
+  /// the fault plan's verdict.
   FaultPlan::Injection begin_attempt(detail::TaskNode& task,
                                      detail::DeviceState& device);
 
@@ -359,8 +357,8 @@ class Engine {
   void notify_drain();
 
   /// Record a SchedulerDecision for `task` placed on `chosen` (mutex_
-  /// held, before acquire_buffers mutates replica state). Counts the
-  /// decision always; allocates nothing unless recording is active.
+  /// held, before acquire_buffers mutates replica state). Does nothing
+  /// unless recording is active.
   void record_decision(const detail::TaskNode& task,
                        const detail::DeviceState& chosen);
 
@@ -532,9 +530,11 @@ class Engine {
   /// task, or detail::kNoFault (TaskNode::last_fault is the newest).
   std::vector<std::size_t> fault_links_;
 
-  /// One-line digest of `task`'s attempt chain for error messages
-  /// (fault_mutex_ held); empty when the chain is empty.
-  std::string attempt_chain_locked(const detail::TaskNode& task) const;
+  /// One-line digest of `task`'s attempt chain for an error message headed
+  /// by `reason` (fault_mutex_ held); empty when the chain is empty. The
+  /// newest attempt's cause is left out when it is `reason`.
+  std::string attempt_chain_locked(const detail::TaskNode& task,
+                                   const std::string& reason) const;
 
   // Flight recorder (docs/OBSERVABILITY.md): one ring for every lane,
   // written only under mutex_, so it has one producer at a time. Null
@@ -542,8 +542,6 @@ class Engine {
   std::unique_ptr<obs::FlightRing> flight_;
   /// Ensures the automatic post-mortem dump fires at most once per engine.
   mutable std::atomic<bool> flight_dumped_{false};
-  /// Auto-dump prefix (config or $PDL_FLIGHT_DUMP); empty = no auto dump.
-  std::string flight_dump_prefix_;
 
   /// Persisted perf store (docs/RUNTIME.md "Persisted performance models"
   /// at config_.perf_store_path): loaded at construction, written back
@@ -558,10 +556,6 @@ class Engine {
   /// dump has happened yet. Must be called WITHOUT fault_mutex_ held (the
   /// snapshot reads task labels under submit_mutex_ and writes files).
   void maybe_auto_dump(const char* reason) const;
-
-  /// Per-policy decision counter ("starvm.decisions.<policy>"), resolved
-  /// once at construction so the hot path skips the registry lookup.
-  obs::Counter* decision_counter_ = nullptr;
 
   /// Decision oracle steering the simulation loop (EngineConfig::oracle;
   /// null in the threaded mode). Non-owning.

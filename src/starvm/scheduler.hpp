@@ -71,7 +71,7 @@ class Scheduler {
   virtual bool empty() const = 0;
 
   /// Number of tasks queued across every device (the ready-queue length
-  /// reported to the obs metrics registry).
+  /// the flight ring's queue-depth record holds).
   virtual std::size_t size() const = 0;
 
   /// Remove and return every queued task that only `device` could have run

@@ -4,6 +4,9 @@
 #include <cmath>
 #include <cstdio>
 #include <sstream>
+#include <utility>
+
+#include "obs/metrics.hpp"
 
 namespace starvm {
 
@@ -214,6 +217,28 @@ std::string to_ascii_gantt(const EngineStats& stats, int width) {
                 "", makespan);
   os << footer;
   return os.str();
+}
+
+void publish_metrics(const EngineStats& stats) {
+  const std::pair<const char*, std::uint64_t> totals[] = {
+      {"starvm.tasks_submitted", stats.tasks_submitted},
+      {"starvm.tasks_completed", stats.tasks_completed},
+      {"starvm.transfers", stats.transfers},
+      {"starvm.evictions", stats.evictions},
+      {"starvm.task_failures", stats.task_failures},
+      {"starvm.task_timeouts", stats.timeouts},
+      {"starvm.task_retries", stats.retries},
+      {"starvm.device_blacklists", stats.devices_blacklisted},
+  };
+  for (const auto& [name, value] : totals) obs::counter(name).inc(value);
+  // Every attempt begins with a decision and ends completed or failed.
+  obs::counter("starvm.decisions." + std::string(to_string(stats.scheduler)))
+      .inc(stats.tasks_completed + stats.task_failures);
+  obs::Histogram& exec_us = obs::histogram("starvm.task_exec_us");
+  for (const TaskTrace& t : stats.trace) {
+    exec_us.record(t.exec_seconds > 0.0 ? static_cast<std::uint64_t>(t.exec_seconds * 1e6)
+                                        : 0);
+  }
 }
 
 }  // namespace starvm

@@ -1,10 +1,12 @@
-// Trace export: render an EngineStats task trace for humans and tools.
+// Trace export: render an EngineStats record for humans and tools.
 //
 //   * Chrome trace-event JSON — load in chrome://tracing / Perfetto to see
 //     the per-device virtual-time schedule;
 //   * a merged timeline that also carries the toolchain's wall-time spans
 //     (obs::Tracer) in a separate process lane;
-//   * an ASCII Gantt chart for terminals and logs.
+//   * an ASCII Gantt chart for terminals and logs;
+//   * the starvm.* samples of the obs metrics registry (JSON snapshot and
+//     Prometheus), which an engine publishes when it ends.
 #pragma once
 
 #include <string>
@@ -45,5 +47,13 @@ std::string to_ascii_gantt(const EngineStats& stats, int width = 72);
 /// renders as tid = device count, named "faults".
 std::string flight_chrome_trace(const std::vector<obs::FlightEvent>& events,
                                 const obs::FlightLabelFn& label = {});
+
+/// Add one finished run's totals to the global metrics registry: the
+/// counters starvm.tasks_submitted, tasks_completed, transfers, evictions,
+/// task_failures, task_timeouts, task_retries, device_blacklists and
+/// decisions.<policy> (one per attempt: completions plus failures), and one
+/// starvm.task_exec_us sample per trace row. Every instrument is created,
+/// zeros included. Engine::~Engine calls it while obs::metrics_enabled().
+void publish_metrics(const EngineStats& stats);
 
 }  // namespace starvm

@@ -321,6 +321,34 @@ TEST(Context, ResolvesTheEnvironmentOnceForItsEngine) {
   std::remove(path.c_str());
 }
 
+TEST(Context, ForwardsTheFlightDumpEnvironment) {
+  // PDL_FLIGHT_DUMP names where a translated program's failed run leaves
+  // its post-mortem; the Context resolves it for its engine.
+  const std::string prefix = std::string(::testing::TempDir()) + "rt_env_flight";
+  Options options;
+  options.fault_plan = std::make_shared<const starvm::FaultPlan>(
+      starvm::FaultPlan::parse("fail:task=1,attempts=99").value());
+  // No ASSERT until the variable is unset again.
+  ::setenv("PDL_FLIGHT_DUMP", prefix.c_str(), 1);
+  {
+    Context ctx(paper_platform_starpu_cpu(), builtin_repo(), options);
+    std::vector<double> a(64, 1.0), b(64, 2.0);
+    EXPECT_TRUE(ctx.execute("Ivecadd", "cpu",
+                            {arg(a.data(), 64, AccessMode::kReadWrite,
+                                 DistributionKind::kNone),
+                             arg(b.data(), 64, AccessMode::kRead,
+                                 DistributionKind::kNone)})
+                    .ok());
+    EXPECT_FALSE(ctx.wait().ok());
+  }
+  ::unsetenv("PDL_FLIGHT_DUMP");
+  const auto jsonl = pdl::util::read_file(prefix + ".jsonl");
+  ASSERT_TRUE(jsonl.has_value()) << "flight dump missing";
+  EXPECT_NE(jsonl->find("\"reason\":\"wait_all_failure\""), std::string::npos);
+  std::remove((prefix + ".jsonl").c_str());
+  std::remove((prefix + ".trace.json").c_str());
+}
+
 TEST(Context, AccuracyGuardVetoesFasterButLooserVariant) {
   // The autotuning flip meets the A7xx accuracy contract: a warm store says
   // the fp32-flavoured variant is 10x faster, but its declared error model

@@ -152,7 +152,8 @@ TEST(Env, TracePathIgnoresBooleanValues) {
 
 starvm::EngineStats run_sample_engine(bool record_decisions,
                                       bool metrics = true) {
-  // Engine hot-path instruments only sample while collection is on.
+  // The engine publishes its run's totals when it ends, and only while
+  // collection is on.
   set_metrics_enabled(metrics);
   starvm::EngineConfig config = starvm::EngineConfig::cpus(2, 10.0);
   config.mode = starvm::ExecutionMode::kPureSim;
@@ -252,10 +253,9 @@ TEST(EngineMetrics, CountersTickOnExecution) {
   run_sample_engine(false);
   EXPECT_EQ(counter("starvm.tasks_completed").value(), tasks_before + 4);
   EXPECT_EQ(histogram("starvm.task_exec_us").count(), hist_before + 4);
-  EXPECT_GE(gauge("starvm.ready_queue").high_water(), 1);
 }
 
-TEST(EngineMetrics, HotPathInstrumentsIdleWhileCollectionOff) {
+TEST(EngineMetrics, NothingIsPublishedWhileCollectionOff) {
   const std::uint64_t tasks_before = counter("starvm.tasks_completed").value();
   const auto stats = run_sample_engine(false, /*metrics=*/false);
   set_metrics_enabled(true);  // restore for later tests

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <mutex>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "starvm/engine.hpp"
+#include "starvm/fault.hpp"
 
 namespace starvm {
 namespace {
@@ -686,6 +689,49 @@ TEST(Engine, ThreadedChainPlacementMatchesPureSim) {
           << "task " << want.id;
     }
   }
+}
+
+// The registry's starvm.* samples are one finished run's totals: a threaded
+// engine that retries a failed attempt leaves, once it ends, exactly what
+// its EngineStats holds.
+TEST(Engine, PublishedMetricsMatchTheThreadedRunsStats) {
+  obs::Registry::global().reset();
+  const bool metrics_were_on = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  EngineStats stats;
+  {
+    EngineConfig config = EngineConfig::cpus(4);
+    config.mode = ExecutionMode::kHybrid;
+    config.fault_plan = std::make_shared<const FaultPlan>(
+        FaultPlan::parse("fail:task=5,attempts=1").value());
+    Engine engine(std::move(config));
+    std::vector<double> data(64, 0.0);
+    DataHandle* h = engine.register_vector(data.data(), data.size());
+    Codelet bump =
+        make_codelet("bump", [](const ExecContext& ctx) { ctx.buffer(0)[0] += 1.0; });
+    for (DataHandle* block : engine.partition_vector(h, 64)) {
+      engine.submit(TaskDesc{&bump, {{block, Access::kReadWrite}}});
+    }
+    EXPECT_TRUE(engine.wait_all().ok());
+    stats = engine.stats();
+  }
+  obs::set_metrics_enabled(metrics_were_on);
+
+  ASSERT_EQ(stats.tasks_completed, 64u);
+  EXPECT_EQ(stats.task_failures, 1u);
+  const auto counted = [](const char* name) { return obs::counter(name).value(); };
+  EXPECT_EQ(counted("starvm.tasks_submitted"), stats.tasks_submitted);
+  EXPECT_EQ(counted("starvm.tasks_completed"), stats.tasks_completed);
+  EXPECT_EQ(counted("starvm.transfers"), stats.transfers);
+  EXPECT_EQ(counted("starvm.evictions"), stats.evictions);
+  EXPECT_EQ(counted("starvm.task_failures"), stats.task_failures);
+  EXPECT_EQ(counted("starvm.task_timeouts"), stats.timeouts);
+  EXPECT_EQ(counted("starvm.task_retries"), stats.retries);
+  EXPECT_EQ(counted("starvm.device_blacklists"), stats.devices_blacklisted);
+  // Every attempt begins with a decision and ends completed or failed.
+  EXPECT_EQ(counted("starvm.decisions.heft"),
+            stats.tasks_completed + stats.task_failures);
+  EXPECT_EQ(obs::histogram("starvm.task_exec_us").count(), stats.trace.size());
 }
 
 }  // namespace

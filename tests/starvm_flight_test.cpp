@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <latch>
 #include <map>
 #include <set>
@@ -173,6 +174,30 @@ TEST(EngineFlight, PostMortemDumpOnPermanentFailure) {
   std::remove((prefix + ".jsonl").c_str());
   EXPECT_FALSE(engine.wait_all().ok());
   EXPECT_FALSE(pdl::util::read_file(prefix + ".jsonl").has_value());
+  std::remove((prefix + ".trace.json").c_str());
+}
+
+// The engine reads no environment: PDL_FLIGHT_DUMP reaches it only through
+// rt::Context, which forwards it as EngineConfig::flight_dump_prefix.
+TEST(EngineFlight, BareEngineIgnoresTheDumpEnvironment) {
+  const std::string prefix = temp_prefix("bare_engine_env");
+  // No ASSERT until the variable is unset again: it must not leak into the
+  // tests that follow in this process.
+  ::setenv("PDL_FLIGHT_DUMP", prefix.c_str(), 1);
+  {
+    EngineConfig config = EngineConfig::cpus(2);
+    config.fault_plan = std::make_shared<const FaultPlan>(
+        FaultPlan::parse("fail:task=1,attempts=99").value());
+    Engine engine(std::move(config));
+    Codelet noop = make_codelet("noop", [](const ExecContext&) {});
+    std::vector<double> data(1);
+    DataHandle* h = engine.register_vector(data.data(), 1);
+    engine.submit(TaskDesc{&noop, {{h, Access::kReadWrite}}, "doomed"});
+    EXPECT_FALSE(engine.wait_all().ok());
+  }
+  ::unsetenv("PDL_FLIGHT_DUMP");
+  EXPECT_FALSE(pdl::util::read_file(prefix + ".jsonl").has_value());
+  std::remove((prefix + ".jsonl").c_str());
   std::remove((prefix + ".trace.json").c_str());
 }
 

@@ -9,7 +9,8 @@
 //   * the flight recorder as Engine::dump_flight_recorder writes it:
 //     obs::flight_events_jsonl with task labels, then flight_chrome_trace;
 //   * the non-zero `pdl_starvm_*` samples of render_prometheus(), with the
-//     registry reset before the run and hot-path metrics on during it.
+//     registry reset before the run and metrics collection on, so that
+//     each engine publishes its EngineStats when it ends.
 //
 // The programs, all with record_decisions on:
 //
@@ -143,7 +144,7 @@ inline void render_engine(std::string& out, Engine& engine) {
   }
 }
 
-/// Runs `program` against a reset metrics registry with hot-path metrics
+/// Runs `program` against a reset metrics registry with metrics collection
 /// on, then appends every view.
 inline void render_run(std::string& out, const std::string& title,
                        const std::function<void(const ViewFn&)>& program) {

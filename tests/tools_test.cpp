@@ -852,4 +852,26 @@ TEST_F(ToolsTest, CascabelcProfileAndFlightDump) {
   EXPECT_NE(trace->find("flight recorder"), std::string::npos);
 }
 
+TEST_F(ToolsTest, PrometheusFileHoldsThePreviewsEngineSamples) {
+  // PDL_METRICS_PROM is written at exit, after the preview's engine has
+  // published its run's totals to the registry.
+  const std::string platform = std::string(PDL_SOURCE_DIR) +
+                               "/platforms/testbed-starpu-2gpu.pdl.xml";
+  const std::string input = std::string(PDL_SOURCE_DIR) +
+                            "/tests/fixtures/dgemm_pipeline.cascabel.cpp";
+  const std::string out_cpp = temp_path("prom_gen.cpp");
+  const std::string prom = temp_path("preview.prom");
+  std::string output;
+  EXPECT_EQ(run("PDL_METRICS_PROM=" + prom + " " + kCascabelc + " --pdl " + platform +
+                    " --input " + input + " --output " + out_cpp + " --profile",
+                &output),
+            0)
+      << output;
+  const auto text = pdl::util::read_file(prom);
+  ASSERT_TRUE(text.has_value()) << "Prometheus file missing";
+  EXPECT_NE(text->find("\npdl_starvm_tasks_completed 32\n"), std::string::npos) << *text;
+  EXPECT_NE(text->find("\npdl_starvm_task_exec_us_count 32\n"), std::string::npos)
+      << *text;
+}
+
 }  // namespace
